@@ -218,6 +218,13 @@ def _require(sec: dict, key: str, line: int, section: str):
     return sec[key]
 
 
+def _scalar(text: str, line: int, key: str) -> float:
+    vals = _floats(text, line, key)
+    if len(vals) != 1:
+        raise ConfigError(f"line {line}: {key!r} takes one value")
+    return vals[0]
+
+
 def _pair(vals: list, line: int, key: str) -> tuple:
     if len(vals) == 1:
         return (vals[0], vals[0])
@@ -295,7 +302,7 @@ def parse_config(text: str) -> CaseConfig:
             raise ConfigError(f"line {ln}: resolution entries must be positive integers")
     res = tuple(int(r) for r in res_f)
     ln, mk = dval("matrix_k", "1.0")
-    matrix_k = _floats(mk, ln, "matrix_k")[0]
+    matrix_k = _scalar(mk, ln, "matrix_k")
 
     cfg = CaseConfig(
         domain_lo=lo,
@@ -316,18 +323,18 @@ def parse_config(text: str) -> CaseConfig:
             ln, braw = _require(sec, "box", sline, name)
             box = _box(_floats(braw, ln, "box"), dim, ln)
             ln, kraw = _require(sec, "k", sline, name)
-            cfg.matrix_regions.append((box[0], box[1], _floats(kraw, ln, "k")[0]))
+            cfg.matrix_regions.append((box[0], box[1], _scalar(kraw, ln, "k")))
         elif name == "fault":
             ln, raw = _require(sec, "p0", sline, name)
             p0 = tuple(_floats(raw, ln, "p0"))
             ln, raw = _require(sec, "p1", sline, name)
             p1 = tuple(_floats(raw, ln, "p1"))
             ln, raw = _require(sec, "aperture", sline, name)
-            ap = _floats(raw, ln, "aperture")[0]
+            ap = _scalar(raw, ln, "aperture")
             if ap <= 0:
                 raise ConfigError(f"line {ln}: aperture must be positive")
             ln, raw = _require(sec, "k_parallel", sline, name)
-            kpar = _floats(raw, ln, "k_parallel")[0]
+            kpar = _scalar(raw, ln, "k_parallel")
             ln, raw = _require(sec, "k_perp", sline, name)
             kperp = _pair(_floats(raw, ln, "k_perp"), ln, "k_perp")
             if kperp[0] <= 0 or kperp[1] <= 0:
@@ -352,7 +359,7 @@ def parse_config(text: str) -> CaseConfig:
             if kind not in ("dirichlet", "neumann"):
                 raise ConfigError(f"line {ln}: unknown condition kind {raw!r}")
             ln, raw = _require(sec, "value", sline, name)
-            value = _floats(raw, ln, "value")[0]
+            value = _scalar(raw, ln, "value")
             box = None
             if "box" in sec:
                 ln, raw = sec["box"]

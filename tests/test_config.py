@@ -116,6 +116,38 @@ def test_parse_errors_carry_line_numbers(text, line, needle):
     assert needle in msg
 
 
+@pytest.mark.parametrize(
+    "text,line,key",
+    [
+        ("[domain]\nlo = 0 0\nhi = 1 1\nresolution = 4 4\nmatrix_k = 1 2\n",
+         5, "matrix_k"),
+        (
+            "[domain]\nlo = 0 0 0\nhi = 1 1 1\nresolution = 4 4 4\n"
+            "\n[region]\nbox = 0 0 0 1 1 1\nk = 1 0.5 0 0.5 1 0 0 0 1\n",
+            8,
+            "k",
+        ),
+        (
+            BASE + "\n[fault]\np0 = 0 0.5\np1 = 1 0.5\naperture = 0.01 0.02\n"
+            "k_parallel = 1\nk_perp = 1\n",
+            10,
+            "aperture",
+        ),
+        (
+            BASE + "\n[fault]\np0 = 0 0.5\np1 = 1 0.5\naperture = 0.01\n"
+            "k_parallel = 1 1\nk_perp = 1\n",
+            11,
+            "k_parallel",
+        ),
+        (BASE + "\n[bc]\nside = y-\nkind = dirichlet\nvalue = 1 7\n", 10, "value"),
+    ],
+)
+def test_scalar_keys_reject_extra_numbers(text, line, key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line {line}: {key!r} takes one value"
+
+
 def test_nonpositive_k_perp_rejected():
     text = BASE + (
         "\n[fault]\np0 = 0 0.5\np1 = 1 0.5\naperture = 0.01\n"

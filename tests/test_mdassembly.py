@@ -10,14 +10,23 @@ set with a constant fault source of -2; all fields are piecewise linear,
 hence reproduced to machine precision.
 """
 
+import logging
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from mdflow.config import BcClause, CaseConfig, FaultConfig, builtin_case
 from mdflow.discretize import BC_DIRICHLET
 from mdflow.mdassembly import (
     AssemblyError,
+    _bisection_paths,
+    _lu_solve,
+    _nested_dissection,
+    _unknown_coordinates,
     assemble_from_problems,
     assemble_global,
     build_problems,
@@ -331,3 +340,136 @@ def test_describe_and_dump(tmp_path):
     assert len(lines) == system.matrix.nnz + 1
     r, c, v = lines[1].split()
     int(r), int(c), float(v)
+
+
+# ---------------------------------------------------------------------------
+# Nested-dissection ordering of the direct solve.
+# ---------------------------------------------------------------------------
+
+
+def signed_cube3d():
+    """The built-in cube3d geometry with cross terms of both signs."""
+    cfg = builtin_case("cube3d")
+    signs = [(1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)]
+    faults = [
+        replace(f, k_t=(s1 * 900.0, s2 * 600.0))
+        for f, (s1, s2) in zip(cfg.faults, signs)
+    ]
+    return replace(cfg, faults=faults)
+
+
+def assembled(cfg):
+    mesh = build_cartesian_md_mesh(
+        cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
+    )
+    return assemble_global(mesh, cfg.material_set(), cfg.bcs)
+
+
+def unknowns(sol):
+    return np.concatenate(sol.pressures + sol.lambdas)
+
+
+@pytest.mark.parametrize("make", [lambda: builtin_case("cube3d"), signed_cube3d])
+def test_nested_dissection_matches_colamd(make, caplog):
+    system = assembled(make())
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        sol = solve(system)
+    assert "ordering nested-dissection," in caplog.text
+    colamd, _, _ = _lu_solve(system.matrix, system.rhs)
+    x = unknowns(sol)
+    assert np.linalg.norm(x - colamd) <= 1e-10 * np.linalg.norm(colamd)
+
+
+@pytest.mark.parametrize(
+    "failure,reason",
+    [("residual", "residual"), ("raise", "factorization failed")],
+)
+def test_nested_dissection_falls_back_to_colamd(failure, reason, monkeypatch, caplog):
+    system = assembled(signed_cube3d())
+    colamd, _, _ = _lu_solve(system.matrix, system.rhs)
+    real_splu = spla.splu
+
+    def splu(A, permc_spec=None, **kwargs):
+        if permc_spec != "NATURAL":
+            return real_splu(A, permc_spec=permc_spec, **kwargs)
+        if failure == "raise":
+            raise RuntimeError("Factor is exactly singular")
+        return types.SimpleNamespace(solve=np.zeros_like, nnz=0)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        sol = solve(system)
+    assert f"ordering colamd (fallback: {reason}" in caplog.text
+    np.testing.assert_array_equal(unknowns(sol), colamd)
+
+
+def test_two_dimensional_solve_keeps_colamd(caplog):
+    system = assembled(builtin_case("case1"))
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        solve(system)
+    assert "ordering colamd," in caplog.text
+
+
+@st.composite
+def cartesian_boxes(draw):
+    """A unit-spacing box of 2 to 7 cells per axis, with or without one
+    full fault plane, and a bisection leaf size."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = tuple(draw(st.lists(st.integers(2, 7), min_size=dim, max_size=dim)))
+    faults = []
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, dim - 1))
+        at = draw(st.integers(1, n[axis] - 1))
+        p0 = [0.0] * dim
+        p1 = [float(k) for k in n]
+        p0[axis] = p1[axis] = float(at)
+        faults.append(
+            FaultConfig(tuple(p0), tuple(p1), aperture=0.01, k_parallel=10.0,
+                        k_perp=(5.0, 5.0), k_t=(2.0, -3.0), name="F")
+        )
+    cfg = CaseConfig(
+        domain_lo=(0.0,) * dim, domain_hi=tuple(float(k) for k in n),
+        resolution=n, matrix_k=1.0, matrix_regions=[], faults=faults,
+        bcs=[BcClause(0, "dirichlet", 1.0), BcClause(1, "dirichlet", 0.0)],
+        name="box",
+    )
+    return cfg, draw(st.integers(1, 16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cartesian_boxes())
+def test_bisection_order_separates_siblings(box):
+    cfg, leaf = box
+    system = assembled(cfg)
+    xyz = _unknown_coordinates(system)
+    n = system.n_unknowns
+    paths = _bisection_paths(xyz, system.matrix, leaf)
+    order = _nested_dissection(system, leaf)
+    np.testing.assert_array_equal(np.sort(order), np.arange(n))
+
+    # No entry of the permuted pattern couples two sibling subtrees: where
+    # the paths of its row and column part, neither goes left and the
+    # other right. One is a separator, and it comes later in the order.
+    P = system.matrix[order][:, order].tocoo()
+    i, j = order[P.row], order[P.col]
+    differ = paths[:, i] != paths[:, j]
+    part = differ.argmax(axis=0)
+    k = np.flatnonzero(differ.any(axis=0))
+    a = paths[part[k], i[k]]
+    b = paths[part[k], j[k]]
+    assert not np.any((np.minimum(a, b) == 0) & (np.maximum(a, b) == 1))
+    r, c = P.row[k], P.col[k]
+    assert np.all(r[a == 2] > c[a == 2]) and np.all(c[b == 2] > r[b == 2])
+
+    # A group left unsplit is a leaf of at most ``leaf`` unknowns, unless
+    # its unknowns all share one position. Its unknowns share the path up
+    # to the first -1; separator paths end in 2 instead.
+    depth = np.where((paths < 0).any(axis=0), (paths < 0).argmax(axis=0), len(paths))
+    leaves = {}
+    for u in range(n):
+        key = tuple(paths[: depth[u], u])
+        if not key or key[-1] != 2:
+            leaves.setdefault(key, []).append(u)
+    for members in leaves.values():
+        if len(members) > leaf:
+            assert np.ptp(xyz[members], axis=0).max() == 0
