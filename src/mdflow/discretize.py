@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.sparse.csgraph import connected_components
 
 from .mdmesh import CellGrid, MeshError
 
@@ -85,6 +86,12 @@ def _check_bc(grid: CellGrid, bc: BoundaryCondition) -> None:
     if bc.kind.shape != (grid.n_faces,) or bc.value.shape != (grid.n_faces,):
         raise DiscretizationError(
             f"boundary condition arrays must have length {grid.n_faces}"
+        )
+    unknown = ~np.isin(bc.kind, (BC_NONE, BC_DIRICHLET, BC_NEUMANN, BC_MORTAR))
+    if np.any(unknown):
+        raise DiscretizationError(
+            f"unknown boundary condition kind {int(bc.kind[unknown][0])} "
+            f"on {int(unknown.sum())} faces"
         )
     boundary = grid.is_boundary()
     unset = boundary & (bc.kind == BC_NONE)
@@ -313,11 +320,6 @@ def pressure_trace(op: DiscreteOperator, p: np.ndarray, g=None, chi=None) -> np.
     return out
 
 
-def discretize_vector_source(grid, perm, bc, method: str = "auto") -> sps.csr_matrix:
-    """Flux operator of a cell-wise vector source (the chi block alone)."""
-    return discretize(grid, perm, bc, method).flux_chi
-
-
 def discretize(grid, perm, bc, method: str = "auto") -> DiscreteOperator:
     """Dispatch to MPFA on 2d grids and TPFA elsewhere (``auto``)."""
     if method == "auto":
@@ -360,14 +362,21 @@ class _Coo:
 def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> DiscreteOperator:
     """Multi-point flux operators on a 2d Cartesian grid with slits.
 
-    Around every grid node, cells sharing a regular interior face form an
-    interaction region (slit faces split the star into independent regions).
-    Sub-face continuity pressures are local unknowns; cell-wise gradients are
-    expressed through them, flux continuity and boundary conditions close the
-    local system, and its solution yields each sub-face's flux and trace
+    A corner is a (node, cell) pair; it meets exactly two of the cell's faces
+    at the node (sub-faces). Corners joined through interior sub-faces form an
+    interaction region, so slit faces split a node's star into independent
+    regions (one per side of a fault, one per quadrant at a crossing) and a
+    fault tip leaves one region of four cells and five sub-faces.
+    Sub-face continuity pressures are the local unknowns; cell-wise gradients
+    are expressed through them, flux continuity and boundary conditions close
+    the local system, and its solution yields each sub-face's flux and trace
     contribution. Continuity points sit at face centers, which reproduces
     face-constant Dirichlet data pointwise and makes the stencil collapse to
     the two-point one for isotropic permeability on Cartesian grids.
+
+    Interior nodes with four regular faces (the bulk of the grid) go through
+    a fixed-layout kernel; the regions of all other nodes are grouped by
+    their (sub-face, cell) counts and each group is solved in one batch.
     """
     if grid.dim != 2:
         raise DiscretizationError("the MPFA implementation covers 2d grids only")
@@ -382,39 +391,19 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     Tp, Tg, Tx = _Coo(), _Coo(), _Coo()
 
     # Imposed-flux faces bypass the local systems entirely.
-    fn = np.where(bc.imposed_flux())[0]
+    imposed = bc.imposed_flux()
+    fn = np.where(imposed)[0]
     if fn.size:
         B.add(fn, fn, grid.face_areas[fn])
     dirich = np.where(bc.kind == BC_DIRICHLET)[0]
     if dirich.size:
         Tg.add(dirich, dirich, np.ones(dirich.size))
 
-    # Node -> incident faces adjacency.
-    n_nodes = grid.node_coords.shape[0]
-    pair_nodes = grid.face_nodes.ravel()
-    pair_faces = np.repeat(np.arange(nf), 2)
-    order = np.argsort(pair_nodes, kind="stable")
-    sorted_faces = pair_faces[order]
-    starts = np.searchsorted(pair_nodes[order], np.arange(n_nodes + 1))
-
-    counts = starts[1:] - starts[:-1]
-    interior_face = grid.face_cells[:, 1] >= 0
-    deg4 = counts == 4
-    idx4 = np.where(deg4)[0]
-    f4 = np.full((n_nodes, 4), -1, dtype=int)
-    for k in range(4):
-        f4[idx4, k] = sorted_faces[starts[idx4] + k]
-    regular = deg4.copy()
-    regular[idx4] &= interior_face[f4[idx4]].all(axis=1)
-    reg_nodes = np.where(regular)[0]
-
+    reg_nodes, reg_faces, other_nodes = _classify_nodes(grid)
     if reg_nodes.size:
-        _mpfa_regular(grid, perm, reg_nodes, f4[reg_nodes], F, J, Tp, Tx)
-
-    generic = np.where(~regular & (counts > 0))[0]
-    for v in generic:
-        faces_v = sorted_faces[starts[v] : starts[v + 1]]
-        _mpfa_generic_node(grid, perm, bc, int(v), faces_v, F, B, J, Tp, Tg, Tx)
+        _mpfa_regular(grid, perm, reg_nodes, reg_faces, F, J, Tp, Tx)
+    if other_nodes.size:
+        _mpfa_regions(grid, perm, bc, imposed, other_nodes, F, B, J, Tp, Tg, Tx)
 
     return DiscreteOperator(
         grid=grid,
@@ -426,6 +415,37 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
         trace_chi=Tx.build((nf, nc * d)),
         grad_rec=_gradient_reconstruction(grid, perm),
     )
+
+
+def _classify_nodes(grid):
+    """Split the grid nodes met by faces into regular and other nodes.
+
+    A regular node has four incident faces, all interior. Returns the regular
+    node ids, their (n, 4) face ids, and the ids of all other nodes that at
+    least one face meets (boundary, slit, tip and intersection nodes).
+    """
+    n_nodes = grid.node_coords.shape[0]
+    pair_nodes = grid.face_nodes.ravel()
+    order = np.argsort(pair_nodes, kind="stable")
+    sorted_faces = order // 2
+    counts = np.bincount(pair_nodes, minlength=n_nodes)
+    starts = np.cumsum(counts) - counts
+    idx4 = np.flatnonzero(counts == 4)
+    f4 = sorted_faces[starts[idx4, None] + np.arange(4)]
+    regular = np.zeros(n_nodes, dtype=bool)
+    regular[idx4] = (grid.face_cells[f4, 1] >= 0).all(axis=1)
+    return (
+        np.flatnonzero(regular),
+        f4[regular[idx4]],
+        np.flatnonzero(~regular & (counts > 0)),
+    )
+
+
+def _ragged(counts):
+    """Owner and within-owner position of every slot of ragged rows."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - starts[owner]
 
 
 def _mpfa_regular(grid, perm, nodes, nfaces, F, J, Tp, Tx):
@@ -525,126 +545,170 @@ def _mpfa_regular(grid, perm, nodes, nfaces, F, J, Tp, Tx):
         Tx.add(np.repeat(frow, 8), cols_x, 0.5 * Px[:, u, :])
 
 
-def _mpfa_generic_node(grid, perm, bc, v, faces_v, F, B, J, Tp, Tg, Tx):
-    """One interaction-region solve at a boundary, slit, or irregular node."""
-    faces_v = np.asarray(faces_v, dtype=int)
-    cells = {}
-    for f in faces_v:
-        for c in grid.face_cells[f]:
-            if c >= 0:
-                cells.setdefault(int(c), len(cells))
-    cell_ids = list(cells)
+def _mpfa_regions(grid, perm, bc, imposed, nodes, F, B, J, Tp, Tg, Tx):
+    """Batched interaction-region solves for every sub-face at ``nodes``.
 
-    # Union-find over local cells through regular interior faces.
-    parent = list(range(len(cell_ids)))
+    A region's local system has one row and one unknown (continuity
+    pressure) per sub-face, and right-hand-side columns for its cells'
+    pressures, its faces' boundary data and its cells' vector sources, in
+    that order. Regions are sorted by their (sub-face, cell) counts, so each
+    group of equal counts is a contiguous batch for one solve.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    Arrays prefixed ``s_`` hold one entry per sub-face (a (node, face)
+    pair), ``i_`` per sub-face/corner incidence and ``k_`` per corner.
+    """
+    nc = grid.n_cells
+    fcells = grid.face_cells
+    at = np.zeros(grid.node_coords.shape[0], dtype=bool)
+    at[nodes] = True
+    keep = np.flatnonzero(at[grid.face_nodes.ravel()])
+    s_node = grid.face_nodes.ravel()[keep]
+    s_face = keep // 2
+    ns = s_face.size
+    inner = fcells[s_face, 1] >= 0
+    s_dir = bc.kind[s_face] == BC_DIRICHLET
+    s_imp = imposed[s_face]
+    half = grid.face_areas[s_face] / 2.0
 
-    for f in faces_v:
-        c0, c1 = grid.face_cells[f]
-        if c1 >= 0:
-            a, b = find(cells[int(c0)]), find(cells[int(c1)])
-            if a != b:
-                parent[a] = b
+    # Corners: a sub-face meets the corner of its face's first cell and, if
+    # interior, of its second; every corner must meet exactly two sub-faces.
+    i_sub = np.concatenate([np.arange(ns), np.flatnonzero(inner)])
+    i_cell = np.concatenate([fcells[s_face, 0], fcells[s_face[inner], 1]])
+    key, i_corner, count = np.unique(
+        s_node[i_sub].astype(np.int64) * nc + i_cell,
+        return_inverse=True,
+        return_counts=True,
+    )
+    bad = np.flatnonzero(count != 2)
+    if bad.size:
+        v, c = divmod(int(key[bad[0]]), nc)
+        raise MeshError(f"cell {c} meets node {v} with {int(count[bad[0]])} faces")
+    n_corner = key.size
+    k_cell = key % nc
+    k_sub = i_sub[np.lexsort((s_face[i_sub], i_corner))].reshape(n_corner, 2)
+    first, second = i_corner[:ns], i_corner[ns:]
 
-    comp_faces = {}
-    for f in faces_v:
-        root = find(cells[int(grid.face_cells[f, 0])])
-        comp_faces.setdefault(root, []).append(int(f))
+    # Regions are the components of corners joined by interior sub-faces;
+    # relabel them in (sub-face count, cell count) order.
+    graph = sps.csr_matrix(
+        (np.ones(second.size), (first[inner], second)), shape=(n_corner, n_corner)
+    )
+    n_reg, k_reg = connected_components(graph, directed=False)
+    n_u = np.bincount(k_reg[first], minlength=n_reg)
+    n_c = np.bincount(k_reg, minlength=n_reg)
+    rank = np.lexsort((n_c, n_u))
+    relabel = np.empty(n_reg, dtype=int)
+    relabel[rank] = np.arange(n_reg)
+    k_reg, n_u, n_c = relabel[k_reg], n_u[rank], n_c[rank]
+    s_reg = k_reg[first]
+    w = 3 * n_c + n_u  # right-hand-side columns: cells, faces, chi pairs
 
-    for root, fl in comp_faces.items():
-        fl = sorted(fl)
-        loc_cells = sorted(
-            {int(c) for f in fl for c in grid.face_cells[f] if c >= 0 and find(cells[int(c)]) == root}
-        )
-        cidx = {c: i for i, c in enumerate(loc_cells)}
-        fidx = {f: i for i, f in enumerate(fl)}
-        n_u = len(fl)
-        n_c = len(loc_cells)
+    def local(reg, ids, sizes):
+        order = np.lexsort((ids, reg))
+        loc = np.empty(reg.size, dtype=int)
+        loc[order] = np.arange(reg.size) - (np.cumsum(sizes) - sizes)[reg[order]]
+        return loc
 
-        # Per-cell gradient basis: rows are continuity-point offsets.
-        cell_faces = {c: [] for c in loc_cells}
-        for f in fl:
-            for c in grid.face_cells[f]:
-                if int(c) in cell_faces:
-                    cell_faces[int(c)].append(f)
-        Minv = {}
-        for c in loc_cells:
-            fs = cell_faces[c]
-            if len(fs) != 2:
-                raise MeshError(f"cell {c} meets node {v} with {len(fs)} faces")
-            rows = []
-            for f in fs:
-                rows.append(grid.face_centers[f] - grid.cell_centers[c])
-            Minv[c] = np.linalg.inv(np.asarray(rows))
+    s_loc = local(s_reg, s_face, n_u)
+    k_loc = local(k_reg, k_cell, n_c)
+    off_a = np.cumsum(n_u * n_u) - n_u * n_u
+    off_r = np.cumsum(n_u * w) - n_u * w
+    off_w = np.cumsum(w) - w
 
-        A = np.zeros((n_u, n_u))
-        Rp = np.zeros((n_u, n_c))
-        Rg = np.zeros((n_u, n_u))  # columns follow fl order, g slots per face
-        Rx = np.zeros((n_u, 2 * n_c))
+    # Global column of every local right-hand-side column of every region.
+    col_id = np.empty(w.sum(), dtype=int)
+    col_id[off_w[k_reg] + k_loc] = k_cell
+    col_id[off_w[s_reg] + n_c[s_reg] + s_loc] = s_face
+    pos = off_w[k_reg] + n_c[k_reg] + n_u[k_reg] + 2 * k_loc
+    col_id[pos], col_id[pos + 1] = 2 * k_cell, 2 * k_cell + 1
 
-        def add_term(e, c, sign, normal):
-            r = sign * (normal @ perm[c])
-            rM = r @ Minv[c]
-            for f2, w in zip(cell_faces[c], rM):
-                A[e, fidx[f2]] += w
-            Rp[e, cidx[c]] += rM.sum()
-            Rx[e, 2 * cidx[c] : 2 * cidx[c] + 2] += -r
+    # Gradient basis per corner: rows are continuity-point offsets.
+    Minv = np.linalg.inv(
+        grid.face_centers[s_face[k_sub]] - grid.cell_centers[k_cell][:, None, :]
+    )
 
-        for f in fl:
-            e = fidx[f]
-            c0, c1 = grid.face_cells[f]
-            if c1 >= 0:
-                add_term(e, int(c0), +1.0, grid.face_normals[f])
-                add_term(e, int(c1), -1.0, grid.face_normals[f])
-            elif bc.kind[f] == BC_DIRICHLET:
-                A[e, e] = 1.0
-                Rg[e, e] = 1.0
-            elif bc.imposed_flux()[f]:
-                # -(A_f/2) n.K (g_c + chi) = (A_f/2) * density
-                half = grid.face_areas[f] / 2.0
-                add_term(e, int(c0), -half, grid.face_normals[f])
-                Rg[e, e] = half
-            else:
-                raise DiscretizationError("boundary face without boundary condition")
+    # Flux-continuity terms sign * n^T K_c (Minv (pi - p_c) + chi_c), one per
+    # corner of an interior sub-face, and -(A_f/2) n^T K_c (...) at
+    # imposed-flux sub-faces; Dirichlet sub-faces pin their unknown.
+    fac = np.concatenate(
+        [np.where(inner, 1.0, np.where(s_imp, -half, 0.0)), np.full(second.size, -1.0)]
+    )
+    t = np.flatnonzero(fac != 0.0)
+    ts, tk = i_sub[t], i_corner[t]
+    r = fac[t, None] * np.einsum(
+        "ti,tij->tj", grid.face_normals[s_face[ts]], perm[k_cell[tk]]
+    )
+    rM = np.einsum("tj,tjk->tk", r, Minv[tk])
+    g = s_reg[ts]
+    row_a = off_a[g] + s_loc[ts] * n_u[g]
+    row_r = off_r[g] + s_loc[ts] * w[g]
+    xc = row_r + n_c[g] + n_u[g] + 2 * k_loc[tk]
+    pin = np.flatnonzero(s_dir)
+    gp = s_reg[pin]
+    data = np.flatnonzero(s_dir | s_imp)
+    gd = s_reg[data]
+    A = np.bincount(
+        np.concatenate(
+            [row_a + s_loc[k_sub[tk, 0]], row_a + s_loc[k_sub[tk, 1]],
+             off_a[gp] + s_loc[pin] * (n_u[gp] + 1)]
+        ),
+        np.concatenate([rM[:, 0], rM[:, 1], np.ones(pin.size)]),
+        minlength=int(n_u @ n_u),
+    )
+    R = np.bincount(
+        np.concatenate(
+            [row_r + k_loc[tk], xc, xc + 1,
+             off_r[gd] + s_loc[data] * w[gd] + n_c[gd] + s_loc[data]]
+        ),
+        np.concatenate(
+            [rM.sum(axis=1), -r[:, 0], -r[:, 1], np.where(s_dir, 1.0, half)[data]]
+        ),
+        minlength=int(w @ n_u),
+    )
 
-        sol = np.linalg.solve(A, np.concatenate([Rp, Rg, Rx], axis=1))
-        Pp = sol[:, :n_c]
-        Pg = sol[:, n_c : n_c + n_u]
-        Px = sol[:, n_c + n_u :]
+    # One batched solve per group of equal counts; S = A^{-1} R in R's layout.
+    S = np.empty_like(R)
+    cuts = np.flatnonzero(np.diff(n_u) | np.diff(n_c)) + 1
+    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, n_reg]):
+        u, wr, G = n_u[r0], w[r0], r1 - r0
+        a = A[off_a[r0] : off_a[r0] + G * u * u].reshape(G, u, u)
+        b = slice(off_r[r0], off_r[r0] + G * u * wr)
+        S[b] = np.linalg.solve(a, R[b].reshape(G, u, wr)).ravel()
 
-        gcols = np.asarray(fl, dtype=int)
-        ccols = np.asarray(loc_cells, dtype=int)
-        xcols = np.stack([2 * ccols, 2 * ccols + 1], axis=1).ravel()
+    def slots(sel):
+        """Index into ``sel``, region and local column of every
+        right-hand-side slot of the sub-faces ``sel``; each one's first slot."""
+        width = w[s_reg[sel]]
+        owner, col = _ragged(width)
+        return owner, s_reg[sel][owner], col, np.cumsum(width) - width
 
-        imposed = bc.imposed_flux()
-        for f in fl:
-            e = fidx[f]
-            # Trace accumulation: every face trace is the mean of two
-            # sub-face pressures; Dirichlet faces already carry identity.
-            if bc.kind[f] != BC_DIRICHLET:
-                Tp.add(np.full(n_c, f), ccols, 0.5 * Pp[e])
-                Tg.add(np.full(n_u, f), gcols, 0.5 * Pg[e])
-                Tx.add(np.full(2 * n_c, f), xcols, 0.5 * Px[e])
-            if imposed[f]:
-                continue  # flux handled globally as g * area
-            c0 = int(grid.face_cells[f, 0])
-            half = grid.face_areas[f] / 2.0
-            r = grid.face_normals[f] @ perm[c0]
-            rM = r @ Minv[c0]
-            cp = np.zeros(n_c)
-            cg = np.zeros(n_u)
-            cx = np.zeros(2 * n_c)
-            for f2, w in zip(cell_faces[c0], rM):
-                cp += w * Pp[fidx[f2]]
-                cg += w * Pg[fidx[f2]]
-                cx += w * Px[fidx[f2]]
-            cp[cidx[c0]] -= rM.sum()
-            cx[2 * cidx[c0] : 2 * cidx[c0] + 2] += r
-            F.add(np.full(n_c, f), ccols, -half * cp)
-            B.add(np.full(n_u, f), gcols, -half * cg)
-            J.add(np.full(2 * n_c, f), xcols, -half * cx)
+    def emit(s, g, col, values, Mp, Mg, Mx):
+        """Add slot values to the cell, face and chi operators in s's rows."""
+        cols = col_id[off_w[g] + col]
+        kind = (col >= n_c[g]).astype(int) + (col >= n_c[g] + n_u[g])
+        for k, M in enumerate((Mp, Mg, Mx)):
+            m = kind == k
+            M.add(s_face[s[m]], cols[m], values[m])
+
+    # Traces: each face trace is the mean of its two sub-face pressures;
+    # Dirichlet faces already carry the identity.
+    sel = np.flatnonzero(~s_dir)
+    o, g, col, _ = slots(sel)
+    emit(sel[o], g, col, 0.5 * S[off_r[g] + s_loc[sel][o] * w[g] + col], Tp, Tg, Tx)
+
+    # Fluxes, evaluated from the first cell with the stored face normal:
+    # -(A_f/2) n^T K_c0 (Minv (pi - p_c0) + chi_c0). Imposed-flux faces
+    # are handled globally as g * area.
+    sel = np.flatnonzero(~s_imp)
+    k0 = first[sel]
+    r = np.einsum("ti,tij->tj", grid.face_normals[s_face[sel]], perm[k_cell[k0]])
+    rM = np.einsum("tj,tjk->tk", r, Minv[k0])
+    o, g, col, start = slots(sel)
+    vals = sum(
+        rM[o, m] * S[off_r[g] + s_loc[k_sub[k0, m]][o] * w[g] + col] for m in range(2)
+    )
+    vals[start + k_loc[k0]] -= rM.sum(axis=1)
+    xc = start + n_c[s_reg[sel]] + n_u[s_reg[sel]] + 2 * k_loc[k0]
+    vals[xc] += r[:, 0]
+    vals[xc + 1] += r[:, 1]
+    emit(sel[o], g, col, -half[sel][o] * vals, F, B, J)

@@ -71,24 +71,29 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
     """
     corners = cell_corners(grid)
     n_cells, per_cell, amb = corners.shape
-    flat = corners.reshape(n_cells * per_cell, amb)
-    if amb < 3:
-        flat = np.hstack([flat, np.zeros((flat.shape[0], 3 - amb))])
+    flat = np.zeros((n_cells * per_cell, 3))
+    # Adding 0.0 turns -0.0 into 0.0, so a merged point never prints as -0.
+    flat[:, :amb] = np.round(corners.reshape(n_cells * per_cell, amb), 12) + 0.0
     # Merge coincident corners of neighboring cells; the rounding only
-    # groups values differing by floating-point noise.
-    points, inverse = np.unique(np.round(flat, 12), axis=0, return_inverse=True)
-    conn = inverse.reshape(n_cells, per_cell)
+    # groups values differing by floating-point noise. Points come out in
+    # lexicographic (x, y, z) order.
+    order = np.lexsort(flat.T[::-1])
+    ranked = flat[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    points = ranked[new]
+    conn = np.empty(order.size, dtype=int)
+    conn[order] = np.cumsum(new) - 1
+    conn = conn.reshape(n_cells, per_cell)
 
     out = ["# vtk DataFile Version 2.0"]
     out.append(title.splitlines()[0][:255] if title else "mdflow field")
     out.append("ASCII")
     out.append("DATASET UNSTRUCTURED_GRID")
     out.append(f"POINTS {points.shape[0]} double")
-    for p in points:
-        out.append(f"{p[0]:.12g} {p[1]:.12g} {p[2]:.12g}")
+    out += _rows("%.12g %.12g %.12g", points)
     out.append(f"CELLS {n_cells} {n_cells * (1 + per_cell)}")
-    for row in conn:
-        out.append(f"{per_cell} " + " ".join(str(int(i)) for i in row))
+    out += _rows(" ".join(["%d"] * (1 + per_cell)), np.insert(conn, 0, per_cell, axis=1))
     out.append(f"CELL_TYPES {n_cells}")
     ctype = _CELL_TYPE[grid.dim]
     out.extend([str(ctype)] * n_cells)
@@ -103,7 +108,14 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
                 )
             out.append(f"SCALARS {name} double 1")
             out.append("LOOKUP_TABLE default")
-            out.extend(f"{v:.12g}" for v in values)
+            out += _rows("%.12g", values[:, None])
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
     logger.debug("wrote %s: %d points, %d cells", path, points.shape[0], n_cells)
+
+
+def _rows(fmt: str, table: np.ndarray) -> list:
+    """One %-format of a whole table, one line per row (no line if empty)."""
+    if not table.shape[0]:
+        return []
+    return ["\n".join([fmt] * table.shape[0]) % tuple(table.ravel().tolist())]

@@ -7,19 +7,21 @@ from the fault subdomain of a two-dimensional mesh.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdflow.config import FaultConfig
 from mdflow.discretize import (
     BC_DIRICHLET,
+    BC_MORTAR,
     BC_NEUMANN,
     BoundaryCondition,
     DiscretizationError,
     discretize,
-    discretize_vector_source,
     isotropic_perm,
     pressure_trace,
     reconstruct_gradient,
 )
+from mdflow.discretize import _classify_nodes, _Coo, _mpfa_regions, _mpfa_regular
 from mdflow.mdmesh import build_cartesian_md_mesh
 
 
@@ -163,15 +165,6 @@ def test_vector_source_line_grid():
     assert np.allclose(flux[~interior], 0.0)
 
 
-def test_vector_source_matrix_matches_operator():
-    g = ambient_grid(4)
-    bc = dirichlet_bc(g, lambda x: x[:, 0])
-    perm = isotropic_perm(g, 1.0)
-    op = discretize(g, perm, bc, method="mpfa")
-    tx = discretize_vector_source(g, perm, bc, method="mpfa")
-    assert abs(tx - op.flux_chi).max() == 0.0
-
-
 def test_neumann_trace_one_sided():
     g = line_grid(2)
     bc = BoundaryCondition.empty(g)
@@ -212,3 +205,100 @@ def test_unknown_method_rejected():
     bc = dirichlet_bc(g, lambda x: x[:, 0])
     with pytest.raises(DiscretizationError):
         discretize(g, isotropic_perm(g, 1.0), bc, method="fancy")
+
+
+@pytest.mark.parametrize("method", ["tpfa", "mpfa"])
+def test_unknown_bc_kind_rejected(method):
+    g = ambient_grid(3)
+    bc = dirichlet_bc(g, lambda x: x[:, 0])
+    bc.kind[np.flatnonzero(g.is_boundary())[2]] = 7
+    with pytest.raises(DiscretizationError, match="unknown boundary condition kind 7"):
+        discretize(g, isotropic_perm(g, 1.0), bc, method=method)
+
+
+def random_spd(rng, n):
+    L = rng.normal(size=(n, 2, 2))
+    return L @ np.transpose(L, (0, 2, 1)) + 0.1 * np.eye(2)
+
+
+def test_batched_regions_match_regular_kernel():
+    # Two independent formulations of the interior stencil: the fixed
+    # four-slot layout and the general corner/region kernel.
+    g = build_cartesian_md_mesh((0.0, 0.0), (1.3, 0.7), (7, 5), []).subdomains[0]
+    perm = random_spd(np.random.default_rng(3), g.n_cells)
+    bc = dirichlet_bc(g, lambda x: x[:, 0])
+    nodes, faces, _ = _classify_nodes(g)
+    assert nodes.size == 6 * 4
+    ref = {k: _Coo() for k in "FJPX"}
+    _mpfa_regular(g, perm, nodes, faces, ref["F"], ref["J"], ref["P"], ref["X"])
+    new = {k: _Coo() for k in "FBJPGX"}
+    _mpfa_regions(g, perm, bc, bc.imposed_flux(), nodes, *new.values())
+    nf, nc = g.n_faces, g.n_cells
+    shapes = {"F": (nf, nc), "P": (nf, nc), "J": (nf, 2 * nc), "X": (nf, 2 * nc)}
+    for k, shape in shapes.items():
+        a, b = ref[k].build(shape), new[k].build(shape)
+        assert a.nnz == b.nnz > 0
+        assert abs(a - b).max() <= 1e-12 * abs(a).max()
+    for k in "BG":  # interior regions carry no boundary data
+        assert abs(new[k].build((nf, nf))).max() == 0.0
+
+
+@st.composite
+def fault_networks(draw):
+    """A 2D grid cut by a full-width fault, a fault from it to the top
+    boundary (T), a fault crossing that one with two immersed tips (X) and
+    a fault from the bottom boundary up to the first (T)."""
+    nx = draw(st.integers(5, 10))
+    ny = draw(st.integers(5, 10))
+    j1 = draw(st.integers(1, ny - 3))
+    i2 = draw(st.integers(2, nx - 2))
+    j3 = draw(st.integers(j1 + 1, ny - 1))
+    i3a = draw(st.integers(1, i2 - 1))
+    i3b = draw(st.integers(i2 + 1, nx - 1))
+    i4 = draw(st.integers(1, nx - 1).filter(lambda i: i != i2))
+    hx, hy = 1.0 / nx, 1.0 / ny
+
+    def fault(p0, p1, name):
+        return FaultConfig(
+            p0=p0, p1=p1, aperture=0.01, k_parallel=1.0, k_perp=(1.0, 1.0),
+            k_t=(0.0, 0.0), name=name,
+        ).spec()
+
+    faults = [
+        fault((0.0, j1 * hy), (1.0, j1 * hy), "F1"),
+        fault((i2 * hx, j1 * hy), (i2 * hx, 1.0), "F2"),
+        fault((i3a * hx, j3 * hy), (i3b * hx, j3 * hy), "F3"),
+        fault((i4 * hx, 0.0), (i4 * hx, j1 * hy), "F4"),
+    ]
+    mesh = build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (nx, ny), faults)
+    kxx, kyy = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
+    kxy = draw(st.floats(-0.9, 0.9)) * np.sqrt(kxx * kyy)
+    grad = np.array([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))])
+    dirichlet_sides = draw(st.sets(st.integers(0, 3)))
+    return mesh, np.array([[kxx, kxy], [kxy, kyy]]), grad, dirichlet_sides
+
+
+@settings(max_examples=30, deadline=None)
+@given(fault_networks())
+def test_mpfa_reproduces_linear_fields_on_fault_networks(case):
+    mesh, K, grad, dirichlet_sides = case
+    g = mesh.subdomains[0]
+    counts = np.bincount(g.face_nodes.ravel())
+    assert {5, 7, 8} <= set(counts.tolist())  # tip, T and X nodes
+    exact = lambda x: x @ grad + 0.5
+    xf = g.face_centers
+    bnd = g.is_boundary()
+    mortar = mesh.mortar_face_mask(0)
+    bc = BoundaryCondition.empty(g)
+    bc.kind[bnd] = BC_NEUMANN
+    bc.kind[bnd & np.isin(g.face_bnd, list(dirichlet_sides))] = BC_DIRICHLET
+    bc.kind[mortar] = BC_MORTAR
+    density = g.face_normals @ (-K @ grad)  # along the stored normal
+    bc.value[:] = np.where(bc.kind == BC_DIRICHLET, exact(xf), density)
+    bc.value[~bnd] = 0.0
+    op = discretize(g, np.tile(K, (g.n_cells, 1, 1)), bc, method="mpfa")
+    p = exact(g.cell_centers)
+    flux = op.flux_p @ p + op.flux_g @ bc.value
+    assert np.abs(flux - density * g.face_areas).max() < 1e-10
+    trace = pressure_trace(op, p, bc.value)
+    assert np.abs(trace - exact(xf)).max() < 1e-10
