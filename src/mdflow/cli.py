@@ -13,8 +13,7 @@ Commands:
   the plain-text mesh format.
 
 Exit codes: 0 on success, 1 on solver failure, 2 on usage or configuration
-errors. The MDFLOW_SOLVER environment variable (``direct`` or
-``iterative``) overrides the configured linear solver.
+errors.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def cmd_run(args) -> int:
         cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
     )
     system = assemble_global(mesh, cfg.material_set(), cfg.bcs, method=cfg.method)
-    sol = solve(system, method=cfg.solver)
+    sol = solve(system)
     report = mass_balance_report(sol)
     dim = mesh.dim
 

@@ -10,7 +10,6 @@ A configuration file is a plain-text section format:
     matrix_k = 1.0
     formulation = semilocal
     method = auto
-    solver = direct
     output = out
 
     [region]
@@ -120,7 +119,6 @@ class CaseConfig:
     bcs: list = field(default_factory=list)
     formulation: str = "semilocal"
     method: str = "auto"
-    solver: str = "direct"
     output: str = "."
     name: str = "case"
 
@@ -138,8 +136,6 @@ class CaseConfig:
             raise ConfigError(f"unknown formulation {self.formulation!r}")
         if self.method not in ("auto", "tpfa", "mpfa"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.solver not in ("direct", "iterative"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
         for f in self.faults:
             if len(f.p0) != d or len(f.p1) != d:
                 raise ConfigError(
@@ -182,8 +178,7 @@ class CaseConfig:
 # ---------------------------------------------------------------------------
 
 _DOMAIN_KEYS = {
-    "lo", "hi", "resolution", "matrix_k", "formulation", "method",
-    "solver", "output", "name",
+    "lo", "hi", "resolution", "matrix_k", "formulation", "method", "output", "name",
 }
 _REGION_KEYS = {"box", "k"}
 _FAULT_KEYS = {"p0", "p1", "aperture", "k_parallel", "k_perp", "k_t", "name"}
@@ -311,7 +306,6 @@ def parse_config(text: str) -> CaseConfig:
         matrix_k=matrix_k,
         formulation=dval("formulation", "semilocal")[1].strip(),
         method=dval("method", "auto")[1].strip(),
-        solver=dval("solver", "direct")[1].strip(),
         output=dval("output", ".")[1].strip(),
         name=dval("name", "case")[1].strip(),
     )
@@ -386,7 +380,6 @@ def write_config(cfg: CaseConfig) -> str:
     out.append(f"matrix_k = {_fmt([cfg.matrix_k])}")
     out.append(f"formulation = {cfg.formulation}")
     out.append(f"method = {cfg.method}")
-    out.append(f"solver = {cfg.solver}")
     out.append(f"output = {cfg.output}")
     out.append(f"name = {cfg.name}")
     for lo, hi, k in cfg.matrix_regions:

@@ -17,7 +17,6 @@ cell pressures never couple directly.
 from __future__ import annotations
 
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -287,14 +286,6 @@ class GlobalSystem:
         j = int(np.searchsorted(self.lam_offsets, k, side="right") - 1)
         return ("interface", j, k - int(self.lam_offsets[j]))
 
-    def dump_coo(self, path: str) -> None:
-        """Write the matrix as text triples: row col value, one per line."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
-
 
 @dataclass
 class MdSolution:
@@ -308,7 +299,6 @@ class MdSolution:
     g_total: list
     chi: list
     residual: float
-    iterations: int = 0
 
 
 def _divergence(grid: CellGrid) -> sps.csr_matrix:
@@ -501,32 +491,6 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
     )
 
 
-def _equilibrate(A: sps.csr_matrix):
-    """Two-sided max-abs scaling; returns (scaled matrix, row, col factors).
-
-    The assembled rows mix scales that differ by many orders (cell balances
-    vs mortar laws divided by large transfer coefficients), which ruins
-    incomplete factorizations; scaling both sides to unit max-abs restores
-    them.
-    """
-    As = A.tocsr(copy=True)
-    n = As.shape[0]
-    r = np.ones(n)
-    c = np.ones(n)
-    for _ in range(2):
-        rm = np.abs(As).max(axis=1).toarray().ravel()
-        rm[rm == 0] = 1.0
-        d = 1.0 / np.sqrt(rm)
-        As = sps.diags(d) @ As
-        r *= d
-        cm = np.abs(As).max(axis=0).toarray().ravel()
-        cm[cm == 0] = 1.0
-        d = 1.0 / np.sqrt(cm)
-        As = As @ sps.diags(d)
-        c *= d
-    return As.tocsc(), r, c
-
-
 #: Largest group of unknowns the nested-dissection bisection leaves unsplit.
 _ND_LEAF = 64
 
@@ -677,56 +641,19 @@ def _solve_direct(system: GlobalSystem, tol: float) -> np.ndarray:
     return x
 
 
-def solve(system: GlobalSystem, method: str = None, tol: float = 1e-10) -> MdSolution:
-    """Solve the assembled system and reconstruct conservative fluxes.
+def solve(system: GlobalSystem, tol: float = 1e-10) -> MdSolution:
+    """Solve the assembled system by sparse LU and reconstruct conservative
+    fluxes.
 
-    ``method`` is "direct" (sparse LU, default) or "iterative" (BiCGStab,
-    incomplete-LU preconditioned on the equilibrated matrix, for systems too
-    large to factor); the MDFLOW_SOLVER environment variable overrides the
-    argument.
-
-    The direct solver orders 3D systems by geometric nested dissection and
-    factors them with threshold pivoting. If that factorization fails, or
-    its relative residual exceeds ``tol``, it refactors with SuperLU's
-    COLAMD ordering, which 2D systems use from the start. ``tol`` is also
-    the iterative solver's relative tolerance. Either way a final residual
-    above 1e-6 raises :class:`SolverError`.
+    3D systems are ordered by geometric nested dissection and factored with
+    threshold pivoting. If that factorization fails, or its relative
+    residual exceeds ``tol``, the solver refactors with SuperLU's COLAMD
+    ordering, which 2D systems use from the start. A final residual above
+    1e-6 raises :class:`SolverError`.
     """
-    method = os.environ.get("MDFLOW_SOLVER", method or "direct")
     A = system.matrix
     b = system.rhs
-    iterations = 0
-    if method == "direct":
-        x = _solve_direct(system, tol)
-    elif method == "iterative":
-        As, r, c = _equilibrate(A)
-        bs = r * b
-        try:
-            ilu = spla.spilu(As, drop_tol=1e-5, fill_factor=12.0)
-        except RuntimeError as exc:
-            raise SolverError(f"incomplete factorization failed: {exc}") from exc
-        M = spla.LinearOperator(As.shape, ilu.solve)
-        history = []
-
-        def cb(xk):
-            history.append(float(np.linalg.norm(bs - As @ xk)))
-
-        y, info = _bicgstab(As, bs, M=M, rtol=tol, maxiter=2000, callback=cb)
-        iterations = len(history)
-        if info != 0:
-            tail = ", ".join(f"{v:.3e}" for v in history[-5:])
-            raise SolverError(
-                f"iterative solver did not converge (info={info}); "
-                f"last residuals: [{tail}]"
-            )
-        # A couple of refinement sweeps tighten the unscaled residual to
-        # near the direct solver's level.
-        for _ in range(3):
-            y = y + ilu.solve(bs - As @ y)
-        x = c * y
-    else:
-        raise SolverError(f"unknown solver method {method!r}")
-
+    x = _solve_direct(system, tol)
     residual = _relative_residual(A, b, x)
     if residual > 1e-6:
         raise SolverError(f"solution residual too large: {residual:.3e}")
@@ -771,16 +698,7 @@ def solve(system: GlobalSystem, method: str = None, tol: float = 1e-10) -> MdSol
         g_total=g_total,
         chi=chi,
         residual=residual,
-        iterations=iterations,
     )
-
-
-def _bicgstab(A, b, M, rtol, maxiter, callback):
-    """Version-tolerant wrapper around scipy's bicgstab."""
-    try:
-        return spla.bicgstab(A, b, M=M, rtol=rtol, maxiter=maxiter, callback=callback)
-    except TypeError:
-        return spla.bicgstab(A, b, M=M, tol=rtol, maxiter=maxiter, callback=callback)
 
 
 def mass_balance_report(sol: MdSolution) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,13 +27,6 @@ _TOL = 1e-9
 
 class MeshError(Exception):
     """Invalid mesh topology, geometry, or non-representable input."""
-
-
-def _as_float_array(x, shape=None) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if shape is not None:
-        a = a.reshape(shape)
-    return a
 
 
 @dataclass
@@ -62,7 +55,8 @@ class CellGrid:
     #: identifying the ambient domain side the face lies on.
     face_bnd: np.ndarray
     #: index of the cut (fault/intersection trace) a slit face copy lies on,
-    #: −1 elsewhere. Indices refer to the cut list used to build this grid.
+    #: −1 elsewhere. Indices refer to the cut list used to build this grid:
+    #: the lower-dimensional subdomains slitting it, in subdomain order.
     face_cut: np.ndarray
     #: 1 for the slit copy on the side the cut normal points into, 2 for the
     #: opposite side, 0 for ordinary faces.
@@ -232,19 +226,12 @@ class MixedDimMesh:
     def n_subdomains(self) -> int:
         return len(self.subdomains)
 
-    def higher_neighbors(self, i: int) -> list:
-        """Interfaces where subdomain ``i`` is the lower side."""
-        return [itf for itf in self.interfaces if itf.lower == i]
-
-    def lower_neighbors(self, i: int) -> list:
-        """Interfaces where subdomain ``i`` is the higher side."""
-        return [itf for itf in self.interfaces if itf.higher == i]
-
     def mortar_face_mask(self, i: int) -> np.ndarray:
         """Faces of subdomain ``i`` that are the higher side of an interface."""
         mask = np.zeros(self.subdomains[i].n_faces, dtype=bool)
-        for itf in self.lower_neighbors(i):
-            mask[itf.higher_faces] = True
+        for itf in self.interfaces:
+            if itf.higher == i:
+                mask[itf.higher_faces] = True
         return mask
 
     def validate(self) -> None:
@@ -255,8 +242,6 @@ class MixedDimMesh:
             gh = self.subdomains[itf.higher]
             if gh.dim - gl.dim != 1:
                 raise MeshError("interface must connect dimensions differing by 1")
-            if itf.lower <= itf.higher:
-                pass  # ordering by dimension is checked below
             if gl.dim >= gh.dim:
                 raise MeshError("interface lower side must have the smaller dimension")
             if np.unique(itf.higher_faces).size != itf.n_mortar:
@@ -300,17 +285,13 @@ def _build_cartesian_grid(
     cuts: Sequence[_Cut],
     frame_origin: np.ndarray,
     frame_axes: np.ndarray,
-    bnd_axis_map: Sequence[int],
-    with_nodes: bool = False,
 ) -> CellGrid:
     """Build a uniform Cartesian grid on [lo, hi] with ``n`` cells per axis,
     duplicating every face that lies on one of ``cuts``.
 
-    ``bnd_axis_map`` translates local axes to ambient axes for boundary-side
-    tags; a value of −1 marks local box faces on that axis side pair as not on
-    the ambient boundary (handled by the caller: fault tips, point contacts).
-    Entries come in pairs conceptually: the tag emitted is
-    ``2*bnd_axis_map[a] + (0|1)`` when ``bnd_axis_map[a] >= 0``.
+    A grid with no axes is a single point cell of unit measure. Every face
+    gets ``face_bnd`` −1; :func:`_tag_ambient_boundary` marks the faces on
+    the ambient box afterwards. Two-dimensional grids also list their nodes.
     """
     dim = len(n)
     lo = np.asarray(lo, dtype=float)
@@ -318,6 +299,22 @@ def _build_cartesian_grid(
     n = np.asarray(n, dtype=int)
     if np.any(n <= 0):
         raise MeshError("resolution must be positive along every axis")
+    if dim == 0:
+        return CellGrid(
+            dim=0,
+            cell_volumes=np.array([1.0]),
+            cell_centers=np.zeros((1, 0)),
+            cell_widths=np.zeros((1, 0)),
+            face_areas=np.zeros(0),
+            face_centers=np.zeros((0, 0)),
+            face_normals=np.zeros((0, 0)),
+            face_cells=np.zeros((0, 2), dtype=int),
+            face_bnd=np.zeros(0, dtype=int),
+            face_cut=np.zeros(0, dtype=int),
+            face_side=np.zeros(0, dtype=int),
+            frame_origin=frame_origin,
+            frame_axes=frame_axes,
+        )
     h = (hi - lo) / n
 
     # Cells, x-fastest lexicographic ordering: id = i + n0*(j + n1*k).
@@ -334,9 +331,9 @@ def _build_cartesian_grid(
 
     parts = {
         "area": [], "center": [], "normal": [], "cells": [],
-        "bnd": [], "cut": [], "side": [], "nodes": [],
+        "cut": [], "side": [], "nodes": [],
     }
-    want_nodes = with_nodes and dim == 2
+    want_nodes = dim == 2
 
     for a in range(dim):
         others = [b for b in range(dim) if b != a]
@@ -394,12 +391,6 @@ def _build_cartesian_grid(
         nrm = np.zeros((src.shape[0], dim))
         nrm[:, a] = sign
 
-        amb = bnd_axis_map[a]
-        bnd = np.full(src.shape[0], -1, dtype=int)
-        if amb >= 0:
-            bnd[at_lo[src]] = 2 * amb
-            bnd[at_hi[src]] = 2 * amb + 1
-
         cut_arr = np.where(slit[src], cut_of[src], -1)
         side_arr = np.zeros(src.shape[0], dtype=int)
         side_arr[slit[src] & (rank == 0)] = 2
@@ -409,7 +400,6 @@ def _build_cartesian_grid(
         parts["center"].append(cen[src])
         parts["normal"].append(nrm)
         parts["cells"].append(np.stack([c0, c1], axis=1))
-        parts["bnd"].append(bnd)
         parts["cut"].append(cut_arr)
         parts["side"].append(side_arr)
         if want_nodes:
@@ -434,7 +424,8 @@ def _build_cartesian_grid(
         )
         face_nodes = np.concatenate(parts["nodes"], axis=0)
 
-    grid = CellGrid(
+    face_cut = np.concatenate(parts["cut"])
+    return CellGrid(
         dim=dim,
         cell_volumes=volumes,
         cell_centers=centers,
@@ -443,33 +434,13 @@ def _build_cartesian_grid(
         face_centers=np.concatenate(parts["center"], axis=0),
         face_normals=np.concatenate(parts["normal"], axis=0),
         face_cells=np.concatenate(parts["cells"], axis=0),
-        face_bnd=np.concatenate(parts["bnd"]),
-        face_cut=np.concatenate(parts["cut"]),
+        face_bnd=np.full_like(face_cut, -1),
+        face_cut=face_cut,
         face_side=np.concatenate(parts["side"]),
         frame_origin=frame_origin,
         frame_axes=frame_axes,
         node_coords=node_coords,
         face_nodes=face_nodes,
-    )
-    return grid
-
-
-def _point_grid(location: np.ndarray) -> CellGrid:
-    d = location.shape[0]
-    return CellGrid(
-        dim=0,
-        cell_volumes=np.array([1.0]),
-        cell_centers=np.zeros((1, 0)),
-        cell_widths=np.zeros((1, 0)),
-        face_areas=np.zeros(0),
-        face_centers=np.zeros((0, 0)),
-        face_normals=np.zeros((0, 0)),
-        face_cells=np.zeros((0, 2), dtype=int),
-        face_bnd=np.zeros(0, dtype=int),
-        face_cut=np.zeros(0, dtype=int),
-        face_side=np.zeros(0, dtype=int),
-        frame_origin=location.astype(float),
-        frame_axes=np.zeros((0, d)),
     )
 
 
@@ -478,44 +449,95 @@ def _point_grid(location: np.ndarray) -> CellGrid:
 # ---------------------------------------------------------------------------
 
 
-def _fault_intersections_2d(faults: Sequence[FaultSpec]):
-    """Intersection points of axis-aligned fault segments in 2d.
+@dataclass
+class _Locus:
+    """One box of the fault hierarchy: the ambient domain, a fault, or a
+    fault intersection. ``lo == hi`` on the fixed axes; ``free`` marks the
+    axes the box spans."""
 
-    Returns a list of (coords, contacts) sorted by coordinates, where
-    contacts is a list of (fault index, 'slit'|'end') describing how each
-    fault meets the point.
+    lo: np.ndarray
+    hi: np.ndarray
+    free: np.ndarray
+    fault_ids: tuple = ()
+    #: parent locus id -> "slit" (strictly inside the parent) or "end" (on
+    #: the parent's edge), in increasing id order.
+    parents: dict = field(default_factory=dict)
+
+
+def _meet(a: _Locus, b: _Locus) -> Optional[_Locus]:
+    """The locus where two loci of one level meet, or None.
+
+    They meet when each fixes exactly one axis the other spans, they agree
+    on the axes both fix, each one's fixed coordinate lies within the
+    other's span (boundary included), and their common spans overlap.
     """
-    points = {}
-    for i, fi in enumerate(faults):
-        for j, fj in enumerate(faults):
-            if j <= i or fi.axis == fj.axis:
-                continue
-            # fi constant on axis ai, fj on aj != ai.
-            ai, aj = fi.axis, fj.axis
-            p = np.zeros(2)
-            p[ai] = fi.plane
-            p[aj] = fj.plane
-            lo_i, hi_i = fi.extent(aj)
-            lo_j, hi_j = fj.extent(ai)
-            on_i = lo_i - _TOL <= p[aj] <= hi_i + _TOL
-            on_j = lo_j - _TOL <= p[ai] <= hi_j + _TOL
-            if not (on_i and on_j):
-                continue
-            key = (round(p[0], 12), round(p[1], 12))
-            contacts = points.setdefault(key, {})
+    if np.count_nonzero(a.free != b.free) != 2:
+        return None
+    lo = np.maximum(a.lo, b.lo)
+    hi = np.minimum(a.hi, b.hi)
+    free = a.free & b.free
+    if np.any(hi - lo < -_TOL) or np.any(hi[free] - lo[free] <= _TOL):
+        return None
+    fixed = np.where(a.free, b.lo, a.lo)
+    lo[~free] = fixed[~free]
+    hi[~free] = fixed[~free]
+    return _Locus(lo, hi, free)
 
-            def classify(f, axis_along, coord):
-                lo_f, hi_f = f.extent(axis_along)
-                if coord <= lo_f + _TOL or coord >= hi_f - _TOL:
-                    return "end"
-                return "slit"
 
-            contacts[i] = classify(fi, aj, p[aj])
-            contacts[j] = classify(fj, ai, p[ai])
-    out = []
-    for key in sorted(points):
-        out.append((np.array(key, dtype=float), sorted(points[key].items())))
-    return out
+def _relation(child: _Locus, parent: _Locus) -> str:
+    """Whether ``child`` lies strictly inside ``parent`` ("slit") or on the
+    parent's edge ("end") along the axis the child newly fixes."""
+    axis = parent.free & ~child.free
+    c = child.lo[axis]
+    inside = (parent.lo[axis] + _TOL < c) & (c < parent.hi[axis] - _TOL)
+    return "slit" if inside.all() else "end"
+
+
+def _level_order(m: _Locus) -> tuple:
+    return tuple(np.flatnonzero(m.free)), tuple(np.round(m.lo[~m.free], 12))
+
+
+def _hierarchy(lo: np.ndarray, hi: np.ndarray, faults: Sequence[FaultSpec]) -> list:
+    """Loci of the fault hierarchy in subdomain order.
+
+    The ambient box comes first, then the faults in input order. Each
+    further level holds the pairwise meets of the previous level's loci,
+    merged by rounded location and sorted by (free axes, fixed coordinates).
+    """
+    dim = lo.shape[0]
+    loci = [_Locus(lo, hi, np.ones(dim, dtype=bool))]
+    for k, f in enumerate(faults):
+        p0 = np.asarray(f.p0, dtype=float)
+        p1 = np.asarray(f.p1, dtype=float)
+        flo, fhi = np.minimum(p0, p1), np.maximum(p0, p1)
+        flo[f.axis] = fhi[f.axis] = f.plane
+        free = np.arange(dim) != f.axis
+        loci.append(_Locus(flo, fhi, free, (k,), {0: "slit"}))
+    level = range(1, len(loci))
+    while len(level) > 1:
+        meets = {}
+        for i in level:
+            for j in range(i + 1, level.stop):
+                m = _meet(loci[i], loci[j])
+                if m is not None:
+                    key = (tuple(np.round(m.lo, 12)), tuple(np.round(m.hi, 12)))
+                    # Parents are collected first; their relations follow.
+                    meets.setdefault(key, m).parents.update(dict.fromkeys((i, j)))
+        start = len(loci)
+        for m in sorted(meets.values(), key=_level_order):
+            m.parents = {p: _relation(m, loci[p]) for p in sorted(m.parents)}
+            m.fault_ids = tuple(sorted({f for p in m.parents for f in loci[p].fault_ids}))
+            ends = [p for p, how in m.parents.items() if how == "end"]
+            if ends and m.free.any():
+                other = next(p for p in m.parents if p != ends[0])
+                ke, ko = ends[0] - 1, other - 1
+                raise MeshError(
+                    f"fault {faults[ke].name or ke!r} ends on fault {faults[ko].name or ko!r}: "
+                    "T-junctions along a line are not supported in 3D"
+                )
+            loci.append(m)
+        level = range(start, len(loci))
+    return loci
 
 
 def _check_overlaps(faults: Sequence[FaultSpec]) -> None:
@@ -534,53 +556,6 @@ def _check_overlaps(faults: Sequence[FaultSpec]) -> None:
                 raise MeshError(
                     f"faults {fi.name or i!r} and {fj.name or j!r} overlap on a shared plane"
                 )
-
-
-def build_cartesian_md_mesh(
-    domain_lo: Sequence[float],
-    domain_hi: Sequence[float],
-    resolution: Sequence[int],
-    faults: Sequence[FaultSpec],
-) -> MixedDimMesh:
-    """Construct the mixed-dimensional mesh for an axis-aligned box.
-
-    Parameters
-    ----------
-    domain_lo, domain_hi : sequence of float
-        Corners of the ambient box.
-    resolution : sequence of int
-        Cells per axis of the ambient grid.
-    faults : sequence of FaultSpec
-        Thin inclusions; every fault plane must coincide with a grid face
-        plane and fault endpoints must lie on grid nodes.
-
-    Returns
-    -------
-    MixedDimMesh
-        Ambient grid (id 0), one grid per fault, then intersection grids in
-        deterministic order, linked by mortar interfaces.
-    """
-    dim = len(resolution)
-    lo = np.asarray(domain_lo, dtype=float)
-    hi = np.asarray(domain_hi, dtype=float)
-    n = np.asarray(resolution, dtype=int)
-    if dim not in (2, 3):
-        raise MeshError("ambient dimension must be 2 or 3")
-    h = (hi - lo) / n
-
-    for k, f in enumerate(faults):
-        if len(f.p0) != dim:
-            raise MeshError(f"fault {f.name or k!r}: wrong coordinate dimension")
-        _snap_index(f.plane, lo[f.axis], h[f.axis], f"fault {f.name or k!r}")
-        for a in f.inplane_axes:
-            e0, e1 = f.extent(a)
-            _snap_index(e0, lo[a], h[a], f"fault {f.name or k!r}")
-            _snap_index(e1, lo[a], h[a], f"fault {f.name or k!r}")
-    _check_overlaps(faults)
-
-    if dim == 2:
-        return _build_md_2d(lo, hi, n, h, list(faults))
-    return _build_md_3d(lo, hi, n, h, list(faults))
 
 
 def _match_faces_to_cells(
@@ -602,21 +577,6 @@ def _match_faces_to_cells(
     return out
 
 
-def _interface(lower, higher, side, faces, grid_l, measures, fault_id, kind):
-    sign = +1 if side == 2 else -1
-    return MortarInterface(
-        lower=lower,
-        higher=higher,
-        side=side,
-        side_sign=sign,
-        higher_faces=faces,
-        lower_cells=np.arange(measures.shape[0]),
-        measures=measures,
-        fault_id=fault_id,
-        kind=kind,
-    )
-
-
 def _tag_ambient_boundary(grid: CellGrid, lo: np.ndarray, hi: np.ndarray) -> None:
     """Mark boundary faces of an embedded grid that lie on the ambient box."""
     cand = np.where((grid.face_cells[:, 1] < 0) & (grid.face_cut < 0))[0]
@@ -628,310 +588,117 @@ def _tag_ambient_boundary(grid: CellGrid, lo: np.ndarray, hi: np.ndarray) -> Non
         grid.face_bnd[cand[np.abs(gx[:, a] - hi[a]) <= _TOL]] = 2 * a + 1
 
 
-def _build_md_2d(lo, hi, n, h, faults):
-    dim = 2
-    points = _fault_intersections_2d(faults)
+def build_cartesian_md_mesh(
+    domain_lo: Sequence[float],
+    domain_hi: Sequence[float],
+    resolution: Sequence[int],
+    faults: Sequence[FaultSpec],
+) -> MixedDimMesh:
+    """Construct the mixed-dimensional mesh for an axis-aligned box.
 
-    # Ambient grid: cuts are the fault traces.
-    cuts = [
-        _Cut(f.axis, f.plane, (f.extent(f.inplane_axes[0]),)) for f in faults
-    ]
-    ambient = _build_cartesian_grid(
-        lo, hi, n, cuts, np.zeros(dim), np.eye(dim), bnd_axis_map=[0, 1], with_nodes=True
-    )
+    Parameters
+    ----------
+    domain_lo, domain_hi : sequence of float
+        Corners of the ambient box.
+    resolution : sequence of int
+        Cells per axis of the ambient grid.
+    faults : sequence of FaultSpec
+        Thin inclusions; every fault plane must coincide with an interior
+        grid face plane and fault endpoints must lie on grid nodes.
 
-    subdomains = [ambient]
-    info = [SubdomainInfo(kind="matrix")]
-    interfaces = []
+    Returns
+    -------
+    MixedDimMesh
+        Ambient grid (id 0), one grid per fault, then intersection grids in
+        deterministic order, linked by mortar interfaces.
+    """
+    dim = len(resolution)
+    lo = np.asarray(domain_lo, dtype=float)
+    hi = np.asarray(domain_hi, dtype=float)
+    n = np.asarray(resolution, dtype=int)
+    if dim not in (2, 3):
+        raise MeshError("ambient dimension must be 2 or 3")
+    h = (hi - lo) / n
 
-    fault_sub_id = {}
     for k, f in enumerate(faults):
-        b = f.inplane_axes[0]
-        e0, e1 = f.extent(b)
-        nb = _snap_index(e1, lo[b], h[b], "fault") - _snap_index(e0, lo[b], h[b], "fault")
-        origin = np.zeros(dim)
-        origin[f.axis] = f.plane
-        axes = np.zeros((1, dim))
-        axes[0, b] = 1.0
-        # Points slitting this fault become interior cuts of its 1d grid.
+        name = f"fault {f.name or k!r}"
+        if len(f.p0) != dim:
+            raise MeshError(f"{name}: wrong coordinate dimension")
+        if not 0 < _snap_index(f.plane, lo[f.axis], h[f.axis], name) < n[f.axis]:
+            raise MeshError(f"{name}: plane must lie strictly inside the domain")
+        for a in f.inplane_axes:
+            e0, e1 = f.extent(a)
+            if _snap_index(e0, lo[a], h[a], name) < 0 or _snap_index(e1, lo[a], h[a], name) > n[a]:
+                raise MeshError(f"{name}: extends outside the domain")
+    _check_overlaps(faults)
+
+    loci = _hierarchy(lo, hi, faults)
+    cuts = [[] for _ in loci]  # per locus: its slit children, in locus order
+    for c, locus in enumerate(loci):
+        for p, how in locus.parents.items():
+            if how == "slit":
+                cuts[p].append(c)
+
+    subdomains, info, interfaces = [], [], []
+    for c, locus in enumerate(loci):
+        axes = np.flatnonzero(locus.free)
         own_cuts = []
-        for coords, contacts in points:
-            for fi, how in contacts:
-                if fi == k and how == "slit":
-                    own_cuts.append(_Cut(0, float(coords[b]), ()))
+        for child in cuts[c]:
+            sub = loci[child]
+            k = int(np.flatnonzero(~sub.free[axes])[0])
+            spans = tuple((sub.lo[a], sub.hi[a]) for a in axes if sub.free[a])
+            own_cuts.append(_Cut(k, sub.lo[axes[k]], spans))
         grid = _build_cartesian_grid(
-            [e0], [e1], [nb], own_cuts, origin, axes, bnd_axis_map=[-1]
-        )
-        _tag_ambient_boundary(grid, lo, hi)
-        sub_id = len(subdomains)
-        subdomains.append(grid)
-        info.append(SubdomainInfo(kind="fault", fault_ids=(k,)))
-        fault_sub_id[k] = sub_id
-
-        for side in (1, 2):
-            faces = np.where(
-                (ambient.face_cut == k) & (ambient.face_side == side)
-            )[0]
-            faces = _match_faces_to_cells(ambient, faces, grid)
-            interfaces.append(
-                _interface(sub_id, 0, side, faces, grid, grid.cell_volumes.copy(), k, "fault")
-            )
-
-    # 0d intersection subdomains and their couplings to fault branches.
-    for coords, contacts in points:
-        p_id = len(subdomains)
-        subdomains.append(_point_grid(coords))
-        info.append(
-            SubdomainInfo(kind="intersection", fault_ids=tuple(fi for fi, _ in contacts))
-        )
-        for fi, how in contacts:
-            g = subdomains[fault_sub_id[fi]]
-            gx = g.face_centers_global()
-            at_point = np.where(
-                (g.face_cells[:, 1] < 0)
-                & (np.abs(gx - coords[None, :]).max(axis=1) <= _TOL)
-            )[0]
-            if how == "end":
-                at_point = [f for f in at_point if g.face_cut[f] < 0 and g.face_bnd[f] < 0]
-            else:
-                at_point = [f for f in at_point if g.face_cut[f] >= 0]
-            if not len(at_point):
-                raise MeshError("intersection point has no adjoining fault face")
-            for bf in at_point:
-                # Branch side per the universal sign rule: outward normal
-                # along +axis means the branch sits on the negative side.
-                side = 2 if g.face_normals[bf, 0] > 0 else 1
-                interfaces.append(
-                    _interface(
-                        p_id,
-                        fault_sub_id[fi],
-                        side,
-                        np.array([bf], dtype=int),
-                        subdomains[p_id],
-                        np.array([1.0]),
-                        fi,
-                        "intersection",
-                    )
-                )
-
-    mesh = MixedDimMesh(
-        dim=dim,
-        subdomains=subdomains,
-        info=info,
-        interfaces=interfaces,
-        domain_lo=lo,
-        domain_hi=hi,
-    )
-    mesh.validate()
-    return mesh
-
-
-def _build_md_3d(lo, hi, n, h, faults):
-    dim = 3
-
-    # Pairwise fault intersections: line segments.
-    lines = []  # (along_axis, const: {axis: coord}, (s0, s1), fault pair)
-    for i, fi in enumerate(faults):
-        for j in range(i + 1, len(faults)):
-            fj = faults[j]
-            if fi.axis == fj.axis:
-                continue
-            along = 3 - fi.axis - fj.axis
-            lo_i, hi_i = fi.extent(along)
-            lo_j, hi_j = fj.extent(along)
-            s0, s1 = max(lo_i, lo_j), min(hi_i, hi_j)
-            if s1 - s0 <= _TOL:
-                continue
-            pos_i_lo, pos_i_hi = fi.extent(fj.axis)
-            pos_j_lo, pos_j_hi = fj.extent(fi.axis)
-            if not (pos_i_lo - _TOL <= fj.plane <= pos_i_hi + _TOL):
-                continue
-            if not (pos_j_lo - _TOL <= fi.plane <= pos_j_hi + _TOL):
-                continue
-            lines.append(
-                {
-                    "along": along,
-                    "const": {fi.axis: fi.plane, fj.axis: fj.plane},
-                    "span": (s0, s1),
-                    "faults": (i, j),
-                }
-            )
-    lines.sort(key=lambda L: (L["along"], sorted(L["const"].items())))
-
-    # Points where lines cross.
-    points = {}
-    for a, la in enumerate(lines):
-        for b in range(a + 1, len(lines)):
-            lb = lines[b]
-            if la["along"] == lb["along"]:
-                continue
-            p = np.zeros(3)
-            for ax, c in la["const"].items():
-                p[ax] = c
-            pa = lb["const"].get(la["along"])
-            if pa is None:
-                continue
-            p[la["along"]] = pa
-            ok = True
-            for L in (la, lb):
-                s0, s1 = L["span"]
-                if not (s0 - _TOL <= p[L["along"]] <= s1 + _TOL):
-                    ok = False
-                for ax, c in L["const"].items():
-                    if abs(p[ax] - c) > _TOL:
-                        ok = False
-            if not ok:
-                continue
-            key = tuple(np.round(p, 12))
-            points.setdefault(key, set()).update({a, b})
-    point_list = [(np.array(k, dtype=float), sorted(v)) for k, v in sorted(points.items())]
-
-    # Ambient grid.
-    cuts = [
-        _Cut(
-            f.axis,
-            f.plane,
-            tuple(f.extent(a) for a in f.inplane_axes),
-        )
-        for f in faults
-    ]
-    ambient = _build_cartesian_grid(
-        lo, hi, n, cuts, np.zeros(dim), np.eye(dim), bnd_axis_map=[0, 1, 2]
-    )
-    subdomains = [ambient]
-    info = [SubdomainInfo(kind="matrix")]
-    interfaces = []
-
-    # Fault plane grids (2d) with slits along intersection lines.
-    fault_sub_id = {}
-    for k, f in enumerate(faults):
-        b1, b2 = f.inplane_axes
-        e1 = f.extent(b1)
-        e2 = f.extent(b2)
-        nb1 = _snap_index(e1[1], lo[b1], h[b1], "fault") - _snap_index(e1[0], lo[b1], h[b1], "fault")
-        nb2 = _snap_index(e2[1], lo[b2], h[b2], "fault") - _snap_index(e2[0], lo[b2], h[b2], "fault")
-        origin = np.zeros(dim)
-        origin[f.axis] = f.plane
-        axes = np.zeros((2, dim))
-        axes[0, b1] = 1.0
-        axes[1, b2] = 1.0
-        own_cuts = []
-        own_cut_lines = []
-        for li, L in enumerate(lines):
-            if k not in L["faults"]:
-                continue
-            # The line is constant on the fault's local axis where the other
-            # fault cuts through.
-            other = L["faults"][0] if L["faults"][1] == k else L["faults"][1]
-            c_ax = faults[other].axis  # global axis constant along the line
-            if c_ax == b1:
-                local_axis, span_axis = 0, 1
-            else:
-                local_axis, span_axis = 1, 0
-            own_cuts.append(
-                _Cut(local_axis, L["const"][c_ax], (L["span"],))
-            )
-            own_cut_lines.append(li)
-        grid = _build_cartesian_grid(
-            [e1[0], e2[0]],
-            [e1[1], e2[1]],
-            [nb1, nb2],
+            locus.lo[axes],
+            locus.hi[axes],
+            np.rint((locus.hi - locus.lo)[axes] / h[axes]).astype(int),
             own_cuts,
-            origin,
-            axes,
-            bnd_axis_map=[-1, -1],
-            with_nodes=True,
+            np.where(locus.free, 0.0, locus.lo),
+            np.eye(dim)[axes],
         )
         _tag_ambient_boundary(grid, lo, hi)
-        # Remap face_cut from local cut index to global line index.
-        remap = np.full(max(len(own_cut_lines), 1), -1, dtype=int)
-        for loc, li in enumerate(own_cut_lines):
-            remap[loc] = li
-        cut_mask = grid.face_cut >= 0
-        grid.face_cut[cut_mask] = remap[grid.face_cut[cut_mask]]
-        sub_id = len(subdomains)
         subdomains.append(grid)
-        info.append(SubdomainInfo(kind="fault", fault_ids=(k,)))
-        fault_sub_id[k] = sub_id
-        for side in (1, 2):
-            faces = np.where((ambient.face_cut == k) & (ambient.face_side == side))[0]
-            faces = _match_faces_to_cells(ambient, faces, grid)
-            interfaces.append(
-                _interface(sub_id, 0, side, faces, grid, grid.cell_volumes.copy(), k, "fault")
-            )
+        kind = "matrix" if c == 0 else "fault" if c <= len(faults) else "intersection"
+        info.append(SubdomainInfo(kind=kind, fault_ids=locus.fault_ids))
 
-    # Line grids (1d) with slits at crossing points.
-    line_sub_id = {}
-    for li, L in enumerate(lines):
-        along = L["along"]
-        s0, s1 = L["span"]
-        nb = _snap_index(s1, lo[along], h[along], "line") - _snap_index(
-            s0, lo[along], h[along], "line"
-        )
-        origin = np.zeros(dim)
-        for ax, c in L["const"].items():
-            origin[ax] = c
-        axes = np.zeros((1, dim))
-        axes[0, along] = 1.0
-        own_cuts = []
-        for coords, line_ids in point_list:
-            if li in line_ids and s0 + _TOL < coords[along] < s1 - _TOL:
-                own_cuts.append(_Cut(0, float(coords[along]), ()))
-        grid = _build_cartesian_grid(
-            [s0], [s1], [nb], own_cuts, origin, axes, bnd_axis_map=[-1]
-        )
-        _tag_ambient_boundary(grid, lo, hi)
-        sub_id = len(subdomains)
-        subdomains.append(grid)
-        info.append(SubdomainInfo(kind="intersection", fault_ids=L["faults"]))
-        line_sub_id[li] = sub_id
-        # Couple to both faults containing the line, one interface per side.
-        for fk in L["faults"]:
-            fg = subdomains[fault_sub_id[fk]]
-            for side in (1, 2):
-                faces = np.where((fg.face_cut == li) & (fg.face_side == side))[0]
-                faces = _match_faces_to_cells(fg, faces, grid)
-                interfaces.append(
-                    _interface(
-                        sub_id,
-                        fault_sub_id[fk],
-                        side,
-                        faces,
-                        grid,
-                        grid.cell_volumes.copy(),
-                        fk,
-                        "intersection",
-                    )
+        for p, how in locus.parents.items():
+            higher = subdomains[p]
+            if grid.dim:
+                # One interface per side, each covering the whole slit.
+                at = (higher.face_cut == cuts[p].index(c))
+                sides = (1, 2)
+                groups = [np.flatnonzero(at & (higher.face_side == s)) for s in sides]
+            else:
+                # One interface per adjoining face: the slit copies, or the
+                # tip face of a branch ending here.
+                gx = higher.face_centers_global()
+                at = (
+                    (higher.face_cells[:, 1] < 0)
+                    & (np.abs(gx - locus.lo).max(axis=1) <= _TOL)
+                    & ((higher.face_cut >= 0) | (higher.face_bnd < 0))
                 )
-
-    # 0d points coupling to line branches.
-    for coords, line_ids in point_list:
-        p_id = len(subdomains)
-        subdomains.append(_point_grid(coords))
-        fset = []
-        for li in line_ids:
-            fset.extend(lines[li]["faults"])
-        info.append(SubdomainInfo(kind="intersection", fault_ids=tuple(sorted(set(fset)))))
-        for li in line_ids:
-            g = subdomains[line_sub_id[li]]
-            gx = g.face_centers_global()
-            at_point = np.where(
-                (g.face_cells[:, 1] < 0)
-                & (np.abs(gx - coords[None, :]).max(axis=1) <= _TOL)
-            )[0]
-            at_point = [f for f in at_point if g.face_cut[f] >= 0 or g.face_bnd[f] < 0]
-            for bf in at_point:
-                side = 2 if g.face_normals[bf, 0] > 0 else 1
+                faces = np.flatnonzero(at)
+                if not faces.size:
+                    raise MeshError("intersection point has no adjoining fault face")
+                # Outward normal along +axis: the branch lies on side 2.
+                sides = [2 if higher.face_normals[f, 0] > 0 else 1 for f in faces]
+                groups = [faces[i : i + 1] for i in range(faces.size)]
+            if p == 0:
+                fault_id = c - 1
+            else:
+                fault_id = p - 1 if p <= len(faults) else -1
+            for side, faces in zip(sides, groups):
                 interfaces.append(
-                    _interface(
-                        p_id,
-                        line_sub_id[li],
-                        side,
-                        np.array([bf], dtype=int),
-                        subdomains[p_id],
-                        np.array([1.0]),
-                        -1,
-                        "intersection",
+                    MortarInterface(
+                        lower=c,
+                        higher=p,
+                        side=side,
+                        side_sign=1 if side == 2 else -1,
+                        higher_faces=_match_faces_to_cells(higher, faces, grid),
+                        lower_cells=np.arange(grid.n_cells),
+                        measures=grid.cell_volumes.copy(),
+                        fault_id=fault_id,
+                        kind="fault" if p == 0 else "intersection",
                     )
                 )
 
@@ -957,20 +724,6 @@ def refine(config, level: int) -> MixedDimMesh:
         raise MeshError("refinement level must be nonnegative")
     res = [r * 2**level for r in config.resolution]
     return build_cartesian_md_mesh(config.domain_lo, config.domain_hi, res, config.fault_specs())
-
-
-def mortar_projection(interface: MortarInterface, target: str) -> np.ndarray:
-    """Pairing table of an interface as (mortar cell, entity) index pairs.
-
-    ``target`` selects the higher grid's boundary faces or the lower grid's
-    cells. With matching grids these are one-to-one with unit weights.
-    """
-    m = np.arange(interface.n_mortar)
-    if target == "higher":
-        return np.stack([m, interface.higher_faces], axis=1)
-    if target == "lower":
-        return np.stack([m, interface.lower_cells], axis=1)
-    raise ValueError("target must be 'higher' or 'lower'")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ computation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -197,7 +198,7 @@ def _solve_resolution(cfg: CaseConfig, formulation: str, n: int):
     system = assemble_global(
         mesh, scfg.material_set(formulation), scfg.bcs, method=scfg.method
     )
-    sol = solve(system, method=scfg.solver)
+    sol = solve(system)
     return mesh, sol
 
 
@@ -268,8 +269,21 @@ def equidim_oracle(cfg: CaseConfig, resolution: int = 200):
     return average_fault_pressure(sol, band_lo, band_hi, axis=ip)
 
 
+@functools.cache
+def _oracle_profile(case: str, resolution: int) -> tuple:
+    """:func:`equidim_oracle` of a built-in case, solved once per process.
+
+    The profile depends on neither the formulation nor the study level, so
+    every study of the case shares it; the arrays are read-only.
+    """
+    xs, values = equidim_oracle(builtin_case(case), resolution)
+    xs.setflags(write=False)
+    values.setflags(write=False)
+    return xs, values
+
+
 def _equidim_errors(cfg, formulation, steps, resolution=200):
-    xs, peq = equidim_oracle(cfg, resolution)
+    xs, peq = _oracle_profile(cfg.name, resolution)
     ref_pts = xs[:, None]
     ip = cfg.faults[0].spec().inplane_axes[0]
     records = []
@@ -343,11 +357,10 @@ def run_case(case: str, formulation: str = "semilocal", levels: int = None) -> S
         records, ref = _equidim_errors(cfg, formulation, steps)
     else:
         records, ref = _self_errors(cfg, formulation, steps)
-    for prev, cur in zip(records, records[1:]):
-        if prev.error > 0 and cur.error > 0:
-            cur.order = float(
-                np.log(prev.error / cur.error) / np.log(prev.h / cur.h)
-            )
+    if len(records) >= 2:
+        orders = eoc([r.error for r in records], [r.h for r in records])
+        for rec, order in zip(records[1:], orders):
+            rec.order = order
     logger.info("%s (%s): %d levels in %.1fs", case, formulation, levels, time.time() - t0)
     return StudyResult(
         case=case, formulation=formulation, records=records, reference=ref

@@ -111,18 +111,6 @@ def test_run_is_deterministic(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_run_iterative_solver_env_override(tmp_path, monkeypatch):
-    cfg = write_demo(tmp_path)
-    out = tmp_path / "direct"
-    assert main(["run", cfg, "--output", str(out)]) == 0
-    monkeypatch.setenv("MDFLOW_SOLVER", "iterative")
-    out_it = tmp_path / "iterative"
-    assert main(["run", cfg, "--output", str(out_it)]) == 0
-    p_direct = read_vtk_cell_scalars(out / "demo_sub01.vtk")
-    p_iter = read_vtk_cell_scalars(out_it / "demo_sub01.vtk")
-    assert np.allclose(p_direct, p_iter, atol=1e-6)
-
-
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
     assert "mdflow: error:" in capsys.readouterr().err
@@ -184,6 +172,52 @@ def test_compare_writes_dual_columns(tmp_path, capsys):
         assert len(cells) == 9
         assert cells[-1] == "case1"
         assert float(cells[4]) > 0 and float(cells[6]) > 0
+
+
+def test_compare_solves_the_reference_once(tmp_path, monkeypatch):
+    import mdflow.verify as verify
+
+    verify._oracle_profile.cache_clear()
+    calls = []
+
+    def counting(case):
+        calls.append(case)
+        return solve_equidim(case)
+
+    solve_equidim = verify.solve_equidim
+    monkeypatch.setattr(verify, "solve_equidim", counting)
+    assert main(["compare", "case1", "--levels", "2", "--output", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+T_JUNCTION_3D = """\
+[domain]
+lo = 0 0 0
+hi = 1 1 1
+resolution = 4 4 4
+
+[fault]
+p0 = 0.5 0 0
+p1 = 0.5 1 1
+aperture = 0.01
+k_parallel = 1
+k_perp = 1
+
+[fault]
+p0 = 0 0.5 0
+p1 = 0.5 0.5 1
+aperture = 0.01
+k_parallel = 1
+k_perp = 1
+"""
+
+
+def test_mesh_3d_t_junction_exits_2(tmp_path, capsys):
+    cfg = write_demo(tmp_path, text=T_JUNCTION_3D)
+    assert main(["mesh", cfg, "--export", str(tmp_path / "t.mesh")]) == 2
+    err = capsys.readouterr().err
+    assert "fault 'F2' ends on fault 'F1'" in err
+    assert "T-junctions along a line are not supported in 3D" in err
 
 
 def test_mesh_export(tmp_path, capsys):

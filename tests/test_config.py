@@ -83,6 +83,7 @@ def test_two_value_pairs_kept():
             "aperture",
         ),
         (BASE + "bogus = 3\n", 6, "unknown key 'bogus'"),
+        (BASE + "solver = direct\n", 6, "unknown key 'solver'"),
         (BASE + "\n[weird]\n", 7, "unknown section"),
         (BASE + "resolution = 8 8\n", 6, "duplicate key 'resolution'"),
         (BASE + "\n[bc]\nside = q-\nkind = dirichlet\nvalue = 1\n", 8, "side"),

@@ -8,6 +8,7 @@ duplicated), and the fault line itself carries n cells and n+1 faces.
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdflow.config import FaultConfig, builtin_case
 from mdflow.mdmesh import (
@@ -15,7 +16,6 @@ from mdflow.mdmesh import (
     build_cartesian_md_mesh,
     export_mesh,
     import_mesh,
-    mortar_projection,
     refine,
 )
 
@@ -127,6 +127,187 @@ def test_three_plane_cube_counts():
     mesh.validate()
 
 
+def test_hierarchy_order_is_pinned():
+    # Subdomain and interface order fix the row order of every output
+    # table; the count tests above sort theirs and cannot see a reorder.
+    expected = {
+        "network2d": (
+            [
+                (2, "matrix", ()), (1, "fault", (0,)), (1, "fault", (1,)),
+                (1, "fault", (2,)), (1, "fault", (3,)), (1, "fault", (4,)),
+                (0, "intersection", (3, 4)), (0, "intersection", (0, 3)),
+                (0, "intersection", (0, 1)), (0, "intersection", (1, 2)),
+            ],
+            [
+                (1, 0, 1, 0, "fault"), (1, 0, 2, 0, "fault"),
+                (2, 0, 1, 1, "fault"), (2, 0, 2, 1, "fault"),
+                (3, 0, 1, 2, "fault"), (3, 0, 2, 2, "fault"),
+                (4, 0, 1, 3, "fault"), (4, 0, 2, 3, "fault"),
+                (5, 0, 1, 4, "fault"), (5, 0, 2, 4, "fault"),
+                (6, 4, 2, 3, "intersection"), (6, 4, 1, 3, "intersection"),
+                (6, 5, 1, 4, "intersection"),
+                (7, 1, 2, 0, "intersection"), (7, 1, 1, 0, "intersection"),
+                (7, 4, 2, 3, "intersection"),
+                (8, 1, 2, 0, "intersection"), (8, 1, 1, 0, "intersection"),
+                (8, 2, 1, 1, "intersection"),
+                (9, 2, 2, 1, "intersection"), (9, 2, 1, 1, "intersection"),
+                (9, 3, 2, 2, "intersection"), (9, 3, 1, 2, "intersection"),
+            ],
+        ),
+        "cube3d": (
+            [
+                (3, "matrix", ()), (2, "fault", (0,)), (2, "fault", (1,)),
+                (2, "fault", (2,)), (1, "intersection", (1, 2)),
+                (1, "intersection", (0, 2)), (1, "intersection", (0, 1)),
+                (0, "intersection", (0, 1, 2)),
+            ],
+            [
+                (1, 0, 1, 0, "fault"), (1, 0, 2, 0, "fault"),
+                (2, 0, 1, 1, "fault"), (2, 0, 2, 1, "fault"),
+                (3, 0, 1, 2, "fault"), (3, 0, 2, 2, "fault"),
+                (4, 2, 1, 1, "intersection"), (4, 2, 2, 1, "intersection"),
+                (4, 3, 1, 2, "intersection"), (4, 3, 2, 2, "intersection"),
+                (5, 1, 1, 0, "intersection"), (5, 1, 2, 0, "intersection"),
+                (5, 3, 1, 2, "intersection"), (5, 3, 2, 2, "intersection"),
+                (6, 1, 1, 0, "intersection"), (6, 1, 2, 0, "intersection"),
+                (6, 2, 1, 1, "intersection"), (6, 2, 2, 1, "intersection"),
+                (7, 4, 2, -1, "intersection"), (7, 4, 1, -1, "intersection"),
+                (7, 5, 2, -1, "intersection"), (7, 5, 1, -1, "intersection"),
+                (7, 6, 2, -1, "intersection"), (7, 6, 1, -1, "intersection"),
+            ],
+        ),
+    }
+    for case, (subdomains, interfaces) in expected.items():
+        cfg = builtin_case(case)
+        res = (8,) * len(cfg.resolution)
+        mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, res, cfg.fault_specs())
+        assert [
+            (g.dim, info.kind, info.fault_ids) for g, info in zip(mesh.subdomains, mesh.info)
+        ] == subdomains
+        assert [
+            (i.lower, i.higher, i.side, i.fault_id, i.kind) for i in mesh.interfaces
+        ] == interfaces
+
+
+def test_3d_t_junction_rejected():
+    faults = [
+        one_fault(p0=(0.5, 0.0, 0.0), p1=(0.5, 1.0, 1.0)),
+        one_fault(p0=(0.0, 0.5, 0.0), p1=(0.5, 0.5, 1.0)),
+    ]
+    faults[1].name = "G"
+    with pytest.raises(MeshError) as err:
+        build_cartesian_md_mesh((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4), faults)
+    assert str(err.value) == (
+        "fault 'G' ends on fault 'F': T-junctions along a line are not supported in 3D"
+    )
+
+
+@pytest.mark.parametrize(
+    "p0,p1,needle",
+    [
+        ((0.0, 0.0), (1.0, 0.0), "strictly inside the domain"),
+        ((0.0, 0.5), (1.5, 0.5), "extends outside the domain"),
+    ],
+)
+def test_fault_outside_domain_interior_rejected(p0, p1, needle):
+    with pytest.raises(MeshError, match=needle):
+        build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (4, 4), [one_fault(p0=p0, p1=p1)])
+
+
+def _ends_on(fi, fj) -> bool:
+    """Whether fault ``fi`` (axis, plane, {axis: (lo, hi)}) ends on ``fj``
+    along a line: a 3D T- or L-junction."""
+    (ai, pi, ei), (aj, pj, ej) = fi, fj
+    if ai == aj:
+        return False
+    (c,) = set(ei) & set(ej)  # the axis the common line runs along
+    overlap = min(ei[c][1], ej[c][1]) - max(ei[c][0], ej[c][0]) > 0
+    return overlap and pj in ei[aj] and ej[ai][0] <= pi <= ej[ai][1]
+
+
+@st.composite
+def fault_boxes(draw):
+    """A box of 2 to 4 cells per axis with two to four faults on distinct
+    grid planes, each spanning the box or ending inside it along every
+    in-plane axis. 3D T-junctions are excluded."""
+    dim = draw(st.sampled_from([2, 3]))
+    m = [draw(st.integers(2, 4)) for _ in range(dim)]
+    lo = [draw(st.sampled_from([-1.0, 0.0, 0.5])) for _ in range(dim)]
+    size = [draw(st.sampled_from([0.5, 1.0, 3.0])) for _ in range(dim)]
+    plane = st.integers(0, dim - 1).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(1, m[a] - 1))
+    )
+    faults = []
+    for axis, at in draw(st.lists(plane, min_size=2, max_size=4, unique=True)):
+        ext = {}
+        for b in range(dim):
+            if b != axis:
+                i0 = draw(st.integers(0, m[b] - 1))
+                ext[b] = draw(st.sampled_from([(0, m[b]), (i0, draw(st.integers(i0 + 1, m[b])))]))
+        faults.append((axis, at, ext))
+    if dim == 3:
+        assume(not any(_ends_on(fi, fj) for fi in faults for fj in faults))
+    return lo, size, m, faults
+
+
+def _build(box, k):
+    lo, size, m, faults = box
+    h = [s / c for s, c in zip(size, m)]
+    specs = []
+    for axis, plane, ext in faults:
+        ends = {**ext, axis: (plane, plane)}
+        p0 = tuple(lo[b] + ends[b][0] * h[b] for b in range(len(m)))
+        p1 = tuple(lo[b] + ends[b][1] * h[b] for b in range(len(m)))
+        specs.append(one_fault(p0=p0, p1=p1))
+    hi = [a + s for a, s in zip(lo, size)]
+    return build_cartesian_md_mesh(lo, hi, [k * c for c in m], specs), specs
+
+
+def _extent(specs, fault_ids, axis):
+    return min(specs[f].extent(axis)[1] for f in fault_ids) - max(
+        specs[f].extent(axis)[0] for f in fault_ids
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(fault_boxes())
+# Two planes whose spans along their common axis only touch: no line.
+@example(([0.0] * 3, [1.0] * 3, [2] * 3, [(0, 1, {1: (0, 2), 2: (0, 1)}),
+                                         (1, 1, {0: (0, 2), 2: (1, 2)})]))
+def test_hierarchy_properties(box):
+    mesh, specs = _build(box, 1)
+    mesh.validate()
+    for itf in mesh.interfaces:
+        gl, gh = mesh.subdomains[itf.lower], mesh.subdomains[itf.higher]
+        # Each lower cell is paired exactly once per side, with the higher
+        # face at the same place.
+        assert sorted(itf.lower_cells.tolist()) == list(range(gl.n_cells))
+        assert np.allclose(
+            gh.face_centers_global()[itf.higher_faces],
+            gl.cell_centers_global()[itf.lower_cells],
+            atol=1e-12,
+        )
+        fids = mesh.info[itf.lower].fault_ids
+        if itf.kind == "fault":
+            axes = specs[fids[0]].inplane_axes
+            measure = np.prod([_extent(specs, fids, a) for a in axes])
+        elif gl.dim == 1:
+            along = int(np.argmax(np.abs(gl.frame_axes[0])))
+            measure = _extent(specs, fids, along)
+        else:
+            measure = 1.0
+        assert np.isclose(itf.measures.sum(), measure, rtol=1e-12)
+
+    fine, _ = _build(box, 2)
+    assert [(g.dim, i.kind, i.fault_ids) for g, i in zip(fine.subdomains, fine.info)] == [
+        (g.dim, i.kind, i.fault_ids) for g, i in zip(mesh.subdomains, mesh.info)
+    ]
+    table = lambda msh: [(i.lower, i.higher, i.side, i.fault_id) for i in msh.interfaces]
+    assert table(fine) == table(mesh)
+    for g, gf in zip(mesh.subdomains, fine.subdomains):
+        assert gf.n_cells == 2**g.dim * g.n_cells
+
+
 def test_refine_doubles_resolution():
     cfg = builtin_case("case1")
     for level, nf in enumerate([4, 8, 16, 32, 64]):
@@ -149,21 +330,6 @@ def test_deterministic_rebuild():
     for ia, ib in zip(a.interfaces, b.interfaces):
         assert np.array_equal(ia.higher_faces, ib.higher_faces)
         assert np.array_equal(ia.lower_cells, ib.lower_cells)
-
-
-def test_mortar_projection_tables():
-    mesh = build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (4, 4), [one_fault()])
-    for itf in mesh.interfaces:
-        low = mortar_projection(itf, "lower")
-        high = mortar_projection(itf, "higher")
-        assert low.shape == (4, 2)
-        assert high.shape == (4, 2)
-        assert np.array_equal(low[:, 0], np.arange(4))
-        # matching grids: each fault cell paired exactly once per side
-        assert sorted(low[:, 1].tolist()) == [0, 1, 2, 3]
-        assert np.array_equal(high[:, 1], itf.higher_faces)
-    with pytest.raises(ValueError):
-        mortar_projection(mesh.interfaces[0], "sideways")
 
 
 def test_export_import_roundtrip(tmp_path):
