@@ -43,7 +43,6 @@ from .mdmesh import (
     build_cartesian_md_mesh,
     export_mesh,
     import_mesh,
-    refine,
 )
 from .semilocal import (
     EquiDimFaultPerm,
@@ -93,7 +92,6 @@ __all__ = [
     "mass_balance_report",
     "mpfa_discretize",
     "parse_config",
-    "refine",
     "run_case",
     "scale_to_mixed_dim",
     "schur_effective_tensor",

@@ -12,10 +12,11 @@ imposed outward flux density at Neumann and internal (mortar) faces; unused
 slots are ignored. ``chi`` is the flattened (n_cells * dim) vector source
 entering the Darcy law as q = -K (grad p + chi).
 
-Two-point flux (TPFA) is used on 1d and 3d grids, where grid-aligned
-anisotropy keeps it consistent; the multi-point O-scheme (MPFA) on 2d grids
-recovers convergence for full permeability tensors. Both produce the same
-operator shapes and are interchangeable downstream.
+Two-point flux (TPFA) is used on 1d and 3d grids. It is consistent only
+for grid-aligned (diagonal) tensors and rejects any other; the multi-point
+O-scheme (MPFA) on 2d grids recovers convergence for full permeability
+tensors. Both produce the same operator shapes and are interchangeable
+downstream.
 """
 
 from __future__ import annotations
@@ -137,12 +138,23 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     normal is ``T (p0 - p1) - A (a1 w0 + a0 w1) / (a0 + a1)`` where
     ``a_i = (n K_i n) / d_i`` are half transmissibility densities,
     ``w_i = n . K_i chi_i``, and ``T = A a0 a1 / (a0 + a1)``.
+
+    The two-point flux misses the cross terms of a full tensor, so a cell
+    whose off-diagonal entries exceed 1e-12 of its largest diagonal entry
+    raises :class:`DiscretizationError`.
     """
     if grid.dim == 0:
         return _empty_operator(grid)
     perm = _check_perm(grid, perm)
-    _check_bc(grid, bc)
     d = grid.dim
+    diag = np.abs(np.diagonal(perm, axis1=1, axis2=2)).max(axis=1)
+    skew = np.flatnonzero(np.abs(perm * (1.0 - np.eye(d))).max(axis=(1, 2)) > 1e-12 * diag)
+    if skew.size:
+        raise DiscretizationError(
+            f"TPFA needs grid-aligned (diagonal) permeability tensors; {skew.size} cells "
+            f"have off-diagonal entries, the first is cell {skew[0]}"
+        )
+    _check_bc(grid, bc)
     nf, nc = grid.n_faces, grid.n_cells
     n = grid.face_normals
     c0 = grid.face_cells[:, 0]
@@ -295,29 +307,6 @@ def _gradient_reconstruction(grid: CellGrid, perm: np.ndarray) -> sps.csr_matrix
         (coeff.ravel(), (rows.ravel(), cols.ravel())),
         shape=(grid.n_cells * d, grid.n_faces),
     )
-
-
-def reconstruct_gradient(op: DiscreteOperator, fluxes: np.ndarray, chi=None) -> np.ndarray:
-    """Per-cell pressure gradient from total face fluxes.
-
-    The least-squares map recovers grad p + chi, so the vector source used in
-    the flux computation must be passed back in to isolate grad p.
-    """
-    d = op.grid.dim
-    u = (op.grad_rec @ fluxes).reshape(op.grid.n_cells, d)
-    if chi is not None:
-        u = u - np.asarray(chi, dtype=float).reshape(op.grid.n_cells, d)
-    return u
-
-
-def pressure_trace(op: DiscreteOperator, p: np.ndarray, g=None, chi=None) -> np.ndarray:
-    """Face pressure traces for a discrete solution."""
-    out = op.trace_p @ p
-    if g is not None:
-        out = out + op.trace_g @ g
-    if chi is not None:
-        out = out + op.trace_chi @ chi
-    return out
 
 
 def discretize(grid, perm, bc, method: str = "auto") -> DiscreteOperator:

@@ -66,8 +66,6 @@ class EquiDimCase:
 class EquiDimSolution:
     grid: object
     pressures: np.ndarray
-    fluxes: np.ndarray
-    md: object  # underlying single-subdomain solution
 
 
 def solve_equidim(case: EquiDimCase) -> EquiDimSolution:
@@ -81,13 +79,7 @@ def solve_equidim(case: EquiDimCase) -> EquiDimSolution:
         matrix_regions=list(case.strips),
     )
     system = assemble_global(mesh, materials, case.bcs, method=case.method)
-    sol = solve(system)
-    return EquiDimSolution(
-        grid=mesh.subdomains[0],
-        pressures=sol.pressures[0],
-        fluxes=sol.fluxes[0],
-        md=sol,
-    )
+    return EquiDimSolution(grid=mesh.subdomains[0], pressures=solve(system).pressures[0])
 
 
 def average_fault_pressure(

@@ -1,17 +1,30 @@
 """Global assembly and solution of the mixed-dimensional flow system.
 
-Unknowns are ordered as all subdomain cell pressures (subdomains in mesh
-order) followed by all mortar fluxes (interfaces in mesh order). The mortar
-unknown is the integrated flux through each mortar cell, positive from the
-lower onto the higher subdomain.
+Unknowns are ordered as all subdomain cell pressures ``p`` (subdomains in
+mesh order) followed by all mortar fluxes ``lam`` (interfaces in mesh
+order). The mortar unknown is the integrated flux through each mortar cell,
+positive from the lower onto the higher subdomain.
 
-Block structure: cell balance rows couple a subdomain's pressures to the
-mortar fluxes it exchanges (incoming flux on the lower side, an imposed
-boundary flux on the higher side, and the vector source the eliminated
-normal fluxes induce inside a fault). Mortar rows express the interface law
-with the higher-side pressure trace, the lower-side cell pressure, and the
-lower-side tangential gradient reconstructed from fluxes. Higher and lower
-cell pressures never couple directly.
+The operators of :mod:`mdflow.discretize` are stacked over all subdomains
+into block-diagonal matrices: the flux and trace maps ``Fp, Fg, Fx`` and
+``Tp, Tg, Tx`` of pressures, face data ``g`` and vector source, the
+gradient reconstruction ``R`` and the divergence ``D``. Each interface map
+spans all mortar cells: ``S`` to the higher face, ``C`` to the lower cell,
+the measures ``W``, ``Mg`` to the imposed flux density on the higher face,
+``X`` to the vector source in the lower cell, the tangential-gradient
+coefficients ``E`` and the diagonal ``d`` of 1/kappa_perp. With the mortar
+flux maps ``Qm = Fg Mg + Fx X`` and ``Tm = Tg Mg + Tx X`` the system is
+
+    [ D Fp                   D Qm + C^T                ] [ p ]   [ V s - D Fg g        ]
+    [ W S Tp - W C + E R Fp  d + W S Tm + E R Qm - E X ] [lam] = [ -(W S Tg + E R Fg) g ]
+
+Cell balance rows couple a subdomain's pressures to the mortar fluxes it
+exchanges: incoming flux on the lower side, an imposed boundary flux on the
+higher side, and the vector source the eliminated normal fluxes induce
+inside a fault. Mortar rows express the interface law with the higher-side
+pressure trace, the lower-side cell pressure, and the lower-side tangential
+gradient reconstructed from fluxes. Higher and lower cell pressures never
+couple directly.
 """
 
 from __future__ import annotations
@@ -29,7 +42,6 @@ from .discretize import (
     BC_MORTAR,
     BC_NEUMANN,
     BoundaryCondition,
-    DiscreteOperator,
     discretize,
 )
 from .mdmesh import CellGrid, MixedDimMesh, MortarInterface
@@ -41,7 +53,6 @@ from .semilocal import (
     check_wellposed,
     scale_to_mixed_dim,
     schur_effective_tensor,
-    vector_source_from_mortar,
 )
 
 logger = logging.getLogger(__name__)
@@ -142,7 +153,7 @@ def _inherited_scalar(perms, apertures, fault_ids, component=None):
     ap = float(np.mean([apertures[f] for f in fault_ids]))
     if component is None:
         kpar = float(
-            np.mean([np.trace(perms[f].k_parallel) / perms[f].k_parallel.shape[0] for f in fault_ids])
+            np.mean([np.trace(perms[f].k_parallel) / len(perms[f].k_parallel) for f in fault_ids])
         )
     else:
         kpar = float(np.mean([perms[f].k_parallel[component, component] for f in fault_ids]))
@@ -255,49 +266,44 @@ def _line_component(mesh: MixedDimMesh, fault_ids, along_axis: int) -> int:
 
 @dataclass
 class GlobalSystem:
-    """Assembled sparse system plus the maps needed for post-processing."""
+    """Assembled sparse system plus the maps that turn its solution into
+    face fluxes and cell balances.
+
+    The offsets hold the first pressure, mortar flux and face of each
+    subdomain or interface, then the total.
+    """
 
     matrix: sps.csr_matrix
     rhs: np.ndarray
     mesh: MixedDimMesh
     problems: list
     iproblems: list
-    ops: list
     p_offsets: np.ndarray
     lam_offsets: np.ndarray
-    n_pressure: int
-    g_bc: list  # per subdomain boundary-data vectors
-    mortar_g: list  # per subdomain sparse map lambda -> imposed densities
-    chi_map: list  # per subdomain sparse map lambda -> vector source
-    div: list  # per subdomain divergence operators
-    lam_cells: list  # per subdomain sparse map lambda -> cell inflow
+    face_offsets: np.ndarray
+    flux: sps.csr_matrix  # [Fp | Qm]: unknowns -> face fluxes
+    flux_bc: np.ndarray  # Fg g: face fluxes of the boundary data
+    div: sps.csr_matrix  # face fluxes -> cell outflow
+    lam_cells: sps.csr_matrix  # C^T: mortar fluxes -> lower cell inflow
 
     @property
     def n_unknowns(self) -> int:
         return self.matrix.shape[0]
 
-    def describe(self, k: int):
-        """Map a global unknown index to its entity."""
-        if k < 0 or k >= self.n_unknowns:
-            raise IndexError(k)
-        if k < self.n_pressure:
-            i = int(np.searchsorted(self.p_offsets, k, side="right") - 1)
-            return ("subdomain", i, k - int(self.p_offsets[i]))
-        j = int(np.searchsorted(self.lam_offsets, k, side="right") - 1)
-        return ("interface", j, k - int(self.lam_offsets[j]))
+    @property
+    def n_pressure(self) -> int:
+        return int(self.p_offsets[-1])
 
 
 @dataclass
 class MdSolution:
-    """Solved fields: pressures and mortar fluxes, with reconstructed face
-    fluxes, the effective boundary data, and the induced vector sources."""
+    """Solved fields per subdomain and interface: pressures, mortar fluxes
+    and the reconstructed face fluxes."""
 
     system: GlobalSystem
     pressures: list
     lambdas: list
     fluxes: list
-    g_total: list
-    chi: list
     residual: float
 
 
@@ -309,6 +315,30 @@ def _divergence(grid: CellGrid) -> sps.csr_matrix:
     cols = np.concatenate([np.arange(nf), np.where(inner)[0]])
     dat = np.concatenate([np.ones(nf), -np.ones(int(inner.sum()))])
     return sps.csr_matrix((dat, (rows, cols)), shape=(nc, nf))
+
+
+def _offsets(sizes) -> np.ndarray:
+    """Start of each block of ``sizes`` in their concatenation, then the total."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
+def _cat(arrays, dtype=float) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype)
+
+
+def _stack(blocks) -> sps.csr_matrix:
+    """Block-diagonal matrix of CSR ``blocks``.
+
+    Concatenating the CSR arrays keeps every row's entries in their order,
+    so products with the stacked matrix round exactly as with each block.
+    """
+    cols = _offsets([b.shape[1] for b in blocks])
+    nnz = _offsets([b.nnz for b in blocks])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + n for b, n in zip(blocks, nnz)])
+    indices = np.concatenate([b.indices + c for b, c in zip(blocks, cols)])
+    data = np.concatenate([b.data for b in blocks])
+    n_rows = sum(b.shape[0] for b in blocks)
+    return sps.csr_matrix((data, indices, indptr), shape=(n_rows, cols[-1]))
 
 
 def assemble_global(
@@ -326,146 +356,83 @@ def assemble_global(
 
 
 def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
-    n_sub = len(problems)
-    n_itf = len(iproblems)
-    p_off = np.zeros(n_sub, dtype=int)
-    acc = 0
-    for i, pr in enumerate(problems):
-        p_off[i] = acc
-        acc += pr.grid.n_cells
-    n_p = acc
-    lam_off = np.zeros(n_itf, dtype=int)
-    for j, ip in enumerate(iproblems):
-        lam_off[j] = acc
-        acc += ip.itf.n_mortar
-    n_tot = acc
-    n_lam = n_tot - n_p
-
+    """Discretize every subdomain and assemble the block system of the
+    module docstring from the stacked operators and interface maps."""
     if not any(np.any(pr.bc.kind == BC_DIRICHLET) for pr in problems):
         raise AssemblyError(
             "system has no Dirichlet faces; pressure is determined only up "
             "to a constant"
         )
+    grids = [pr.grid for pr in problems]
+    itfs = [ip.itf for ip in iproblems]
+    p_off = _offsets([g.n_cells for g in grids])
+    f_off = _offsets([g.n_faces for g in grids])
+    x_off = _offsets([g.n_cells * g.dim for g in grids])
+    lam_off = _offsets([itf.n_mortar for itf in itfs])
+    n_p, n_f, n_x, n_lam = p_off[-1], f_off[-1], x_off[-1], lam_off[-1]
 
     ops = [discretize(pr.grid, pr.perm, pr.bc, pr.method) for pr in problems]
-    div = [_divergence(pr.grid) for pr in problems]
-    blocks = [assemble_interface_blocks(ip.itf, ip.law, problems[ip.itf.higher].grid) for ip in iproblems]
-
-    # lambda-column maps per subdomain (global lambda columns 0..n_lam).
-    mortar_g = []
-    chi_map = []
-    lam_cells = []
-    for i, pr in enumerate(problems):
-        grid = pr.grid
-        rows_g, cols_g, dat_g = [], [], []
-        rows_L, cols_L, dat_L = [], [], []
-        contributions = []
-        for j, ip in enumerate(iproblems):
-            itf = ip.itf
-            off = lam_off[j] - n_p
-            if itf.higher == i:
-                rows_g.append(itf.higher_faces)
-                cols_g.append(off + np.arange(itf.n_mortar))
-                dat_g.append(blocks[j].mg_coeff)
-            if itf.lower == i:
-                rows_L.append(itf.lower_cells)
-                cols_L.append(off + np.arange(itf.n_mortar))
-                dat_L.append(np.ones(itf.n_mortar))
-                contributions.append(
-                    (itf.lower_cells, blocks[j].chi_coeff, off)
-                )
-        def cat(rows, cols, dat, shape):
-            if not rows:
-                return sps.csr_matrix(shape)
-            return sps.csr_matrix(
-                (np.concatenate(dat), (np.concatenate(rows), np.concatenate(cols))),
-                shape=shape,
-            )
-        mortar_g.append(cat(rows_g, cols_g, dat_g, (grid.n_faces, n_lam)))
-        lam_cells.append(cat(rows_L, cols_L, dat_L, (grid.n_cells, n_lam)))
-        if grid.dim > 0 and contributions:
-            eff_inv = np.linalg.inv(pr.perm)
-            chi_map.append(
-                vector_source_from_mortar(grid, eff_inv, contributions, n_lam)
-            )
-        else:
-            chi_map.append(sps.csr_matrix((grid.n_cells * grid.dim, n_lam)))
-
-    A_parts = []
-    rhs = np.zeros(n_tot)
-    g_bc = [pr.bc.value.copy() for pr in problems]
-
-    def place(block, r0, c0):
-        coo = sps.coo_matrix(block)
-        if coo.nnz:
-            A_parts.append((coo.row + r0, coo.col + c0, coo.data))
-
-    # Cell balance rows.
-    for i, pr in enumerate(problems):
-        op = ops[i]
-        Dv = div[i]
-        place(Dv @ op.flux_p, p_off[i], p_off[i])
-        lam_block = Dv @ (op.flux_g @ mortar_g[i]) + lam_cells[i]
-        if chi_map[i].nnz:
-            lam_block = lam_block + Dv @ (op.flux_chi @ chi_map[i])
-        place(lam_block, p_off[i], n_p)
-        rhs[p_off[i] : p_off[i] + pr.grid.n_cells] = (
-            pr.grid.cell_volumes * pr.source - Dv @ (op.flux_g @ g_bc[i])
+    Fp, Fg, Fx, Tp, Tg, Tx, R = (
+        _stack([getattr(op, name) for op in ops])
+        for name in (
+            "flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi", "grad_rec"
         )
+    )
+    D = _stack([_divergence(g) for g in grids])
+    del ops  # the stacked copies replace them
 
-    # Mortar rows.
-    for j, ip in enumerate(iproblems):
-        itf = ip.itf
-        nm = itf.n_mortar
-        h, l = itf.higher, itf.lower
-        oph, opl = ops[h], ops[l]
-        t = problems[l].grid.dim
-        DM = sps.diags(itf.measures)
-        S = sps.csr_matrix(
-            (np.ones(nm), (np.arange(nm), itf.higher_faces)),
-            shape=(nm, problems[h].grid.n_faces),
-        )
-        C = sps.csr_matrix(
-            (np.ones(nm), (np.arange(nm), itf.lower_cells)),
-            shape=(nm, problems[l].grid.n_cells),
-        )
-        r0 = lam_off[j]
+    blocks = [
+        assemble_interface_blocks(itf, ip.law, grids[itf.higher])
+        for itf, ip in zip(itfs, iproblems)
+    ]
+    # E and X share their entries: mortar cell m against component k of the
+    # vector source in its lower cell.
+    e_rows, e_cols, x_dat = [], [], []
+    for itf, b, off in zip(itfs, blocks, lam_off):
+        t = grids[itf.lower].dim
+        e_rows.append(np.repeat(off + np.arange(itf.n_mortar), t))
+        e_cols.append((x_off[itf.lower] + itf.lower_cells[:, None] * t + np.arange(t)).ravel())
+        eff_inv = np.linalg.inv(problems[itf.lower].perm[itf.lower_cells])
+        x_dat.append(np.einsum("mij,mj->mi", eff_inv, b.chi_coeff).ravel())
+    e_rows, e_cols = _cat(e_rows, int), _cat(e_cols, int)
+    lam = np.arange(n_lam)
+    face = _cat([f_off[itf.higher] + itf.higher_faces for itf in itfs], int)
+    cell = _cat([p_off[itf.lower] + itf.lower_cells for itf in itfs], int)
+    ones = np.ones(n_lam)
+    S = sps.csr_matrix((ones, (lam, face)), shape=(n_lam, n_f))
+    C = sps.csr_matrix((ones, (lam, cell)), shape=(n_lam, n_p))
+    W = sps.diags(_cat([itf.measures for itf in itfs]), format="csr")
+    Mg = sps.csr_matrix((_cat([b.mg_coeff for b in blocks]), (face, lam)), shape=(n_f, n_lam))
+    X = sps.csr_matrix((_cat(x_dat), (e_cols, e_rows)), shape=(n_x, n_lam))
+    E = sps.csr_matrix(
+        (_cat([b.grad_coeff.ravel() for b in blocks]), (e_rows, e_cols)), shape=(n_lam, n_x)
+    )
+    d_inv = sps.diags(_cat([b.d_inv for b in blocks]), format="csr")
 
-        # Higher-side trace terms.
-        DMS = DM @ S
-        place(DMS @ oph.trace_p, r0, p_off[h])
-        lam_block = sps.csr_matrix(
-            (blocks[j].d_inv, (np.arange(nm), (r0 - n_p) + np.arange(nm))),
-            shape=(nm, n_lam),
-        )
-        lam_block = lam_block + DMS @ (oph.trace_g @ mortar_g[h])
-        if chi_map[h].nnz:
-            lam_block = lam_block + DMS @ (oph.trace_chi @ chi_map[h])
-        rhs[r0 : r0 + nm] -= DMS @ (oph.trace_g @ g_bc[h])
-
-        # Lower-side pressure and tangential-gradient terms.
-        p_l_block = -DM @ C
-        if t > 0 and np.any(blocks[j].grad_coeff):
-            rows = np.repeat(np.arange(nm), t)
-            cols = (itf.lower_cells[:, None] * t + np.arange(t)[None, :]).ravel()
-            E = sps.csr_matrix(
-                (blocks[j].grad_coeff.ravel(), (rows, cols)),
-                shape=(nm, problems[l].grid.n_cells * t),
-            )
-            ERl = E @ opl.grad_rec
-            p_l_block = p_l_block + ERl @ opl.flux_p
-            lam_block = lam_block + ERl @ (opl.flux_g @ mortar_g[l])
-            gradchi = ERl @ opl.flux_chi - E
-            if chi_map[l].nnz:
-                lam_block = lam_block + gradchi @ chi_map[l]
-            rhs[r0 : r0 + nm] -= ERl @ (opl.flux_g @ g_bc[l])
-        place(p_l_block, r0, p_off[l])
-        place(lam_block, r0, n_p)
-
-    rows = np.concatenate([p[0] for p in A_parts])
-    cols = np.concatenate([p[1] for p in A_parts])
-    dat = np.concatenate([p[2] for p in A_parts])
-    A = sps.csr_matrix((dat, (rows, cols)), shape=(n_tot, n_tot))
+    # Qm and Tm enter expanded, one product per term. Regrouped sums round
+    # semi-local entries differently in the last bit, and the partial
+    # pivoting of the 2D factorization can then pick other pivots.
+    FgMg, FxX = Fg @ Mg, Fx @ X
+    WS = W @ S
+    ER = E @ R
+    lam_cells = C.T.tocsr()
+    A = sps.bmat(
+        [
+            [D @ Fp, D @ FgMg + lam_cells + D @ FxX],
+            [
+                WS @ Tp - W @ C + ER @ Fp,
+                d_inv + WS @ (Tg @ Mg) + WS @ (Tx @ X) + ER @ FgMg + (ER @ Fx - E) @ X,
+            ],
+        ],
+        format="csr",
+    )
+    A.sort_indices()  # products leave their columns unsorted
+    g = np.concatenate([pr.bc.value for pr in problems])
+    flux_bc = Fg @ g
+    injected = np.concatenate([pr.grid.cell_volumes * pr.source for pr in problems])
+    rhs = np.concatenate([injected - D @ flux_bc, np.zeros(n_lam)])
+    rhs[n_p:] -= WS @ (Tg @ g)
+    rhs[n_p:] -= ER @ flux_bc
 
     logger.info(
         "assembled system: %d pressures, %d mortar fluxes, %d nonzeros",
@@ -479,14 +446,12 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
         mesh=mesh,
         problems=problems,
         iproblems=iproblems,
-        ops=ops,
         p_offsets=p_off,
         lam_offsets=lam_off,
-        n_pressure=n_p,
-        g_bc=g_bc,
-        mortar_g=mortar_g,
-        chi_map=chi_map,
-        div=div,
+        face_offsets=f_off,
+        flux=sps.hstack([Fp, FgMg + FxX], format="csr"),
+        flux_bc=flux_bc,
+        div=D,
         lam_cells=lam_cells,
     )
 
@@ -659,24 +624,9 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> MdSolution:
         raise SolverError(f"solution residual too large: {residual:.3e}")
 
     n_p = system.n_pressure
-    lam = x[n_p:]
-    pressures, fluxes, g_total, chi, lambdas = [], [], [], [], []
-    for i, pr in enumerate(system.problems):
-        p = x[system.p_offsets[i] : system.p_offsets[i] + pr.grid.n_cells]
-        g = system.g_bc[i] + system.mortar_g[i] @ lam
-        ch = system.chi_map[i] @ lam
-        op = system.ops[i]
-        q = op.flux_p @ p + op.flux_g @ g
-        if ch.size:
-            q = q + op.flux_chi @ ch
-        pressures.append(p)
-        fluxes.append(q)
-        g_total.append(g)
-        chi.append(ch)
-    for j, ip in enumerate(system.iproblems):
-        lambdas.append(
-            x[system.lam_offsets[j] : system.lam_offsets[j] + ip.itf.n_mortar]
-        )
+    pressures = np.split(x[:n_p], system.p_offsets[1:-1])
+    lambdas = np.split(x[n_p:], system.lam_offsets[1:-1])
+    fluxes = np.split(system.flux @ x + system.flux_bc, system.face_offsets[1:-1])
 
     # Structural identity: the higher-side face flux carries exactly -lambda
     # (outward), since mortar faces are imposed-flux faces.
@@ -695,8 +645,6 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> MdSolution:
         pressures=pressures,
         lambdas=lambdas,
         fluxes=fluxes,
-        g_total=g_total,
-        chi=chi,
         residual=residual,
     )
 
@@ -710,34 +658,21 @@ def mass_balance_report(sol: MdSolution) -> dict:
     interpretation.
     """
     sys_ = sol.system
-    n_lam = sys_.matrix.shape[0] - sys_.n_pressure
-    lam_all = np.concatenate(sol.lambdas) if sol.lambdas else np.zeros(n_lam)
-    report = {"subdomains": [], "scale": 0.0}
+    q = np.concatenate(sol.fluxes)
+    injected = [pr.grid.cell_volumes * pr.source for pr in sys_.problems]
+    resid = sys_.div @ q + sys_.lam_cells @ _cat(sol.lambdas) - np.concatenate(injected)
+    worst = [float(r.max()) for r in np.split(np.abs(resid), sys_.p_offsets[1:-1])]
     total_boundary = 0.0
-    total_source = 0.0
-    scale = 0.0
-    for i, pr in enumerate(sys_.problems):
-        Dv = sys_.div[i]
-        resid = Dv @ sol.fluxes[i] + sys_.lam_cells[i] @ lam_all - pr.grid.cell_volumes * pr.source
-        worst = float(np.abs(resid).max()) if resid.size else 0.0
-        report["subdomains"].append({"id": i, "max_residual": worst})
-        scale = max(scale, float(np.abs(sol.fluxes[i]).max()) if sol.fluxes[i].size else 0.0)
-        ext = pr.grid.is_boundary() & ~_mortar_mask(sys_, i)
-        total_boundary += float(sol.fluxes[i][ext].sum())
-        total_source += float((pr.grid.cell_volumes * pr.source).sum())
-    report["scale"] = scale if scale > 0 else 1.0
-    report["global_residual"] = abs(total_boundary - total_source)
-    report["boundary_outflow"] = total_boundary
-    report["total_source"] = total_source
-    report["max_cell_residual"] = max(
-        s["max_residual"] for s in report["subdomains"]
-    )
-    return report
-
-
-def _mortar_mask(system: GlobalSystem, i: int) -> np.ndarray:
-    mask = np.zeros(system.problems[i].grid.n_faces, dtype=bool)
-    for ip in system.iproblems:
-        if ip.itf.higher == i:
-            mask[ip.itf.higher_faces] = True
-    return mask
+    for i, (pr, qi) in enumerate(zip(sys_.problems, sol.fluxes)):
+        ext = pr.grid.is_boundary() & ~sys_.mesh.mortar_face_mask(i)
+        total_boundary += float(qi[ext].sum())
+    total_source = sum(float(v.sum()) for v in injected)
+    scale = float(np.abs(q).max()) if q.size else 0.0
+    return {
+        "subdomains": [{"id": i, "max_residual": w} for i, w in enumerate(worst)],
+        "scale": scale if scale > 0 else 1.0,
+        "global_residual": abs(total_boundary - total_source),
+        "boundary_outflow": total_boundary,
+        "total_source": total_source,
+        "max_cell_residual": max(worst),
+    }

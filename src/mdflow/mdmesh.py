@@ -714,18 +714,6 @@ def build_cartesian_md_mesh(
     return mesh
 
 
-def refine(config, level: int) -> MixedDimMesh:
-    """Rebuild the mesh of ``config`` with the resolution scaled by 2**level.
-
-    ``config`` needs ``domain_lo``, ``domain_hi``, ``resolution``, and
-    ``fault_specs()`` attributes (any case configuration object qualifies).
-    """
-    if level < 0:
-        raise MeshError("refinement level must be nonnegative")
-    res = [r * 2**level for r in config.resolution]
-    return build_cartesian_md_mesh(config.domain_lo, config.domain_hi, res, config.fault_specs())
-
-
 # ---------------------------------------------------------------------------
 # Plain-text mesh import/export.
 # ---------------------------------------------------------------------------
@@ -760,9 +748,8 @@ def export_mesh(mesh: MixedDimMesh, path: str) -> None:
         out.append(f"frame {fmt(g.frame_origin)} {fmt(g.frame_axes.ravel())}")
         out.append(f"cells {g.n_cells}")
         for c in range(g.n_cells):
-            out.append(
-                f"{g.cell_volumes[c]:.17g} {fmt(g.cell_centers[c])} {fmt(g.cell_widths[c])}".rstrip()
-            )
+            line = f"{g.cell_volumes[c]:.17g} {fmt(g.cell_centers[c])} {fmt(g.cell_widths[c])}"
+            out.append(line.rstrip())
         out.append(f"faces {g.n_faces}")
         for f in range(g.n_faces):
             out.append(

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 from .mdmesh import CellGrid, MortarInterface
 
@@ -93,8 +92,8 @@ class InterfaceBlocks:
         d_inv * lam + |m| * (trace_h - p_l) + grad_coeff . grad p_l = 0
 
     and the eliminated normal fluxes induce the vector source
-    ``chi_c = sum_m ainv_chi(c) @ chi_coeff_m * lam_m`` in the lower
-    subdomain, handled by :func:`vector_source_from_mortar`.
+    ``chi_c = sum_m K_eff(c)^-1 @ chi_coeff_m * lam_m`` in each lower cell
+    ``c``, summed over the mortar cells ``m`` on it.
     """
 
     d_inv: np.ndarray  # (n_m,)
@@ -199,33 +198,3 @@ def assemble_interface_blocks(
         mg_coeff=mg_coeff,
     )
 
-
-def vector_source_from_mortar(
-    grid: CellGrid,
-    eff_inv: np.ndarray,
-    contributions: list,
-    n_lambda: int,
-) -> sps.csr_matrix:
-    """Sparse map from all mortar unknowns to a subdomain's vector source.
-
-    ``eff_inv`` holds the per-cell inverse effective tensors (n_c, t, t);
-    ``contributions`` is a list of (lower_cells, chi_coeff, col_offset)
-    triples from this subdomain's higher-side interfaces; columns index the
-    global mortar unknown vector of length ``n_lambda``.
-    """
-    t = grid.dim
-    rows, cols, dat = [], [], []
-    for cells, coeff, off in contributions:
-        vec = np.einsum("mij,mj->mi", eff_inv[cells], coeff)  # (n_m, t)
-        r = (cells[:, None] * t + np.arange(t)[None, :]).ravel()
-        c = np.repeat(off + np.arange(cells.shape[0]), t)
-        rows.append(r)
-        cols.append(c)
-        dat.append(vec.ravel())
-    shape = (grid.n_cells * t, n_lambda)
-    if not rows:
-        return sps.csr_matrix(shape)
-    return sps.csr_matrix(
-        (np.concatenate(dat), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape,
-    )

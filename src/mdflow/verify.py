@@ -11,7 +11,6 @@ computation.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -216,10 +215,22 @@ def equidim_oracle(cfg: CaseConfig, resolution: int = 200):
     solves it, and returns the across-fault averaged pressure profile
     (coordinates, values) taken over the two cell rows straddling the
     fault plane.
+
+    Each profile is solved once per process and keyed by exactly the values
+    it reads: the domain, ``matrix_k``, the fault, the boundary clauses and
+    the resolution. The returned arrays are read-only.
     """
     if len(cfg.faults) != 1:
         raise ConfigError("the resolved reference supports exactly one fault")
     f = cfg.faults[0]
+    key = (
+        tuple(cfg.domain_lo), tuple(cfg.domain_hi), cfg.matrix_k,
+        tuple(f.p0), tuple(f.p1), f.aperture, f.k_parallel, tuple(f.k_perp), tuple(f.k_t),
+        tuple((b.side, b.kind, b.value, b.box and tuple(map(tuple, b.box))) for b in cfg.bcs),
+        resolution,
+    )
+    if key in _ORACLE_PROFILES:
+        return _ORACLE_PROFILES[key]
     s = f.spec()
     ax = s.axis
     ip = s.inplane_axes[0]
@@ -266,24 +277,19 @@ def equidim_oracle(cfg: CaseConfig, resolution: int = 200):
     band_hi = hi.copy()
     band_lo[ax] = y - h
     band_hi[ax] = y + h
-    return average_fault_pressure(sol, band_lo, band_hi, axis=ip)
+    profile = average_fault_pressure(sol, band_lo, band_hi, axis=ip)
+    for values in profile:
+        values.setflags(write=False)
+    _ORACLE_PROFILES[key] = profile
+    return profile
 
 
-@functools.cache
-def _oracle_profile(case: str, resolution: int) -> tuple:
-    """:func:`equidim_oracle` of a built-in case, solved once per process.
-
-    The profile depends on neither the formulation nor the study level, so
-    every study of the case shares it; the arrays are read-only.
-    """
-    xs, values = equidim_oracle(builtin_case(case), resolution)
-    xs.setflags(write=False)
-    values.setflags(write=False)
-    return xs, values
+#: Profiles of :func:`equidim_oracle` by the values they were solved from.
+_ORACLE_PROFILES = {}
 
 
 def _equidim_errors(cfg, formulation, steps, resolution=200):
-    xs, peq = _oracle_profile(cfg.name, resolution)
+    xs, peq = equidim_oracle(cfg, resolution)
     ref_pts = xs[:, None]
     ip = cfg.faults[0].spec().inplane_axes[0]
     records = []

@@ -177,7 +177,7 @@ def test_compare_writes_dual_columns(tmp_path, capsys):
 def test_compare_solves_the_reference_once(tmp_path, monkeypatch):
     import mdflow.verify as verify
 
-    verify._oracle_profile.cache_clear()
+    verify._ORACLE_PROFILES.clear()
     calls = []
 
     def counting(case):

@@ -18,8 +18,6 @@ from mdflow.discretize import (
     DiscretizationError,
     discretize,
     isotropic_perm,
-    pressure_trace,
-    reconstruct_gradient,
 )
 from mdflow.discretize import _classify_nodes, _Coo, _mpfa_regions, _mpfa_regular
 from mdflow.mdmesh import build_cartesian_md_mesh
@@ -80,9 +78,9 @@ def test_isotropic_linear_patch(method):
     qvec = -K * grad
     expect = (g.face_normals @ qvec) * g.face_areas
     assert np.abs(flux - expect).max() < 1e-12
-    trace = pressure_trace(op, p, bc.value)
+    trace = op.trace_p @ p + op.trace_g @ bc.value
     assert np.abs(trace - exact(g.face_centers_global())).max() < 1e-12
-    rec = reconstruct_gradient(op, flux)
+    rec = (op.grad_rec @ flux).reshape(g.n_cells, 2)
     assert np.abs(rec - grad[None, :]).max() < 1e-12
 
 
@@ -98,7 +96,7 @@ def test_full_tensor_linear_patch_mpfa():
     flux = op.flux_p @ p + op.flux_g @ bc.value
     expect = (g.face_normals @ (-K @ grad)) * g.face_areas
     assert np.abs(flux - expect).max() < 1e-12
-    trace = pressure_trace(op, p, bc.value)
+    trace = op.trace_p @ p + op.trace_g @ bc.value
     assert np.abs(trace - exact(g.face_centers_global())).max() < 1e-12
 
 
@@ -112,14 +110,18 @@ def test_mpfa_reduces_to_tpfa_isotropic():
     assert abs(a.flux_g - b.flux_g).max() < 1e-12
 
 
-def test_mpfa_differs_from_tpfa_full_tensor():
+def test_tpfa_rejects_full_tensor():
+    # TPFA drops the cross terms, so it refuses a tensor that has them;
+    # MPFA takes the same tensor, and TPFA a diagonal one up to roundoff.
     g = ambient_grid(4)
     K = np.array([[1.0, 0.6], [0.6, 1.0]])
     bc = dirichlet_bc(g, lambda x: x[:, 0])
     perm = np.tile(K, (g.n_cells, 1, 1))
-    a = discretize(g, perm, bc, method="tpfa")
-    b = discretize(g, perm, bc, method="mpfa")
-    assert abs(a.flux_p - b.flux_p).max() > 1e-3
+    with pytest.raises(DiscretizationError, match="grid-aligned"):
+        discretize(g, perm, bc, method="tpfa")
+    discretize(g, perm, bc, method="mpfa")
+    perm[:, 0, 1] = perm[:, 1, 0] = 1e-13
+    discretize(g, perm, bc, method="tpfa")
 
 
 def test_auto_method_dispatch():
@@ -147,9 +149,10 @@ def test_vector_source_cancels_gradient():
     chi = np.tile(-grad, g.n_cells)
     flux = op.flux_p @ p + op.flux_g @ bc.value + op.flux_chi @ chi
     assert np.abs(flux).max() < 1e-12
-    trace = pressure_trace(op, p, bc.value, chi=chi)
+    trace = op.trace_p @ p + op.trace_g @ bc.value + op.trace_chi @ chi
     assert np.abs(trace - exact(g.face_centers_global())).max() < 1e-12
-    rec = reconstruct_gradient(op, flux, chi=chi)
+    # the reconstruction recovers grad p + chi
+    rec = (op.grad_rec @ flux - chi).reshape(g.n_cells, 2)
     assert np.abs(rec - grad[None, :]).max() < 1e-12
 
 
@@ -179,7 +182,7 @@ def test_neumann_trace_one_sided():
     bc.value[right] = -1.0
     op = discretize(g, isotropic_perm(g, 1.0), bc, method="tpfa")
     p = g.cell_centers_global()[:, 0]
-    trace = pressure_trace(op, p, bc.value)
+    trace = op.trace_p @ p + op.trace_g @ bc.value
     assert abs(trace[left] - 0.0) < 1e-12
     assert abs(trace[right] - 1.0) < 1e-12
 
@@ -300,5 +303,5 @@ def test_mpfa_reproduces_linear_fields_on_fault_networks(case):
     p = exact(g.cell_centers)
     flux = op.flux_p @ p + op.flux_g @ bc.value
     assert np.abs(flux - density * g.face_areas).max() < 1e-10
-    trace = pressure_trace(op, p, bc.value)
+    trace = op.trace_p @ p + op.trace_g @ bc.value
     assert np.abs(trace - exact(xf)).max() < 1e-10

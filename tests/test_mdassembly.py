@@ -20,9 +20,10 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from mdflow.config import BcClause, CaseConfig, FaultConfig, builtin_case
-from mdflow.discretize import BC_DIRICHLET
+from mdflow.discretize import BC_DIRICHLET, DiscretizationError, discretize
 from mdflow.mdassembly import (
     AssemblyError,
+    MaterialSet,
     _bisection_paths,
     _lu_solve,
     _nested_dissection,
@@ -34,6 +35,7 @@ from mdflow.mdassembly import (
     solve,
 )
 from mdflow.mdmesh import build_cartesian_md_mesh
+from mdflow.semilocal import assemble_interface_blocks
 
 
 def series_config(k_perp=0.01, k_t=(0.0, 0.0), n=4):
@@ -308,17 +310,12 @@ def test_no_dirichlet_rejected():
         assemble_global(mesh, cfg.material_set(), cfg.bcs)
 
 
-def test_describe():
-    cfg = builtin_case("case1")
-    mesh = build_cartesian_md_mesh(
-        cfg.domain_lo, cfg.domain_hi, (4, 4), cfg.fault_specs()
-    )
-    system = assemble_global(mesh, cfg.material_set(), cfg.bcs)
-    assert system.describe(0) == ("subdomain", 0, 0)
-    assert system.describe(17) == ("subdomain", 1, 1)
-    assert system.describe(27) == ("interface", 1, 3)
-    with pytest.raises(IndexError):
-        system.describe(28)
+def test_tpfa_full_tensor_rejected_in_3d():
+    mesh = build_cartesian_md_mesh((0.0,) * 3, (1.0,) * 3, (4, 4, 4), [])
+    K = np.array([[2.0, 0.7, 0.0], [0.7, 1.5, 0.3], [0.0, 0.3, 1.0]])
+    bcs = [BcClause(side, "dirichlet", float(side)) for side in range(6)]
+    with pytest.raises(DiscretizationError, match="grid-aligned"):
+        assemble_global(mesh, MaterialSet(matrix_base=K), bcs)
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +449,71 @@ def test_bisection_order_separates_siblings(box):
     for members in leaves.values():
         if len(members) > leaf:
             assert np.ptp(xyz[members], axis=0).max() == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(cartesian_boxes(), st.integers(0, 2**32 - 1))
+def test_stacked_maps_match_per_entity_operators(box, seed):
+    """The stacked operators against each subdomain's and interface's own
+    operators, at a random vector of unknowns."""
+    cfg, _ = box
+    rng = np.random.default_rng(seed)
+    mesh = build_cartesian_md_mesh(
+        cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
+    )
+    sources = [rng.normal(size=g.n_cells) for g in mesh.subdomains]
+    problems, iproblems = build_problems(mesh, cfg.material_set(), cfg.bcs, sources)
+    system = assemble_from_problems(mesh, problems, iproblems)
+    po, lo, fo = system.p_offsets, system.lam_offsets, system.face_offsets
+    n_p = system.n_pressure
+    x = rng.normal(size=system.n_unknowns)
+    lam = x[n_p:]
+    q = system.flux @ x + system.flux_bc
+    residual = system.matrix @ x - system.rhs
+    tol = 1e-12 * (abs(system.matrix).max() * np.abs(x).max() + np.abs(system.rhs).max())
+
+    # Mortar faces carry -lambda; pressure rows are the cell balances.
+    for j, ip in enumerate(iproblems):
+        gap = q[fo[ip.itf.higher] + ip.itf.higher_faces] + lam[lo[j] : lo[j + 1]]
+        assert np.abs(gap).max() <= 1e-12 * max(1.0, np.abs(lam).max())
+    injected = np.concatenate([pr.grid.cell_volumes * pr.source for pr in problems])
+    balance = system.div @ q + system.lam_cells @ lam - injected
+    assert np.abs(residual[:n_p] - balance).max() <= tol
+
+    # Each subdomain's face data and vector source, mortar cell by mortar cell.
+    ops = [discretize(pr.grid, pr.perm, pr.bc, pr.method) for pr in problems]
+    p = [x[po[i] : po[i + 1]] for i in range(len(problems))]
+    g = [pr.bc.value.copy() for pr in problems]
+    chi = [np.zeros((pr.grid.n_cells, pr.grid.dim)) for pr in problems]
+    blocks = []
+    for j, ip in enumerate(iproblems):
+        itf = ip.itf
+        b = assemble_interface_blocks(itf, ip.law, problems[itf.higher].grid)
+        blocks.append(b)
+        for m in range(itf.n_mortar):
+            c = itf.lower_cells[m]
+            lam_m = lam[lo[j] + m]
+            g[itf.higher][itf.higher_faces[m]] += b.mg_coeff[m] * lam_m
+            chi[itf.lower][c] += np.linalg.solve(
+                problems[itf.lower].perm[c], b.chi_coeff[m] * lam_m
+            )
+    flux, trace, grad = [], [], []
+    for op, pi, gi, ci in zip(ops, p, g, chi):
+        flux.append(op.flux_p @ pi + op.flux_g @ gi + op.flux_chi @ ci.ravel())
+        trace.append(op.trace_p @ pi + op.trace_g @ gi + op.trace_chi @ ci.ravel())
+        grad.append((op.grad_rec @ flux[-1]).reshape(ci.shape) - ci)
+    assert np.abs(q - np.concatenate(flux)).max() <= tol
+
+    # Mortar rows are the interface law of each mortar cell.
+    for j, (ip, b) in enumerate(zip(iproblems, blocks)):
+        itf = ip.itf
+        cells = itf.lower_cells
+        law = (
+            b.d_inv * lam[lo[j] : lo[j + 1]]
+            + itf.measures * (trace[itf.higher][itf.higher_faces] - p[itf.lower][cells])
+            + np.sum(b.grad_coeff * grad[itf.lower][cells], axis=1)
+        )
+        assert np.abs(residual[n_p + lo[j] : n_p + lo[j + 1]] - law).max() <= tol
+
+    rep = mass_balance_report(solve(system))
+    assert rep["max_cell_residual"] <= 1e-10 * rep["scale"]

@@ -16,7 +16,6 @@ from mdflow.mdmesh import (
     build_cartesian_md_mesh,
     export_mesh,
     import_mesh,
-    refine,
 )
 
 
@@ -310,8 +309,10 @@ def test_hierarchy_properties(box):
 
 def test_refine_doubles_resolution():
     cfg = builtin_case("case1")
-    for level, nf in enumerate([4, 8, 16, 32, 64]):
-        mesh = refine(cfg, level)
+    for nf in [4, 8, 16, 32, 64]:
+        mesh = build_cartesian_md_mesh(
+            cfg.domain_lo, cfg.domain_hi, (nf, nf), cfg.fault_specs()
+        )
         fault = mesh.subdomains[1]
         assert fault.n_cells == nf
         assert mesh.subdomains[0].n_cells == nf * nf
