@@ -325,29 +325,6 @@ def discretize(grid, perm, bc, method: str = "auto") -> DiscreteOperator:
 # ---------------------------------------------------------------------------
 
 
-class _Coo:
-    """Accumulator for COO triplets built from many small batches."""
-
-    def __init__(self):
-        self.rows, self.cols, self.dat = [], [], []
-
-    def add(self, r, c, v):
-        self.rows.append(np.asarray(r, dtype=int).ravel())
-        self.cols.append(np.asarray(c, dtype=int).ravel())
-        self.dat.append(np.asarray(v, dtype=float).ravel())
-
-    def build(self, shape):
-        if not self.rows:
-            return sps.csr_matrix(shape)
-        return sps.csr_matrix(
-            (
-                np.concatenate(self.dat),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=shape,
-        )
-
-
 def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> DiscreteOperator:
     """Multi-point flux operators on a 2d Cartesian grid with slits.
 
@@ -363,9 +340,10 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     face-constant Dirichlet data pointwise and makes the stencil collapse to
     the two-point one for isotropic permeability on Cartesian grids.
 
-    Interior nodes with four regular faces (the bulk of the grid) go through
-    a fixed-layout kernel; the regions of all other nodes are grouped by
-    their (sub-face, cell) counts and each group is solved in one batch.
+    Every node goes through the same region kernel. Regions with equal local
+    systems (same layout, cell tensors and widths, face areas and boundary
+    condition kinds) share one solve, and the operators store only nonzero
+    coefficients.
     """
     if grid.dim != 2:
         raise DiscretizationError("the MPFA implementation covers 2d grids only")
@@ -374,60 +352,25 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     perm = _check_perm(grid, perm)
     _check_bc(grid, bc)
     nf, nc = grid.n_faces, grid.n_cells
-    d = 2
 
-    F, B, J = _Coo(), _Coo(), _Coo()
-    Tp, Tg, Tx = _Coo(), _Coo(), _Coo()
-
-    # Imposed-flux faces bypass the local systems entirely.
-    imposed = bc.imposed_flux()
-    fn = np.where(imposed)[0]
-    if fn.size:
-        B.add(fn, fn, grid.face_areas[fn])
-    dirich = np.where(bc.kind == BC_DIRICHLET)[0]
-    if dirich.size:
-        Tg.add(dirich, dirich, np.ones(dirich.size))
-
-    reg_nodes, reg_faces, other_nodes = _classify_nodes(grid)
-    if reg_nodes.size:
-        _mpfa_regular(grid, perm, reg_nodes, reg_faces, F, J, Tp, Tx)
-    if other_nodes.size:
-        _mpfa_regions(grid, perm, bc, imposed, other_nodes, F, B, J, Tp, Tg, Tx)
-
-    return DiscreteOperator(
-        grid=grid,
-        flux_p=F.build((nf, nc)),
-        flux_g=B.build((nf, nf)),
-        flux_chi=J.build((nf, nc * d)),
-        trace_p=Tp.build((nf, nc)),
-        trace_g=Tg.build((nf, nf)),
-        trace_chi=Tx.build((nf, nc * d)),
-        grad_rec=_gradient_reconstruction(grid, perm),
-    )
-
-
-def _classify_nodes(grid):
-    """Split the grid nodes met by faces into regular and other nodes.
-
-    A regular node has four incident faces, all interior. Returns the regular
-    node ids, their (n, 4) face ids, and the ids of all other nodes that at
-    least one face meets (boundary, slit, tip and intersection nodes).
-    """
-    n_nodes = grid.node_coords.shape[0]
-    pair_nodes = grid.face_nodes.ravel()
-    order = np.argsort(pair_nodes, kind="stable")
-    sorted_faces = order // 2
-    counts = np.bincount(pair_nodes, minlength=n_nodes)
-    starts = np.cumsum(counts) - counts
-    idx4 = np.flatnonzero(counts == 4)
-    f4 = sorted_faces[starts[idx4, None] + np.arange(4)]
-    regular = np.zeros(n_nodes, dtype=bool)
-    regular[idx4] = (grid.face_cells[f4, 1] >= 0).all(axis=1)
-    return (
-        np.flatnonzero(regular),
-        f4[regular[idx4]],
-        np.flatnonzero(~regular & (counts > 0)),
-    )
+    layout, rows = _mpfa_regions(grid, perm, bc)
+    # Imposed-flux faces bypass the local systems: their flux is g * area,
+    # and Dirichlet faces take their trace from g.
+    fn = np.flatnonzero(bc.imposed_flux())
+    fd = np.flatnonzero(bc.kind == BC_DIRICHLET)
+    extra = {"flux_g": (grid.face_areas[fn], fn), "trace_g": (np.ones(fd.size), fd)}
+    ops = {}
+    for name, shape in (
+        ("flux_p", (nf, nc)), ("flux_g", (nf, nf)), ("flux_chi", (nf, 2 * nc)),
+        ("trace_p", (nf, nc)), ("trace_g", (nf, nf)), ("trace_chi", (nf, 2 * nc)),
+    ):
+        val, (r, c) = _spread(layout, *rows[name])
+        if name in extra:
+            v, f = extra[name]
+            val, r, c = np.concatenate([val, v]), np.concatenate([r, f]), np.concatenate([c, f])
+        ops[name] = sps.csr_matrix((val, (r, c)), shape=shape)
+        ops[name].eliminate_zeros()  # the two sub-faces of a face may cancel
+    return DiscreteOperator(grid=grid, grad_rec=_gradient_reconstruction(grid, perm), **ops)
 
 
 def _ragged(counts):
@@ -437,127 +380,61 @@ def _ragged(counts):
     return owner, np.arange(owner.size) - starts[owner]
 
 
-def _mpfa_regular(grid, perm, nodes, nfaces, F, J, Tp, Tx):
-    """Batched interaction-region solves for interior nodes with four
-    regular faces (the bulk of a Cartesian grid)."""
-    nv = grid.node_coords[nodes]
-    fc = grid.face_centers[nfaces]  # (nr, 4, 2)
-    fn = grid.face_normals[nfaces]
-    vertical = np.abs(fn[:, :, 0]) > 0.5  # normals are +-e_x / +-e_y
-    # slot: 0 = south vertical, 1 = north vertical, 2 = west horizontal,
-    # 3 = east horizontal
-    above = np.where(
-        vertical, fc[:, :, 1] > nv[:, None, 1], fc[:, :, 0] > nv[:, None, 0]
-    )
-    slot = np.where(vertical, 0, 2) + above.astype(int)
-    if not np.array_equal(np.sort(slot, axis=1), np.broadcast_to(np.arange(4), slot.shape)):
-        raise MeshError("irregular face pattern at an interior node")
-    faces = np.take_along_axis(nfaces, np.argsort(slot, axis=1), axis=1)
+def _distinct_rows(rows):
+    """Index of the first of each distinct row of an integer matrix, and
+    the number of every row's distinct row.
 
-    vS, vN, hW, hE = faces[:, 0], faces[:, 1], faces[:, 2], faces[:, 3]
-    c00 = grid.face_cells[vS, 0]
-    c10 = grid.face_cells[vS, 1]
-    c01 = grid.face_cells[vN, 0]
-    c11 = grid.face_cells[vN, 1]
-    if not (
-        np.array_equal(grid.face_cells[hW], np.stack([c00, c01], 1))
-        and np.array_equal(grid.face_cells[hE], np.stack([c10, c11], 1))
-    ):
-        raise MeshError("inconsistent cell pattern at an interior node")
-    cells = np.stack([c00, c10, c01, c11], axis=1)  # slots SW, SE, NW, NE
-
-    hx, hy = grid.cell_widths[0]
-    # Continuity-point offsets from each corner cell's center to its two
-    # face centers, rows in unknown order [pi_S, pi_N, pi_W, pi_E].
-    M = {
-        0: np.array([[hx / 2, 0.0], [0.0, hy / 2]]),  # SW: (S, W)
-        1: np.array([[-hx / 2, 0.0], [0.0, hy / 2]]),  # SE: (S, E)
-        2: np.array([[hx / 2, 0.0], [0.0, -hy / 2]]),  # NW: (N, W)
-        3: np.array([[-hx / 2, 0.0], [0.0, -hy / 2]]),  # NE: (N, E)
-    }
-    Minv = {s: np.linalg.inv(M[s]) for s in M}
-    sel = {0: (0, 2), 1: (0, 3), 2: (1, 2), 3: (1, 3)}
-
-    K = perm[cells]  # (nr, 4, 2, 2)
-    nr = nodes.shape[0]
-
-    # Equations: sub-face flux continuity, unknown order [S, N, W, E].
-    # Each term: sign * n^T K_slot (Minv_slot (pi_sel - p_slot) + chi_slot).
-    eqs = [
-        (0, (0, +1, 0), (1, -1, 0)),  # S, normal e_x
-        (1, (2, +1, 0), (3, -1, 0)),  # N
-        (2, (0, +1, 1), (2, -1, 1)),  # W, normal e_y
-        (3, (1, +1, 1), (3, -1, 1)),  # E
-    ]
-    A = np.zeros((nr, 4, 4))
-    Rp = np.zeros((nr, 4, 4))
-    Rx = np.zeros((nr, 4, 8))
-    for e, *terms in eqs:
-        for s_slot, sign, nd in terms:
-            r = sign * K[:, s_slot, nd, :]  # (nr, 2) row n^T K
-            rM = r @ Minv[s_slot]  # (nr, 2)
-            A[:, e, sel[s_slot][0]] += rM[:, 0]
-            A[:, e, sel[s_slot][1]] += rM[:, 1]
-            Rp[:, e, s_slot] += rM.sum(axis=1)
-            Rx[:, e, 2 * s_slot : 2 * s_slot + 2] += -r
-    rhs = np.concatenate([Rp, Rx], axis=2)
-    sol = np.linalg.solve(A, rhs)  # pi = Pp p + Px chi
-    Pp, Px = sol[:, :, :4], sol[:, :, 4:]
-
-    # Sub-face fluxes, evaluated from the first-cell side with the stored
-    # global normal: slot/normal per unknown.
-    flux_src = {0: (0, 0), 1: (2, 0), 2: (0, 1), 3: (1, 1)}  # unknown -> (slot, nd)
-    half = {0: hy / 2, 1: hy / 2, 2: hx / 2, 3: hx / 2}
-    cols_p = cells  # (nr, 4) global cell ids per slot
-    cols_x = np.stack(
-        [cells * 2, cells * 2 + 1], axis=2
-    ).reshape(nr, 8)  # chi columns per slot pair
-    for u in range(4):
-        s_slot, nd = flux_src[u]
-        r = K[:, s_slot, nd, :]
-        rM = r @ Minv[s_slot]
-        # phi = -(A/2) [ rM (pi_sel - p_slot 1) + r chi_slot ]
-        cp = np.zeros((nr, 4))
-        cx = np.zeros((nr, 8))
-        for j, uu in enumerate(sel[s_slot]):
-            cp += rM[:, j, None] * Pp[:, uu, :]
-            cx += rM[:, j, None] * Px[:, uu, :]
-        cp[:, s_slot] -= rM.sum(axis=1)
-        cx[:, 2 * s_slot : 2 * s_slot + 2] += r
-        cp *= -half[u]
-        cx *= -half[u]
-        frow = faces[:, u]
-        F.add(np.repeat(frow, 4), cols_p, cp)
-        J.add(np.repeat(frow, 8), cols_x, cx)
-        # Trace: face trace gets pi/2 from each of its two node sub-faces.
-        Tp.add(np.repeat(frow, 4), cols_p, 0.5 * Pp[:, u, :])
-        Tx.add(np.repeat(frow, 8), cols_x, 0.5 * Px[:, u, :])
+    Rows are grouped by a 64-bit hash, and the grouping is checked against
+    the rows themselves; after a collision ``np.unique(axis=0)`` decides.
+    Each column is mixed in with the splitmix64 finalizer, whose shifts carry
+    the high bits down, so rows differing only in sign bits do not collide.
+    """
+    h = np.zeros(rows.shape[0], dtype=np.uint64)
+    for col in rows.view(np.uint64).T:
+        h ^= col
+        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        h ^= h >> np.uint64(31)
+    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
+    if not np.array_equal(rows[first[inverse]], rows):
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
-def _mpfa_regions(grid, perm, bc, imposed, nodes, F, B, J, Tp, Tg, Tx):
-    """Batched interaction-region solves for every sub-face at ``nodes``.
+def _mpfa_regions(grid, perm, bc):
+    """Interaction-region solves for every sub-face of the grid.
 
     A region's local system has one row and one unknown (continuity
-    pressure) per sub-face, and right-hand-side columns for its cells'
-    pressures, its faces' boundary data and its cells' vector sources, in
-    that order. Regions are sorted by their (sub-face, cell) counts, so each
-    group of equal counts is a contiguous batch for one solve.
+    pressure) per sub-face, numbered by face id, and right-hand-side columns
+    for its cells' pressures (cells numbered by id), its faces' boundary
+    data and its cells' vector sources, in that order. Regions are sorted by
+    their (sub-face, cell) counts, so each group of equal counts is a
+    contiguous batch.
 
-    Arrays prefixed ``s_`` hold one entry per sub-face (a (node, face)
-    pair), ``i_`` per sub-face/corner incidence and ``k_`` per corner.
+    Within a group, a region's system follows from an integer key: per
+    corner its cell's (tensor, widths) class and the sides of its two faces,
+    and per sub-face its face's normal, area class and boundary condition
+    kind and the local numbers of its first and second corner (which fix
+    the corners' sub-faces too). One representative region per distinct key
+    is solved, and its flux and trace rows keep only their nonzero
+    coefficients.
+
+    Returns the layout that :func:`_spread` needs to copy those rows to every
+    region, and per operator the representatives' row counts, columns,
+    values and (vector source columns only) component. Arrays prefixed
+    ``s_`` hold one entry per sub-face (a (node, face) pair; sub-face ``s``
+    lies on face ``s // 2``), ``i_`` per sub-face/corner incidence, ``k_``
+    per corner and ``r_`` per representative region.
     """
     nc = grid.n_cells
     fcells = grid.face_cells
-    at = np.zeros(grid.node_coords.shape[0], dtype=bool)
-    at[nodes] = True
-    keep = np.flatnonzero(at[grid.face_nodes.ravel()])
-    s_node = grid.face_nodes.ravel()[keep]
-    s_face = keep // 2
-    ns = s_face.size
+    s_node = grid.face_nodes.ravel()
+    ns = s_node.size
+    s_face = np.arange(ns) // 2
     inner = fcells[s_face, 1] >= 0
     s_dir = bc.kind[s_face] == BC_DIRICHLET
-    s_imp = imposed[s_face]
-    half = grid.face_areas[s_face] / 2.0
+    s_imp = bc.imposed_flux()[s_face]
+    half = grid.face_areas / 2.0
 
     # Corners: a sub-face meets the corner of its face's first cell and, if
     # interior, of its second; every corner must meet exactly two sub-faces.
@@ -590,7 +467,6 @@ def _mpfa_regions(grid, perm, bc, imposed, nodes, F, B, J, Tp, Tg, Tx):
     relabel[rank] = np.arange(n_reg)
     k_reg, n_u, n_c = relabel[k_reg], n_u[rank], n_c[rank]
     s_reg = k_reg[first]
-    w = 3 * n_c + n_u  # right-hand-side columns: cells, faces, chi pairs
 
     def local(reg, ids, sizes):
         order = np.lexsort((ids, reg))
@@ -600,104 +476,178 @@ def _mpfa_regions(grid, perm, bc, imposed, nodes, F, B, J, Tp, Tg, Tx):
 
     s_loc = local(s_reg, s_face, n_u)
     k_loc = local(k_reg, k_cell, n_c)
-    off_a = np.cumsum(n_u * n_u) - n_u * n_u
-    off_r = np.cumsum(n_u * w) - n_u * w
-    off_w = np.cumsum(w) - w
 
-    # Global column of every local right-hand-side column of every region.
-    col_id = np.empty(w.sum(), dtype=int)
-    col_id[off_w[k_reg] + k_loc] = k_cell
-    col_id[off_w[s_reg] + n_c[s_reg] + s_loc] = s_face
-    pos = off_w[k_reg] + n_c[k_reg] + n_u[k_reg] + 2 * k_loc
-    col_id[pos], col_id[pos + 1] = 2 * k_cell, 2 * k_cell + 1
-
-    # Gradient basis per corner: rows are continuity-point offsets.
-    Minv = np.linalg.inv(
-        grid.face_centers[s_face[k_sub]] - grid.cell_centers[k_cell][:, None, :]
+    # Faces are normal to a grid axis. A normal points away from the face's
+    # first cell, so a face lies on the high side of that cell iff its
+    # normal points up the axis, and on the low side of the second cell.
+    axis = np.argmax(np.abs(grid.face_normals), axis=1)
+    up = grid.face_normals[np.arange(grid.n_faces), axis] > 0
+    f_code = 2 * axis + up
+    k_code = 2 * axis[s_face[k_sub]] + (
+        (first[k_sub] == np.arange(n_corner)[:, None]) == up[s_face[k_sub]]
     )
+
+    # Corner classes: cell class and face sides. The gradient basis of a
+    # class has the offsets +-w/2 from the cell center to its two face
+    # centers as rows.
+    _, cell_class = _distinct_rows(
+        np.concatenate([perm.reshape(nc, 4), grid.cell_widths], axis=1).view(np.int64)
+    )
+    _, k_rep, k_cls = np.unique(
+        16 * cell_class[k_cell] + 4 * k_code[:, 0] + k_code[:, 1],
+        return_index=True,
+        return_inverse=True,
+    )
+    code, n = k_code[k_rep], np.arange(k_rep.size)[:, None]
+    ax = code // 2
+    M = np.zeros((k_rep.size, 2, 2))
+    M[n, [0, 1], ax] = np.where(code % 2, 0.5, -0.5) * grid.cell_widths[k_cell[k_rep]][n, ax]
+    Minv = np.linalg.inv(M)
+
+    def normal_flux(f, cells):
+        """Rows n^T K of the cells for the stored normals of the faces."""
+        return np.where(up[f], 1.0, -1.0)[:, None] * perm[cells, axis[f]]
+
+    # Region keys, then one representative per distinct key of each group.
+    _, area_class = np.unique(grid.face_areas, return_inverse=True)
+    width = n_c + 3 * n_u
+    off_key = np.cumsum(width) - width
+    keys = np.empty(int(width.sum()), dtype=np.int64)
+    keys[off_key[k_reg] + k_loc] = k_cls
+    pos = off_key[s_reg] + n_c[s_reg] + 3 * s_loc
+    keys[pos] = 4 * (4 * area_class + f_code)[s_face] + 2 * s_dir + s_imp
+    keys[pos + 1], keys[pos + 2] = k_loc[first], -1
+    keys[pos[inner] + 2] = k_loc[second]
+    reg_rep = np.empty(n_reg, dtype=int)  # representative number per region
+    r_reg, n_rep = [], 0
+    cuts = np.flatnonzero(np.diff(n_u) | np.diff(n_c)) + 1
+    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, n_reg]):
+        group = keys[off_key[r0] : off_key[r0] + (r1 - r0) * width[r0]]
+        rep, inverse = _distinct_rows(group.reshape(r1 - r0, -1))
+        reg_rep[r0:r1] = n_rep + inverse
+        r_reg.append(r0 + rep)
+        n_rep += rep.size
+    r_reg = np.concatenate(r_reg)
+    is_rep = np.zeros(n_reg, dtype=bool)
+    is_rep[r_reg] = True
+    r_u, r_c = n_u[r_reg], n_c[r_reg]
+    w = 3 * r_c + r_u  # right-hand-side columns: cells, faces, chi pairs
+    s_rep = reg_rep[s_reg]
+    s_row = (np.cumsum(r_u) - r_u)[s_rep] + s_loc  # representative's row
+    off_a = np.cumsum(r_u * r_u) - r_u * r_u
+    off_r = np.cumsum(r_u * w) - r_u * w
 
     # Flux-continuity terms sign * n^T K_c (Minv (pi - p_c) + chi_c), one per
     # corner of an interior sub-face, and -(A_f/2) n^T K_c (...) at
     # imposed-flux sub-faces; Dirichlet sub-faces pin their unknown.
     fac = np.concatenate(
-        [np.where(inner, 1.0, np.where(s_imp, -half, 0.0)), np.full(second.size, -1.0)]
+        [np.where(inner, 1.0, np.where(s_imp, -half[s_face], 0.0)), np.full(second.size, -1.0)]
     )
-    t = np.flatnonzero(fac != 0.0)
+    t = np.flatnonzero((fac != 0.0) & is_rep[s_reg[i_sub]])
     ts, tk = i_sub[t], i_corner[t]
-    r = fac[t, None] * np.einsum(
-        "ti,tij->tj", grid.face_normals[s_face[ts]], perm[k_cell[tk]]
-    )
-    rM = np.einsum("tj,tjk->tk", r, Minv[tk])
-    g = s_reg[ts]
-    row_a = off_a[g] + s_loc[ts] * n_u[g]
+    r = fac[t, None] * normal_flux(s_face[ts], k_cell[tk])
+    rM = np.einsum("tj,tjk->tk", r, Minv[k_cls[tk]])
+    g = s_rep[ts]
+    row_a = off_a[g] + s_loc[ts] * r_u[g]
     row_r = off_r[g] + s_loc[ts] * w[g]
-    xc = row_r + n_c[g] + n_u[g] + 2 * k_loc[tk]
-    pin = np.flatnonzero(s_dir)
-    gp = s_reg[pin]
-    data = np.flatnonzero(s_dir | s_imp)
-    gd = s_reg[data]
+    xc = row_r + r_c[g] + r_u[g] + 2 * k_loc[tk]
+    pin = np.flatnonzero(s_dir & is_rep[s_reg])
+    gp = s_rep[pin]
+    data = np.flatnonzero((s_dir | s_imp) & is_rep[s_reg])
+    gd = s_rep[data]
     A = np.bincount(
         np.concatenate(
             [row_a + s_loc[k_sub[tk, 0]], row_a + s_loc[k_sub[tk, 1]],
-             off_a[gp] + s_loc[pin] * (n_u[gp] + 1)]
+             off_a[gp] + s_loc[pin] * (r_u[gp] + 1)]
         ),
         np.concatenate([rM[:, 0], rM[:, 1], np.ones(pin.size)]),
-        minlength=int(n_u @ n_u),
+        minlength=int(r_u @ r_u),
     )
     R = np.bincount(
         np.concatenate(
             [row_r + k_loc[tk], xc, xc + 1,
-             off_r[gd] + s_loc[data] * w[gd] + n_c[gd] + s_loc[data]]
+             off_r[gd] + s_loc[data] * w[gd] + r_c[gd] + s_loc[data]]
         ),
         np.concatenate(
-            [rM.sum(axis=1), -r[:, 0], -r[:, 1], np.where(s_dir, 1.0, half)[data]]
+            [rM.sum(axis=1), -r[:, 0], -r[:, 1], np.where(s_dir, 1.0, half[s_face])[data]]
         ),
-        minlength=int(w @ n_u),
+        minlength=int(w @ r_u),
     )
 
     # One batched solve per group of equal counts; S = A^{-1} R in R's layout.
     S = np.empty_like(R)
-    cuts = np.flatnonzero(np.diff(n_u) | np.diff(n_c)) + 1
-    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, n_reg]):
-        u, wr, G = n_u[r0], w[r0], r1 - r0
+    cuts = np.flatnonzero(np.diff(r_u) | np.diff(r_c)) + 1
+    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, r_reg.size]):
+        u, wr, G = r_u[r0], w[r0], r1 - r0
         a = A[off_a[r0] : off_a[r0] + G * u * u].reshape(G, u, u)
         b = slice(off_r[r0], off_r[r0] + G * u * wr)
         S[b] = np.linalg.solve(a, R[b].reshape(G, u, wr)).ravel()
 
-    def slots(sel):
-        """Index into ``sel``, region and local column of every
-        right-hand-side slot of the sub-faces ``sel``; each one's first slot."""
-        width = w[s_reg[sel]]
-        owner, col = _ragged(width)
-        return owner, s_reg[sel][owner], col, np.cumsum(width) - width
+    rs = np.flatnonzero(is_rep[s_reg])
+    rs = rs[np.argsort(s_row[rs])]  # the representatives' sub-faces by row
+    rows = {}
 
-    def emit(s, g, col, values, Mp, Mg, Mx):
-        """Add slot values to the cell, face and chi operators in s's rows."""
-        cols = col_id[off_w[g] + col]
-        kind = (col >= n_c[g]).astype(int) + (col >= n_c[g] + n_u[g])
-        for k, M in enumerate((Mp, Mg, Mx)):
-            m = kind == k
-            M.add(s_face[s[m]], cols[m], values[m])
+    def slots(sel):
+        """Index into ``sel``, representative and local column of every
+        right-hand-side slot of the sub-faces ``sel``; each one's first slot."""
+        width = w[s_rep[sel]]
+        owner, col = _ragged(width)
+        return owner, s_rep[sel][owner], col, np.cumsum(width) - width
+
+    def keep(sel, o, g, col, values, names):
+        """Keep the nonzero slot values as rows of the cell, face and chi
+        operators; cell and face columns index the region's column table,
+        a chi column its cell and component."""
+        j = col - r_c[g] - r_u[g]
+        kind = (col >= r_c[g]).astype(int) + (j >= 0)
+        for k, name in enumerate(names):
+            m = (kind == k) & (values != 0.0)
+            cnt = np.bincount(s_row[sel[o[m]]], minlength=rs.size)
+            rows[name] = (cnt, col[m], values[m]) if k < 2 else (cnt, j[m] // 2, values[m], j[m] % 2)
 
     # Traces: each face trace is the mean of its two sub-face pressures;
     # Dirichlet faces already carry the identity.
-    sel = np.flatnonzero(~s_dir)
+    sel = rs[~s_dir[rs]]
     o, g, col, _ = slots(sel)
-    emit(sel[o], g, col, 0.5 * S[off_r[g] + s_loc[sel][o] * w[g] + col], Tp, Tg, Tx)
+    keep(sel, o, g, col, 0.5 * S[off_r[g] + s_loc[sel][o] * w[g] + col],
+         ("trace_p", "trace_g", "trace_chi"))
 
     # Fluxes, evaluated from the first cell with the stored face normal:
     # -(A_f/2) n^T K_c0 (Minv (pi - p_c0) + chi_c0). Imposed-flux faces
     # are handled globally as g * area.
-    sel = np.flatnonzero(~s_imp)
+    sel = rs[~s_imp[rs]]
     k0 = first[sel]
-    r = np.einsum("ti,tij->tj", grid.face_normals[s_face[sel]], perm[k_cell[k0]])
-    rM = np.einsum("tj,tjk->tk", r, Minv[k0])
+    r = normal_flux(s_face[sel], k_cell[k0])
+    rM = np.einsum("tj,tjk->tk", r, Minv[k_cls[k0]])
     o, g, col, start = slots(sel)
     vals = sum(
         rM[o, m] * S[off_r[g] + s_loc[k_sub[k0, m]][o] * w[g] + col] for m in range(2)
     )
     vals[start + k_loc[k0]] -= rM.sum(axis=1)
-    xc = start + n_c[s_reg[sel]] + n_u[s_reg[sel]] + 2 * k_loc[k0]
+    xc = start + r_c[s_rep[sel]] + r_u[s_rep[sel]] + 2 * k_loc[k0]
     vals[xc] += r[:, 0]
     vals[xc + 1] += r[:, 1]
-    emit(sel[o], g, col, -half[sel][o] * vals, F, B, J)
+    keep(sel, o, g, col, -half[s_face[sel]][o] * vals, ("flux_p", "flux_g", "flux_chi"))
+
+    # Global columns by region: its cells, then its faces, in local order.
+    off = np.cumsum(n_c + n_u) - n_c - n_u
+    reg_cols = np.empty(n_corner + ns, dtype=int)
+    reg_cols[off[k_reg] + k_loc] = k_cell
+    reg_cols[off[s_reg] + n_c[s_reg] + s_loc] = s_face
+    return (s_row, off[s_reg], reg_cols), rows
+
+
+def _spread(layout, cnt, slot, val, comp=None):
+    """Copy the representatives' row entries to every sub-face.
+
+    ``cnt`` counts each representative row's entries, which are sorted by
+    row; ``slot`` indexes the region's column table, and ``comp`` is the
+    vector component of a chi column. Returns (values, (rows, columns)).
+    """
+    s_row, s_off, reg_cols = layout
+    owner, at = _ragged(cnt[s_row])
+    e = (np.cumsum(cnt) - cnt)[s_row[owner]] + at
+    cols = reg_cols[s_off[owner] + slot[e]]
+    if comp is not None:
+        cols = 2 * cols + comp[e]
+    return val[e], (owner // 2, cols)

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import CaseConfig, ConfigError, builtin_case
 from .equidim import EquiDimCase, average_fault_pressure, solve_equidim
@@ -98,6 +97,8 @@ def sample_nearest(ref_points, ref_values, points) -> np.ndarray:
     center or sits symmetrically between 2 (1D) or 4 (2D) of them; the tie
     average then equals the symmetric local mean of the fine field.
     """
+    from scipy.spatial import cKDTree  # here, so that importing mdflow.cli skips it
+
     ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ref_values = np.asarray(ref_values, dtype=float)

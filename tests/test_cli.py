@@ -1,10 +1,13 @@
 """Command-line front end tests: exit codes, output files, determinism."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mdflow
 from mdflow.cli import main
 
 DEMO = """\
@@ -230,3 +233,12 @@ def test_mesh_export(tmp_path, capsys):
     mesh = import_mesh(str(target))
     assert mesh.n_subdomains == 2
     assert len(mesh.interfaces) == 2
+
+
+def test_cli_import_skips_scipy_spatial():
+    # Only the convergence studies sample with a k-d tree; ``run`` should
+    # not pay for importing scipy.spatial.
+    src = os.path.dirname(os.path.dirname(mdflow.__file__))
+    code = "import sys, mdflow.cli; sys.exit('scipy.spatial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

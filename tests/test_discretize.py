@@ -5,6 +5,8 @@ patch tests assert agreement to near machine precision. The 1D grids come
 from the fault subdomain of a two-dimensional mesh.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,6 @@ from mdflow.discretize import (
     discretize,
     isotropic_perm,
 )
-from mdflow.discretize import _classify_nodes, _Coo, _mpfa_regions, _mpfa_regular
 from mdflow.mdmesh import build_cartesian_md_mesh
 
 
@@ -108,6 +109,10 @@ def test_mpfa_reduces_to_tpfa_isotropic():
     b = discretize(g, perm, bc, method="mpfa")
     assert abs(a.flux_p - b.flux_p).max() < 1e-12
     assert abs(a.flux_g - b.flux_g).max() < 1e-12
+    # same stencil, and MPFA stores none of its zero coefficients
+    for x, y in ((a.flux_p, b.flux_p), (a.flux_g, b.flux_g)):
+        assert np.array_equal(x.indptr, y.indptr)
+        assert np.array_equal(x.indices, y.indices)
 
 
 def test_tpfa_rejects_full_tensor():
@@ -224,26 +229,53 @@ def random_spd(rng, n):
     return L @ np.transpose(L, (0, 2, 1)) + 0.1 * np.eye(2)
 
 
-def test_batched_regions_match_regular_kernel():
-    # Two independent formulations of the interior stencil: the fixed
-    # four-slot layout and the general corner/region kernel.
-    g = build_cartesian_md_mesh((0.0, 0.0), (1.3, 0.7), (7, 5), []).subdomains[0]
-    perm = random_spd(np.random.default_rng(3), g.n_cells)
-    bc = dirichlet_bc(g, lambda x: x[:, 0])
-    nodes, faces, _ = _classify_nodes(g)
-    assert nodes.size == 6 * 4
-    ref = {k: _Coo() for k in "FJPX"}
-    _mpfa_regular(g, perm, nodes, faces, ref["F"], ref["J"], ref["P"], ref["X"])
-    new = {k: _Coo() for k in "FBJPGX"}
-    _mpfa_regions(g, perm, bc, bc.imposed_flux(), nodes, *new.values())
-    nf, nc = g.n_faces, g.n_cells
-    shapes = {"F": (nf, nc), "P": (nf, nc), "J": (nf, 2 * nc), "X": (nf, 2 * nc)}
-    for k, shape in shapes.items():
-        a, b = ref[k].build(shape), new[k].build(shape)
-        assert a.nnz == b.nnz > 0
-        assert abs(a - b).max() <= 1e-12 * abs(a).max()
-    for k in "BG":  # interior regions carry no boundary data
-        assert abs(new[k].build((nf, nf))).max() == 0.0
+def test_region_deduplication_is_invisible():
+    # Cells take one of three SPD tensors by column stripes, so interaction
+    # regions repeat and each distinct local system is solved once. Scaling
+    # every cell's tensor by its own factor 1 + 1e-10 r_i leaves no two
+    # systems equal. The grid has a slit with a tip and Dirichlet, Neumann
+    # and mortar faces. Its vertical faces right of x = 0.5 are numbered in
+    # reverse, so that regions of equal shape and tensors differ in the
+    # local numbering of their sub-faces.
+    fault = FaultConfig(
+        p0=(0.0, 0.5), p1=(0.625, 0.5), aperture=0.01,
+        k_parallel=1.0, k_perp=(1.0, 1.0), k_t=(0.0, 0.0), name="F",
+    )
+    mesh = build_cartesian_md_mesh((0.0, 0.0), (1.0, 0.75), (8, 6), [fault.spec()])
+    g = mesh.subdomains[0]
+    order = np.arange(g.n_faces)
+    flip = np.flatnonzero((g.face_normals[:, 0] != 0) & (g.face_centers[:, 0] > 0.5))
+    order[flip] = flip[::-1]
+    g = dataclasses.replace(g, **{
+        k: getattr(g, k)[order]
+        for k in ("face_areas", "face_centers", "face_normals", "face_cells",
+                  "face_bnd", "face_cut", "face_side", "face_nodes")
+    })
+    bc = BoundaryCondition.empty(g)
+    bnd = g.is_boundary()
+    bc.kind[bnd] = BC_NEUMANN
+    bc.kind[bnd & np.isin(g.face_bnd, [0, 3])] = BC_DIRICHLET  # x- and y+
+    bc.kind[g.face_cut >= 0] = BC_MORTAR
+    rng = np.random.default_rng(5)
+    K = random_spd(rng, 3)
+    perm = K[(g.cell_centers[:, 0] // 0.25).astype(int) % 3]
+    scale = 1.0 + 1e-10 * (1.0 + rng.permutation(g.n_cells))
+    names = ("flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi")
+    a = discretize(g, perm, bc, method="mpfa")
+    b = discretize(g, perm * scale[:, None, None], bc, method="mpfa")
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        assert abs(x - y).max() <= 1e-7 * abs(y).max(), name
+    # A key blind to the tensors would merge the perturbed regions as well.
+    # The vertical faces on a stripe's center line see that stripe's cells
+    # only, so their rows must match a grid of that stripe's tensor alone.
+    xf = g.face_centers[:, 0]
+    for t, x0 in ((0, 0.125), (1, 0.375), (2, 0.625), (0, 0.875)):
+        rows = np.flatnonzero((g.face_normals[:, 0] != 0) & np.isclose(xf, x0))
+        c = discretize(g, np.tile(K[t], (g.n_cells, 1, 1)), bc, method="mpfa")
+        for name in names:
+            x, y = getattr(a, name)[rows], getattr(c, name)[rows]
+            assert abs(x - y).max() <= 1e-12 * abs(y).max(), name
 
 
 @st.composite

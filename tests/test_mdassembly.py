@@ -159,7 +159,7 @@ def test_local_and_semilocal_match_without_coupling():
     sys_sl = assemble_global(mesh, cfg.material_set("semilocal"), cfg.bcs)
     diff = (sys_l.matrix - sys_sl.matrix).tocoo()
     scale = np.abs(sys_l.matrix.data).max()
-    assert np.abs(diff.data).max() if diff.nnz else 0.0 <= 1e-14 * scale
+    assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-14 * scale
     assert np.abs(sys_l.rhs - sys_sl.rhs).max() <= 1e-14 * np.abs(sys_l.rhs).max()
 
 
