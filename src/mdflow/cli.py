@@ -83,7 +83,7 @@ def cmd_run(args) -> int:
     mesh = build_cartesian_md_mesh(
         cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
     )
-    system = assemble_global(mesh, cfg.material_set(), cfg.bcs, method=cfg.method)
+    system = assemble_global(mesh, cfg.material_set(), cfg.bcs)
     sol = solve(system)
     report = mass_balance_report(sol)
     dim = mesh.dim

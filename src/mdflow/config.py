@@ -9,7 +9,6 @@ A configuration file is a plain-text section format:
     resolution = 8 8
     matrix_k = 1.0
     formulation = semilocal
-    method = auto
     output = out
 
     [region]
@@ -118,7 +117,6 @@ class CaseConfig:
     faults: list = field(default_factory=list)
     bcs: list = field(default_factory=list)
     formulation: str = "semilocal"
-    method: str = "auto"
     output: str = "."
     name: str = "case"
 
@@ -134,8 +132,6 @@ class CaseConfig:
             raise ConfigError("resolution entries must be positive")
         if self.formulation not in ("local", "semilocal"):
             raise ConfigError(f"unknown formulation {self.formulation!r}")
-        if self.method not in ("auto", "tpfa", "mpfa"):
-            raise ConfigError(f"unknown method {self.method!r}")
         for f in self.faults:
             if len(f.p0) != d or len(f.p1) != d:
                 raise ConfigError(
@@ -177,9 +173,7 @@ class CaseConfig:
 # Parsing.
 # ---------------------------------------------------------------------------
 
-_DOMAIN_KEYS = {
-    "lo", "hi", "resolution", "matrix_k", "formulation", "method", "output", "name",
-}
+_DOMAIN_KEYS = {"lo", "hi", "resolution", "matrix_k", "formulation", "output", "name"}
 _REGION_KEYS = {"box", "k"}
 _FAULT_KEYS = {"p0", "p1", "aperture", "k_parallel", "k_perp", "k_t", "name"}
 _BC_KEYS = {"side", "kind", "value", "box"}
@@ -305,7 +299,6 @@ def parse_config(text: str) -> CaseConfig:
         resolution=res,
         matrix_k=matrix_k,
         formulation=dval("formulation", "semilocal")[1].strip(),
-        method=dval("method", "auto")[1].strip(),
         output=dval("output", ".")[1].strip(),
         name=dval("name", "case")[1].strip(),
     )
@@ -379,7 +372,6 @@ def write_config(cfg: CaseConfig) -> str:
     out.append("resolution = " + " ".join(str(int(r)) for r in cfg.resolution))
     out.append(f"matrix_k = {_fmt([cfg.matrix_k])}")
     out.append(f"formulation = {cfg.formulation}")
-    out.append(f"method = {cfg.method}")
     out.append(f"output = {cfg.output}")
     out.append(f"name = {cfg.name}")
     for lo, hi, k in cfg.matrix_regions:

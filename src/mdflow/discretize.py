@@ -12,11 +12,12 @@ imposed outward flux density at Neumann and internal (mortar) faces; unused
 slots are ignored. ``chi`` is the flattened (n_cells * dim) vector source
 entering the Darcy law as q = -K (grad p + chi).
 
-Two-point flux (TPFA) is used on 1d and 3d grids. It is consistent only
-for grid-aligned (diagonal) tensors and rejects any other; the multi-point
-O-scheme (MPFA) on 2d grids recovers convergence for full permeability
-tensors. Both produce the same operator shapes and are interchangeable
-downstream.
+:func:`discretize` picks the scheme from the tensors. Two-point flux (TPFA)
+is consistent only for grid-aligned (diagonal) tensors and rejects any
+other; on such tensors and Cartesian cells the multi-point O-scheme (MPFA)
+reduces to it. MPFA therefore runs only on 2d grids with a full tensor,
+where it recovers convergence, and a full tensor on a 3d grid is an error.
+Both produce the same operator shapes and are interchangeable downstream.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ class DiscreteOperator:
     trace_g: sps.csr_matrix
     trace_chi: sps.csr_matrix
     grad_rec: sps.csr_matrix
+    scheme: str  # "TPFA" or "MPFA"
 
 
 def _check_perm(grid: CellGrid, perm: np.ndarray) -> np.ndarray:
@@ -123,6 +125,7 @@ def _empty_operator(grid: CellGrid) -> DiscreteOperator:
         trace_g=z((nf, nf)),
         trace_chi=z((nf, nc * d)),
         grad_rec=z((nc * d, nf)),
+        scheme="TPFA",
     )
 
 
@@ -141,183 +144,123 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
 
     The two-point flux misses the cross terms of a full tensor, so a cell
     whose off-diagonal entries exceed 1e-12 of its largest diagonal entry
-    raises :class:`DiscretizationError`.
+    raises :class:`DiscretizationError`. With grid-aligned tensors ``w_i``
+    takes only the component of ``chi_i`` on the face's axis, so every
+    operator row has at most two entries and none is a stored zero.
     """
     if grid.dim == 0:
         return _empty_operator(grid)
     perm = _check_perm(grid, perm)
-    d = grid.dim
-    diag = np.abs(np.diagonal(perm, axis1=1, axis2=2)).max(axis=1)
-    skew = np.flatnonzero(np.abs(perm * (1.0 - np.eye(d))).max(axis=(1, 2)) > 1e-12 * diag)
+    skew = _skewed_cells(perm)
     if skew.size:
         raise DiscretizationError(
             f"TPFA needs grid-aligned (diagonal) permeability tensors; {skew.size} cells "
             f"have off-diagonal entries, the first is cell {skew[0]}"
         )
     _check_bc(grid, bc)
-    nf, nc = grid.n_faces, grid.n_cells
-    n = grid.face_normals
-    c0 = grid.face_cells[:, 0]
-    c1 = grid.face_cells[:, 1]
-    interior = c1 >= 0
-    area = grid.face_areas
-    xc = grid.cell_centers
-    xf = grid.face_centers
-
-    Kn0 = np.einsum("fij,fi->fj", perm[c0], n)  # rows n^T K_c0
-    k0 = np.einsum("fj,fj->f", Kn0, n)
-    d0 = np.abs(np.einsum("fj,fj->f", xf - xc[c0], n))
-    if np.any(k0 <= 0) or np.any(d0 <= 0):
+    nf, nc, d = grid.n_faces, grid.n_cells, grid.dim
+    faces = np.arange(nf)
+    axis = np.argmax(np.abs(grid.face_normals), axis=1)
+    n = grid.face_normals[faces, axis][:, None]
+    # (n_faces, 2) arrays over a face's first and second cell; -1 marks a
+    # missing second cell, and its entries are never kept.
+    cells = grid.face_cells
+    has = cells >= 0
+    c = np.where(has, cells, 0)
+    kn = n * perm[c, axis[:, None], axis[:, None]]  # n^T K_c, on the face axis only
+    k = kn * n
+    dist = np.abs(grid.face_centers[faces, axis][:, None] - grid.cell_centers[c, axis[:, None]])
+    if np.any(has & ((k <= 0) | (dist <= 0))):
         raise DiscretizationError("nonpositive normal permeability or distance")
-    a0 = k0 / d0
+    a0, a1 = np.where(has, k / np.where(has, dist, 1.0), 0.0).T
+    kn0, kn1 = kn.T
+    chi = np.where(has, c * d + axis[:, None], -1)  # chi column of the face axis
+    face_col = np.stack([faces, np.full(nf, -1)], axis=1)
 
-    rows_F, cols_F, dat_F = [], [], []
-    rows_B, cols_B, dat_B = [], [], []
-    rows_J, cols_J, dat_J = [], [], []
-    rows_Tp, cols_Tp, dat_Tp = [], [], []
-    rows_Tg, cols_Tg, dat_Tg = [], [], []
-    rows_Tx, cols_Tx, dat_Tx = [], [], []
-
-    def chi_cols(cells):
-        return (cells[:, None] * d + np.arange(d)[None, :]).ravel()
-
-    fi = np.where(interior)[0]
-    if fi.size:
-        Kn1 = np.einsum("fij,fi->fj", perm[c1[fi]], n[fi])
-        k1 = np.einsum("fj,fj->f", Kn1, n[fi])
-        d1 = np.abs(np.einsum("fj,fj->f", xc[c1[fi]] - xf[fi], n[fi]))
-        if np.any(k1 <= 0) or np.any(d1 <= 0):
-            raise DiscretizationError("nonpositive normal permeability or distance")
-        a1 = k1 / d1
-        s = a0[fi] + a1
-        T = area[fi] * a0[fi] * a1 / s
-        rows_F += [fi, fi]
-        cols_F += [c0[fi], c1[fi]]
-        dat_F += [T, -T]
-        # chi contribution: -A (a1 w0 + a0 w1) / (a0 + a1)
-        co0 = -(area[fi] * a1 / s)[:, None] * Kn0[fi]
-        co1 = -(area[fi] * a0[fi] / s)[:, None] * Kn1
-        rows_J += [np.repeat(fi, d), np.repeat(fi, d)]
-        cols_J += [chi_cols(c0[fi]), chi_cols(c1[fi])]
-        dat_J += [co0.ravel(), co1.ravel()]
-        # trace pi = (a0 p0 + a1 p1 + w1 - w0) / (a0 + a1)
-        rows_Tp += [fi, fi]
-        cols_Tp += [c0[fi], c1[fi]]
-        dat_Tp += [a0[fi] / s, a1 / s]
-        rows_Tx += [np.repeat(fi, d), np.repeat(fi, d)]
-        cols_Tx += [chi_cols(c0[fi]), chi_cols(c1[fi])]
-        dat_Tx += [(-Kn0[fi] / s[:, None]).ravel(), (Kn1 / s[:, None]).ravel()]
-
-    fd = np.where(bc.kind == BC_DIRICHLET)[0]
-    if fd.size:
-        t = area[fd] * a0[fd]
-        rows_F += [fd]
-        cols_F += [c0[fd]]
-        dat_F += [t]
-        rows_B += [fd]
-        cols_B += [fd]
-        dat_B += [-t]
-        rows_J += [np.repeat(fd, d)]
-        cols_J += [chi_cols(c0[fd])]
-        dat_J += [(-area[fd][:, None] * Kn0[fd]).ravel()]
-        rows_Tg += [fd]
-        cols_Tg += [fd]
-        dat_Tg += [np.ones(fd.size)]
-
-    fn = np.where(bc.imposed_flux())[0]
-    if fn.size:
-        rows_B += [fn]
-        cols_B += [fn]
-        dat_B += [area[fn]]
-        # trace pi = p_c - g/a0 - w0/a0
-        rows_Tp += [fn]
-        cols_Tp += [c0[fn]]
-        dat_Tp += [np.ones(fn.size)]
-        rows_Tg += [fn]
-        cols_Tg += [fn]
-        dat_Tg += [-1.0 / a0[fn]]
-        rows_Tx += [np.repeat(fn, d)]
-        cols_Tx += [chi_cols(c0[fn])]
-        dat_Tx += [(-Kn0[fn] / a0[fn, None]).ravel()]
-
-    def build(rows, cols, dat, shape):
-        if rows:
-            return sps.csr_matrix(
-                (np.concatenate(dat), (np.concatenate(rows), np.concatenate(cols))),
-                shape=shape,
-            )
-        return sps.csr_matrix(shape)
-
+    area = grid.face_areas
+    inner = has[:, 1]
+    dirichlet = bc.kind == BC_DIRICHLET
+    imposed = bc.imposed_flux()
+    s = a0 + a1
+    T = area * a0 * a1 / s
+    first = np.array([True, False])
+    flux_keep = inner[:, None] | (dirichlet[:, None] & first)
+    trace_keep = inner[:, None] | (imposed[:, None] & first)
+    g_keep = (dirichlet | imposed)[:, None] & first
+    # Traces pi = (a0 p0 + a1 p1 + w1 - w0) / (a0 + a1) inside, g at
+    # Dirichlet faces and p0 - (g + w0) / a0 at imposed-flux faces.
     return DiscreteOperator(
         grid=grid,
-        flux_p=build(rows_F, cols_F, dat_F, (nf, nc)),
-        flux_g=build(rows_B, cols_B, dat_B, (nf, nf)),
-        flux_chi=build(rows_J, cols_J, dat_J, (nf, nc * d)),
-        trace_p=build(rows_Tp, cols_Tp, dat_Tp, (nf, nc)),
-        trace_g=build(rows_Tg, cols_Tg, dat_Tg, (nf, nf)),
-        trace_chi=build(rows_Tx, cols_Tx, dat_Tx, (nf, nc * d)),
+        flux_p=_face_rows(cells, np.where(inner, T, area * a0), -T, flux_keep, nc),
+        flux_g=_face_rows(face_col, np.where(dirichlet, -(area * a0), area), 0.0, g_keep, nf),
+        flux_chi=_face_rows(
+            chi, np.where(inner, -(area * a1 / s) * kn0, -area * kn0),
+            -(area * a0 / s) * kn1, flux_keep, nc * d,
+        ),
+        trace_p=_face_rows(cells, np.where(inner, a0 / s, 1.0), a1 / s, trace_keep, nc),
+        trace_g=_face_rows(face_col, np.where(dirichlet, 1.0, -1.0 / a0), 0.0, g_keep, nf),
+        trace_chi=_face_rows(
+            chi, np.where(inner, -kn0 / s, -kn0 / a0), kn1 / s, trace_keep, nc * d
+        ),
         grad_rec=_gradient_reconstruction(grid, perm),
+        scheme="TPFA",
     )
 
 
-def _cell_face_table(grid: CellGrid) -> np.ndarray:
-    """(n_cells, 2*dim) table of face ids per cell, with outward signs.
-
-    Returns an integer array ``tab`` where ``tab[c]`` lists the faces of cell
-    ``c``; the parallel sign array is recomputed where needed from
-    ``face_cells``. Cartesian cells always have exactly 2*dim faces.
-    """
-    d = grid.dim
-    owner = np.concatenate([grid.face_cells[:, 0], grid.face_cells[grid.face_cells[:, 1] >= 0, 1]])
-    face = np.concatenate(
-        [np.arange(grid.n_faces), np.where(grid.face_cells[:, 1] >= 0)[0]]
-    )
-    order = np.argsort(owner, kind="stable")
-    counts = np.bincount(owner, minlength=grid.n_cells)
-    if not np.all(counts == 2 * d):
-        raise MeshError("expected Cartesian cells with exactly 2*dim faces")
-    return face[order].reshape(grid.n_cells, 2 * d)
+def _face_rows(cols, v0, v1, keep, n_cols) -> sps.csr_matrix:
+    """CSR matrix whose row f holds the entries ``keep[f]`` of the (n, 2)
+    columns ``cols`` with values ``(v0[f], v1[f])``, in column order."""
+    vals = np.stack(np.broadcast_arrays(v0, v1), axis=1)
+    swap = (keep.all(axis=1) & (cols[:, 0] > cols[:, 1]))[:, None]
+    cols, vals = np.where(swap, cols[:, ::-1], cols), np.where(swap, vals[:, ::-1], vals)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sps.csr_matrix((vals[keep], cols[keep], indptr), shape=(keep.shape[0], n_cols))
 
 
 def _gradient_reconstruction(grid: CellGrid, perm: np.ndarray) -> sps.csr_matrix:
     """Least-squares map from face fluxes to per-cell (grad p + chi).
 
     Minimizes over u the misfit between -n.K_c u and the outward flux
-    densities of the cell's faces; exact whenever the fluxes derive from a
-    cell-constant u, which requires the face normals to span the grid
-    dimension.
+    densities q_f / A_f of the cell's faces; exact whenever the fluxes
+    derive from a cell-constant u. A Cartesian cell has one face on each
+    side of every axis, so the normal equations solve to
+    ``u = -K_c^{-1} (1/2) sum_f n_f q_f / A_f``.
     """
     d = grid.dim
     if d == 0:
         return sps.csr_matrix((0, grid.n_faces))
-    tab = _cell_face_table(grid)
-    cells = np.arange(grid.n_cells)
-    sign = np.where(grid.face_cells[tab, 0] == cells[:, None], 1.0, -1.0)
-    n_out = grid.face_normals[tab] * sign[:, :, None]
-    rank = np.linalg.matrix_rank(n_out[0]) if grid.n_cells else d
-    if rank < d:
-        raise DiscretizationError("face normals do not span the grid dimension")
-    N = np.einsum("cfi,cij->cfj", n_out, perm[cells])  # (nc, 2d, d)
-    NtN = np.einsum("cfi,cfj->cij", N, N)
-    pseudo = np.linalg.solve(NtN, np.transpose(N, (0, 2, 1)))  # (nc, d, 2d)
-    coeff = -pseudo * sign[:, None, :] / grid.face_areas[tab][:, None, :]
-    rows = (cells[:, None, None] * d + np.arange(d)[None, :, None]).repeat(2 * d, axis=2)
-    cols = np.broadcast_to(tab[:, None, :], coeff.shape)
+    fc = grid.face_cells
+    inner = np.flatnonzero(fc[:, 1] >= 0)
+    face = np.concatenate([np.arange(grid.n_faces), inner])
+    cell = np.concatenate([fc[:, 0], fc[inner, 1]])
+    axis = np.argmax(np.abs(grid.face_normals), axis=1)[face]
+    if np.any(np.bincount(cell * d + axis, minlength=grid.n_cells * d) != 2):
+        raise MeshError("expected Cartesian cells with one face on each side of every axis")
+    coeff = (-0.5 * grid.face_normals[face, axis] / grid.face_areas[face])[:, None] * (
+        np.linalg.inv(perm)[cell, :, axis]
+    )
+    keep = coeff != 0.0
+    rows = cell[:, None] * d + np.arange(d)
     return sps.csr_matrix(
-        (coeff.ravel(), (rows.ravel(), cols.ravel())),
+        (coeff[keep], (rows[keep], np.broadcast_to(face[:, None], keep.shape)[keep])),
         shape=(grid.n_cells * d, grid.n_faces),
     )
 
 
-def discretize(grid, perm, bc, method: str = "auto") -> DiscreteOperator:
-    """Dispatch to MPFA on 2d grids and TPFA elsewhere (``auto``)."""
-    if method == "auto":
-        method = "mpfa" if grid.dim == 2 else "tpfa"
-    if method == "tpfa":
-        return tpfa_discretize(grid, perm, bc)
-    if method == "mpfa":
+def _skewed_cells(perm: np.ndarray) -> np.ndarray:
+    """Cells whose off-diagonal entries exceed 1e-12 of their largest
+    diagonal entry, i.e. whose tensor is not grid-aligned."""
+    d = perm.shape[1]
+    diag = np.abs(np.diagonal(perm, axis1=1, axis2=2)).max(axis=1)
+    return np.flatnonzero(np.abs(perm * (1.0 - np.eye(d))).max(axis=(1, 2)) > 1e-12 * diag)
+
+
+def discretize(grid, perm, bc) -> DiscreteOperator:
+    """MPFA on a 2d grid with a tensor that is not grid-aligned, TPFA
+    everywhere else, where the O-scheme would reduce to it."""
+    if grid.dim == 2 and _skewed_cells(_check_perm(grid, perm)).size:
         return mpfa_discretize(grid, perm, bc)
-    raise DiscretizationError(f"unknown discretization method {method!r}")
+    return tpfa_discretize(grid, perm, bc)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +313,9 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
             val, r, c = np.concatenate([val, v]), np.concatenate([r, f]), np.concatenate([c, f])
         ops[name] = sps.csr_matrix((val, (r, c)), shape=shape)
         ops[name].eliminate_zeros()  # the two sub-faces of a face may cancel
-    return DiscreteOperator(grid=grid, grad_rec=_gradient_reconstruction(grid, perm), **ops)
+    return DiscreteOperator(
+        grid=grid, grad_rec=_gradient_reconstruction(grid, perm), scheme="MPFA", **ops
+    )
 
 
 def _ragged(counts):

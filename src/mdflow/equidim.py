@@ -35,7 +35,6 @@ class EquiDimCase:
     matrix_k: np.ndarray
     strips: list = field(default_factory=list)  # (lo, hi, tensor)
     bcs: list = field(default_factory=list)
-    method: str = "auto"
 
     def validate(self) -> None:
         lo = np.asarray(self.domain_lo, dtype=float)
@@ -78,7 +77,7 @@ def solve_equidim(case: EquiDimCase) -> EquiDimSolution:
         matrix_base=case.matrix_k,
         matrix_regions=list(case.strips),
     )
-    system = assemble_global(mesh, materials, case.bcs, method=case.method)
+    system = assemble_global(mesh, materials, case.bcs)
     return EquiDimSolution(grid=mesh.subdomains[0], pressures=solve(system).pressures[0])
 
 

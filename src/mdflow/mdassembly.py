@@ -114,7 +114,6 @@ class SubdomainProblem:
     perm: np.ndarray
     bc: BoundaryCondition
     source: np.ndarray  # volumetric injection rate density per cell
-    method: str = "auto"
 
 
 @dataclass
@@ -165,7 +164,6 @@ def build_problems(
     materials: MaterialSet,
     bcs,
     sources=None,
-    method: str = "auto",
 ):
     """Resolve materials and boundary data into per-entity problem records.
 
@@ -209,7 +207,7 @@ def build_problems(
         src = np.zeros(grid.n_cells)
         if sources is not None and sources[i] is not None:
             src = np.asarray(sources[i], dtype=float)
-        sub_problems.append(SubdomainProblem(grid, perm, bc, src, method))
+        sub_problems.append(SubdomainProblem(grid, perm, bc, src))
 
     itf_problems = []
     for itf in mesh.interfaces:
@@ -346,12 +344,11 @@ def assemble_global(
     materials: MaterialSet,
     bcs,
     sources=None,
-    method: str = "auto",
 ) -> GlobalSystem:
     """Assemble the monolithic system over subdomain pressures and mortar
     fluxes. ``bcs`` is a list of :class:`BcClause`; ``sources`` an optional
     per-subdomain list of injection rate densities."""
-    problems, iproblems = build_problems(mesh, materials, bcs, sources, method)
+    problems, iproblems = build_problems(mesh, materials, bcs, sources)
     return assemble_from_problems(mesh, problems, iproblems)
 
 
@@ -371,7 +368,7 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
     lam_off = _offsets([itf.n_mortar for itf in itfs])
     n_p, n_f, n_x, n_lam = p_off[-1], f_off[-1], x_off[-1], lam_off[-1]
 
-    ops = [discretize(pr.grid, pr.perm, pr.bc, pr.method) for pr in problems]
+    ops = [discretize(pr.grid, pr.perm, pr.bc) for pr in problems]
     Fp, Fg, Fx, Tp, Tg, Tx, R = (
         _stack([getattr(op, name) for op in ops])
         for name in (
@@ -379,6 +376,7 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
         )
     )
     D = _stack([_divergence(g) for g in grids])
+    n_mpfa = sum(op.scheme == "MPFA" for op in ops)
     del ops  # the stacked copies replace them
 
     blocks = [
@@ -435,10 +433,13 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
     rhs[n_p:] -= ER @ flux_bc
 
     logger.info(
-        "assembled system: %d pressures, %d mortar fluxes, %d nonzeros",
+        "assembled system: %d pressures, %d mortar fluxes, %d nonzeros; "
+        "schemes: %d TPFA, %d MPFA",
         n_p,
         n_lam,
         A.nnz,
+        len(grids) - n_mpfa,
+        n_mpfa,
     )
     return GlobalSystem(
         matrix=A,

@@ -195,9 +195,7 @@ def _solve_resolution(cfg: CaseConfig, formulation: str, n: int):
     mesh = build_cartesian_md_mesh(
         scfg.domain_lo, scfg.domain_hi, scfg.resolution, scfg.fault_specs()
     )
-    system = assemble_global(
-        mesh, scfg.material_set(formulation), scfg.bcs, method=scfg.method
-    )
+    system = assemble_global(mesh, scfg.material_set(formulation), scfg.bcs)
     sol = solve(system)
     return mesh, sol
 
@@ -326,21 +324,16 @@ def _self_errors(cfg, formulation, steps):
         parts = fault_field(mesh, sol.pressures)
         if len(parts) != len(ref_parts):
             raise VerifyError("fault subdomain count changed across levels")
-        diff2 = 0.0
-        norm2 = 0.0
-        for (c, v, w), (rc, rv, _) in zip(parts, ref_parts):
-            rvals = sample_nearest(rc, rv, c)
-            diff2 += np.sum(w * (v - rvals) ** 2)
-            norm2 += np.sum(w * rvals**2)
-        if norm2 == 0.0:
-            raise VerifyError("reference field has zero norm")
-        err = float(np.sqrt(diff2 / norm2))
+        centers, values, sizes = zip(*parts)
+        ref_vals = [sample_nearest(rc, rv, c) for c, (rc, rv, _) in zip(centers, ref_parts)]
+        values = np.concatenate(values)
+        err = l2_fault_error(values, np.concatenate(ref_vals), np.concatenate(sizes))
         records.append(
             LevelRecord(
                 level=lv,
                 h=_study_h(cfg, n),
                 n_cells=sum(g.n_cells for g in mesh.subdomains),
-                n_fault_cells=sum(p[1].shape[0] for p in parts),
+                n_fault_cells=values.shape[0],
                 error=err,
             )
         )

@@ -149,7 +149,7 @@ def test_cube3d_self_convergence():
 def _patch_error(method, base_k, regions):
     mesh = build_cartesian_md_mesh((0.0, 0.0), (1.2, 1.0), (6, 4), [])
     mats = MaterialSet(matrix_base=base_k * np.eye(2), matrix_regions=regions)
-    problems, iproblems = build_problems(mesh, mats, [], method=method)
+    problems, iproblems = build_problems(mesh, mats, [])
     pr = problems[0]
     ext = pr.grid.is_boundary()
     fc = pr.grid.face_centers

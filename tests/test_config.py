@@ -84,6 +84,7 @@ def test_two_value_pairs_kept():
         ),
         (BASE + "bogus = 3\n", 6, "unknown key 'bogus'"),
         (BASE + "solver = direct\n", 6, "unknown key 'solver'"),
+        (BASE + "method = auto\n", 6, "unknown key 'method'"),
         (BASE + "\n[weird]\n", 7, "unknown section"),
         (BASE + "resolution = 8 8\n", 6, "duplicate key 'resolution'"),
         (BASE + "\n[bc]\nside = q-\nkind = dirichlet\nvalue = 1\n", 8, "side"),

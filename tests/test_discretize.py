@@ -20,7 +20,10 @@ from mdflow.discretize import (
     DiscretizationError,
     discretize,
     isotropic_perm,
+    mpfa_discretize,
+    tpfa_discretize,
 )
+from mdflow.mdassembly import MaterialSet, build_problems
 from mdflow.mdmesh import build_cartesian_md_mesh
 
 
@@ -51,7 +54,7 @@ def test_two_cell_transmissibility():
     assert np.allclose(g.cell_volumes, 0.5)
     bc = BoundaryCondition.empty(g)
     bc.kind[g.is_boundary()] = BC_DIRICHLET
-    op = discretize(g, isotropic_perm(g, 1.0), bc, method="tpfa")
+    op = tpfa_discretize(g, isotropic_perm(g, 1.0), bc)
     interior = np.flatnonzero(~g.is_boundary())
     row = op.flux_p[interior[0]].toarray().ravel()
     assert np.allclose(sorted(row), [-2.0, 2.0])
@@ -61,19 +64,19 @@ def test_two_cell_transmissibility():
 def test_constant_pressure_no_flux():
     g = ambient_grid(4)
     bc = dirichlet_bc(g, lambda x: np.full(len(x), 7.5))
-    op = discretize(g, isotropic_perm(g, 2.0), bc, method="tpfa")
+    op = tpfa_discretize(g, isotropic_perm(g, 2.0), bc)
     flux = op.flux_p @ np.full(g.n_cells, 7.5) + op.flux_g @ bc.value
     assert np.abs(flux).max() < 1e-12
 
 
-@pytest.mark.parametrize("method", ["tpfa", "mpfa"])
-def test_isotropic_linear_patch(method):
+@pytest.mark.parametrize("scheme", [tpfa_discretize, mpfa_discretize], ids=["tpfa", "mpfa"])
+def test_isotropic_linear_patch(scheme):
     g = ambient_grid(4)
     grad = np.array([2.0, -3.0])
     exact = lambda x: x @ grad + 1.0
     bc = dirichlet_bc(g, exact)
     K = 3.0
-    op = discretize(g, isotropic_perm(g, K), bc, method=method)
+    op = scheme(g, isotropic_perm(g, K), bc)
     p = exact(g.cell_centers_global())
     flux = op.flux_p @ p + op.flux_g @ bc.value
     qvec = -K * grad
@@ -92,7 +95,7 @@ def test_full_tensor_linear_patch_mpfa():
     exact = lambda x: x @ grad + 2.0
     bc = dirichlet_bc(g, exact)
     perm = np.tile(K, (g.n_cells, 1, 1))
-    op = discretize(g, perm, bc, method="mpfa")
+    op = mpfa_discretize(g, perm, bc)
     p = exact(g.cell_centers_global())
     flux = op.flux_p @ p + op.flux_g @ bc.value
     expect = (g.face_normals @ (-K @ grad)) * g.face_areas
@@ -102,17 +105,36 @@ def test_full_tensor_linear_patch_mpfa():
 
 
 def test_mpfa_reduces_to_tpfa_isotropic():
-    g = ambient_grid(4)
-    bc = dirichlet_bc(g, lambda x: x[:, 0])
-    perm = isotropic_perm(g, 1.7)
-    a = discretize(g, perm, bc, method="tpfa")
-    b = discretize(g, perm, bc, method="mpfa")
-    assert abs(a.flux_p - b.flux_p).max() < 1e-12
-    assert abs(a.flux_g - b.flux_g).max() < 1e-12
-    # same stencil, and MPFA stores none of its zero coefficients
-    for x, y in ((a.flux_p, b.flux_p), (a.flux_g, b.flux_g)):
-        assert np.array_equal(x.indptr, y.indptr)
-        assert np.array_equal(x.indices, y.indices)
+    # With grid-aligned tensors the O-scheme collapses to the two-point
+    # flux, also for random anisotropic tensors per cell and around the
+    # slits, tips, T and X nodes of a fault network. A copy of the grid
+    # lists the cells of every third interior face in reverse order.
+    mesh = fault_network(8, 7, 2, 4, 5, 1, 6, 2)
+    g = mesh.subdomains[0]
+    assert {5, 7, 8} <= set(np.bincount(g.face_nodes.ravel()).tolist())  # tip, T, X
+    bc = BoundaryCondition.empty(g)
+    bnd = g.is_boundary()
+    bc.kind[bnd] = BC_NEUMANN
+    bc.kind[bnd & np.isin(g.face_bnd, [0, 3])] = BC_DIRICHLET  # x- and y+
+    bc.kind[mesh.mortar_face_mask(0)] = BC_MORTAR
+    rng = np.random.default_rng(7)
+    aniso = np.zeros((g.n_cells, 2, 2))
+    aniso[:, [0, 1], [0, 1]] = 10.0 ** rng.uniform(-2.0, 2.0, size=(g.n_cells, 2))
+    flip = np.flatnonzero(g.face_cells[:, 1] >= 0)[::3]
+    cells, normals = g.face_cells.copy(), g.face_normals.copy()
+    cells[flip], normals[flip] = cells[flip, ::-1], -normals[flip]
+    flipped = dataclasses.replace(g, face_cells=cells, face_normals=normals)
+    for grid, perm in ((g, isotropic_perm(g, 1.7)), (g, aniso), (flipped, aniso)):
+        a = tpfa_discretize(grid, perm, bc)
+        b = mpfa_discretize(grid, perm, bc)
+        for name in (
+            "flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi", "grad_rec"
+        ):
+            x, y = getattr(a, name), getattr(b, name)
+            # same stencil: neither scheme stores a zero coefficient
+            assert np.array_equal(x.indptr, y.indptr), name
+            assert np.array_equal(x.indices, y.indices), name
+            assert abs(x - y).max() <= 1e-12 * abs(y).max(), name
 
 
 def test_tpfa_rejects_full_tensor():
@@ -123,25 +145,39 @@ def test_tpfa_rejects_full_tensor():
     bc = dirichlet_bc(g, lambda x: x[:, 0])
     perm = np.tile(K, (g.n_cells, 1, 1))
     with pytest.raises(DiscretizationError, match="grid-aligned"):
-        discretize(g, perm, bc, method="tpfa")
-    discretize(g, perm, bc, method="mpfa")
+        tpfa_discretize(g, perm, bc)
+    mpfa_discretize(g, perm, bc)
     perm[:, 0, 1] = perm[:, 1, 0] = 1e-13
-    discretize(g, perm, bc, method="tpfa")
+    tpfa_discretize(g, perm, bc)
 
 
-def test_auto_method_dispatch():
-    g2 = ambient_grid(4)
-    bc2 = dirichlet_bc(g2, lambda x: x[:, 0])
-    perm = isotropic_perm(g2, 1.0)
-    auto = discretize(g2, perm, bc2, method="auto")
-    mpfa = discretize(g2, perm, bc2, method="mpfa")
-    assert abs(auto.flux_p - mpfa.flux_p).max() == 0.0
+def test_scheme_follows_the_tensors():
+    # MPFA only where a 2D grid has a tensor that is not grid-aligned.
     g1 = line_grid(2)
     bc1 = BoundaryCondition.empty(g1)
     bc1.kind[g1.is_boundary()] = BC_DIRICHLET
-    auto1 = discretize(g1, isotropic_perm(g1, 1.0), bc1, method="auto")
-    tpfa1 = discretize(g1, isotropic_perm(g1, 1.0), bc1, method="tpfa")
-    assert abs(auto1.flux_p - tpfa1.flux_p).max() == 0.0
+    assert discretize(g1, isotropic_perm(g1, 1.0), bc1).scheme == "TPFA"
+    g3 = build_cartesian_md_mesh((0.0,) * 3, (1.0,) * 3, (2, 3, 2), []).subdomains[0]
+    bc3 = dirichlet_bc(g3, lambda x: x[:, 0])
+    perm3 = np.tile(np.diag([1.0, 2.0, 3.0]), (g3.n_cells, 1, 1))
+    assert discretize(g3, perm3, bc3).scheme == "TPFA"
+    perm3[4, 0, 2] = perm3[4, 2, 0] = 0.5
+    with pytest.raises(DiscretizationError, match="grid-aligned"):
+        discretize(g3, perm3, bc3)
+    g2 = ambient_grid(4)
+    bc2 = dirichlet_bc(g2, lambda x: x[:, 0])
+    perm2 = np.tile(np.diag([1.0, 4.0]), (g2.n_cells, 1, 1))
+    assert discretize(g2, perm2, bc2).scheme == "TPFA"
+    perm2[5, 0, 1] = perm2[5, 1, 0] = 0.5
+    assert discretize(g2, perm2, bc2).scheme == "MPFA"
+    # the acceptance patch test's grids: isotropic, then a full tensor
+    mesh = build_cartesian_md_mesh((0.0, 0.0), (1.2, 1.0), (6, 4), [])
+    full = [((0.0, 0.0), (1.2, 1.0), np.array([[2.0, 0.7], [0.7, 1.5]]))]
+    for regions, scheme in (([], "TPFA"), (full, "MPFA")):
+        mats = MaterialSet(matrix_base=np.eye(2), matrix_regions=regions)
+        pr = build_problems(mesh, mats, [])[0][0]
+        pr.bc.kind[pr.grid.is_boundary()] = BC_DIRICHLET
+        assert discretize(pr.grid, pr.perm, pr.bc).scheme == scheme
 
 
 def test_vector_source_cancels_gradient():
@@ -149,7 +185,7 @@ def test_vector_source_cancels_gradient():
     grad = np.array([0.8, -1.1])
     exact = lambda x: x @ grad
     bc = dirichlet_bc(g, exact)
-    op = discretize(g, isotropic_perm(g, 2.5), bc, method="mpfa")
+    op = mpfa_discretize(g, isotropic_perm(g, 2.5), bc)
     p = exact(g.cell_centers_global())
     chi = np.tile(-grad, g.n_cells)
     flux = op.flux_p @ p + op.flux_g @ bc.value + op.flux_chi @ chi
@@ -165,7 +201,7 @@ def test_vector_source_line_grid():
     g = line_grid(2)
     bc = BoundaryCondition.empty(g)
     bc.kind[g.is_boundary()] = BC_NEUMANN
-    op = discretize(g, isotropic_perm(g, 1.0), bc, method="tpfa")
+    op = tpfa_discretize(g, isotropic_perm(g, 1.0), bc)
     chi = np.ones(g.n_cells * g.dim)
     flux = op.flux_chi @ chi
     interior = ~g.is_boundary()
@@ -185,7 +221,7 @@ def test_neumann_trace_one_sided():
     right = bnd[np.argmax(fc[bnd, 0])]
     bc.value[left] = 1.0
     bc.value[right] = -1.0
-    op = discretize(g, isotropic_perm(g, 1.0), bc, method="tpfa")
+    op = tpfa_discretize(g, isotropic_perm(g, 1.0), bc)
     p = g.cell_centers_global()[:, 0]
     trace = op.trace_p @ p + op.trace_g @ bc.value
     assert abs(trace[left] - 0.0) < 1e-12
@@ -196,7 +232,7 @@ def test_wrong_perm_shape_rejected():
     g = ambient_grid(2)
     bc = dirichlet_bc(g, lambda x: x[:, 0])
     with pytest.raises(DiscretizationError):
-        discretize(g, np.ones((g.n_cells + 1, 2, 2)), bc, method="tpfa")
+        tpfa_discretize(g, np.ones((g.n_cells + 1, 2, 2)), bc)
 
 
 def test_bc_length_mismatch_rejected():
@@ -205,23 +241,16 @@ def test_bc_length_mismatch_rejected():
         kind=np.zeros(3, dtype=int), value=np.zeros(3)
     )
     with pytest.raises(DiscretizationError):
-        discretize(g, isotropic_perm(g, 1.0), bc, method="tpfa")
+        tpfa_discretize(g, isotropic_perm(g, 1.0), bc)
 
 
-def test_unknown_method_rejected():
-    g = ambient_grid(2)
-    bc = dirichlet_bc(g, lambda x: x[:, 0])
-    with pytest.raises(DiscretizationError):
-        discretize(g, isotropic_perm(g, 1.0), bc, method="fancy")
-
-
-@pytest.mark.parametrize("method", ["tpfa", "mpfa"])
-def test_unknown_bc_kind_rejected(method):
+@pytest.mark.parametrize("scheme", [tpfa_discretize, mpfa_discretize], ids=["tpfa", "mpfa"])
+def test_unknown_bc_kind_rejected(scheme):
     g = ambient_grid(3)
     bc = dirichlet_bc(g, lambda x: x[:, 0])
     bc.kind[np.flatnonzero(g.is_boundary())[2]] = 7
     with pytest.raises(DiscretizationError, match="unknown boundary condition kind 7"):
-        discretize(g, isotropic_perm(g, 1.0), bc, method=method)
+        scheme(g, isotropic_perm(g, 1.0), bc)
 
 
 def random_spd(rng, n):
@@ -261,8 +290,8 @@ def test_region_deduplication_is_invisible():
     perm = K[(g.cell_centers[:, 0] // 0.25).astype(int) % 3]
     scale = 1.0 + 1e-10 * (1.0 + rng.permutation(g.n_cells))
     names = ("flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi")
-    a = discretize(g, perm, bc, method="mpfa")
-    b = discretize(g, perm * scale[:, None, None], bc, method="mpfa")
+    a = mpfa_discretize(g, perm, bc)
+    b = mpfa_discretize(g, perm * scale[:, None, None], bc)
     for name in names:
         x, y = getattr(a, name), getattr(b, name)
         assert abs(x - y).max() <= 1e-7 * abs(y).max(), name
@@ -272,25 +301,17 @@ def test_region_deduplication_is_invisible():
     xf = g.face_centers[:, 0]
     for t, x0 in ((0, 0.125), (1, 0.375), (2, 0.625), (0, 0.875)):
         rows = np.flatnonzero((g.face_normals[:, 0] != 0) & np.isclose(xf, x0))
-        c = discretize(g, np.tile(K[t], (g.n_cells, 1, 1)), bc, method="mpfa")
+        c = mpfa_discretize(g, np.tile(K[t], (g.n_cells, 1, 1)), bc)
         for name in names:
             x, y = getattr(a, name)[rows], getattr(c, name)[rows]
             assert abs(x - y).max() <= 1e-12 * abs(y).max(), name
 
 
-@st.composite
-def fault_networks(draw):
-    """A 2D grid cut by a full-width fault, a fault from it to the top
-    boundary (T), a fault crossing that one with two immersed tips (X) and
-    a fault from the bottom boundary up to the first (T)."""
-    nx = draw(st.integers(5, 10))
-    ny = draw(st.integers(5, 10))
-    j1 = draw(st.integers(1, ny - 3))
-    i2 = draw(st.integers(2, nx - 2))
-    j3 = draw(st.integers(j1 + 1, ny - 1))
-    i3a = draw(st.integers(1, i2 - 1))
-    i3b = draw(st.integers(i2 + 1, nx - 1))
-    i4 = draw(st.integers(1, nx - 1).filter(lambda i: i != i2))
+def fault_network(nx, ny, j1, i2, j3, i3a, i3b, i4):
+    """A unit square of nx x ny cells cut by a full-width fault at row j1,
+    a fault from it to the top boundary at column i2 (T), a fault at row
+    j3 from column i3a to i3b crossing that one with two immersed tips (X)
+    and a fault from the bottom boundary up to the first at column i4 (T)."""
     hx, hy = 1.0 / nx, 1.0 / ny
 
     def fault(p0, p1, name):
@@ -305,7 +326,22 @@ def fault_networks(draw):
         fault((i3a * hx, j3 * hy), (i3b * hx, j3 * hy), "F3"),
         fault((i4 * hx, 0.0), (i4 * hx, j1 * hy), "F4"),
     ]
-    mesh = build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (nx, ny), faults)
+    return build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (nx, ny), faults)
+
+
+@st.composite
+def fault_networks(draw):
+    """A :func:`fault_network` with drawn positions, a full tensor, a
+    gradient and the boundary sides that are Dirichlet."""
+    nx = draw(st.integers(5, 10))
+    ny = draw(st.integers(5, 10))
+    j1 = draw(st.integers(1, ny - 3))
+    i2 = draw(st.integers(2, nx - 2))
+    j3 = draw(st.integers(j1 + 1, ny - 1))
+    i3a = draw(st.integers(1, i2 - 1))
+    i3b = draw(st.integers(i2 + 1, nx - 1))
+    i4 = draw(st.integers(1, nx - 1).filter(lambda i: i != i2))
+    mesh = fault_network(nx, ny, j1, i2, j3, i3a, i3b, i4)
     kxx, kyy = draw(st.floats(0.2, 5.0)), draw(st.floats(0.2, 5.0))
     kxy = draw(st.floats(-0.9, 0.9)) * np.sqrt(kxx * kyy)
     grad = np.array([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))])
@@ -331,7 +367,7 @@ def test_mpfa_reproduces_linear_fields_on_fault_networks(case):
     density = g.face_normals @ (-K @ grad)  # along the stored normal
     bc.value[:] = np.where(bc.kind == BC_DIRICHLET, exact(xf), density)
     bc.value[~bnd] = 0.0
-    op = discretize(g, np.tile(K, (g.n_cells, 1, 1)), bc, method="mpfa")
+    op = mpfa_discretize(g, np.tile(K, (g.n_cells, 1, 1)), bc)
     p = exact(g.cell_centers)
     flux = op.flux_p @ p + op.flux_g @ bc.value
     assert np.abs(flux - density * g.face_areas).max() < 1e-10

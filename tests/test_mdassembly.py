@@ -386,6 +386,21 @@ def test_two_dimensional_solve_keeps_colamd(caplog):
     assert "ordering colamd," in caplog.text
 
 
+def test_assembly_log_counts_schemes(caplog):
+    cfg = replace(builtin_case("network2d"), resolution=(8, 8))
+    mesh = build_cartesian_md_mesh(
+        cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
+    )
+    box = build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (4, 4), [])
+    full = MaterialSet(matrix_base=np.array([[2.0, 0.7], [0.7, 1.5]]))
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        assemble_global(mesh, cfg.material_set(), cfg.bcs)
+        assemble_global(box, full, [BcClause(2, "dirichlet", 1.0)])
+    lines = [r.getMessage() for r in caplog.records if "assembled system" in r.getMessage()]
+    assert lines[0].endswith(f"schemes: {len(mesh.subdomains)} TPFA, 0 MPFA")
+    assert lines[1].endswith("schemes: 0 TPFA, 1 MPFA")
+
+
 @st.composite
 def cartesian_boxes(draw):
     """A unit-spacing box of 2 to 7 cells per axis, with or without one
@@ -481,7 +496,7 @@ def test_stacked_maps_match_per_entity_operators(box, seed):
     assert np.abs(residual[:n_p] - balance).max() <= tol
 
     # Each subdomain's face data and vector source, mortar cell by mortar cell.
-    ops = [discretize(pr.grid, pr.perm, pr.bc, pr.method) for pr in problems]
+    ops = [discretize(pr.grid, pr.perm, pr.bc) for pr in problems]
     p = [x[po[i] : po[i + 1]] for i in range(len(problems))]
     g = [pr.bc.value.copy() for pr in problems]
     chi = [np.zeros((pr.grid.n_cells, pr.grid.dim)) for pr in problems]
