@@ -11,7 +11,7 @@ hence reproduced to machine precision.
 """
 
 import logging
-import types
+import re
 
 import numpy as np
 import pytest
@@ -24,10 +24,7 @@ from mdflow.discretize import BC_DIRICHLET, DiscretizationError, discretize
 from mdflow.mdassembly import (
     AssemblyError,
     MaterialSet,
-    _bisection_paths,
-    _lu_solve,
-    _nested_dissection,
-    _unknown_coordinates,
+    _krylov_solve,
     assemble_from_problems,
     assemble_global,
     build_problems,
@@ -319,19 +316,24 @@ def test_tpfa_full_tensor_rejected_in_3d():
 
 
 # ---------------------------------------------------------------------------
-# Nested-dissection ordering of the direct solve.
+# Linear solvers: AMG-preconditioned GMRES in 3D, COLAMD-ordered LU in 2D.
 # ---------------------------------------------------------------------------
 
 
-def signed_cube3d():
-    """The built-in cube3d geometry with cross terms of both signs."""
+def signed_cube3d(n=8):
+    """The built-in cube3d geometry at ``n`` cells per axis with cross terms
+    of both signs."""
     cfg = builtin_case("cube3d")
     signs = [(1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)]
     faults = [
         replace(f, k_t=(s1 * 900.0, s2 * 600.0))
         for f, (s1, s2) in zip(cfg.faults, signs)
     ]
-    return replace(cfg, faults=faults)
+    return replace(cfg, faults=faults, resolution=(n, n, n))
+
+
+def cube3d(n=8):
+    return replace(builtin_case("cube3d"), resolution=(n, n, n))
 
 
 def assembled(cfg):
@@ -345,45 +347,75 @@ def unknowns(sol):
     return np.concatenate(sol.pressures + sol.lambdas)
 
 
-@pytest.mark.parametrize("make", [lambda: builtin_case("cube3d"), signed_cube3d])
-def test_nested_dissection_matches_colamd(make, caplog):
-    system = assembled(make())
+def colamd(system):
+    return spla.splu(system.matrix.tocsc()).solve(system.rhs)
+
+
+KRYLOV_LINE = re.compile(
+    r"krylov solve: AMG levels (\d+(?:/\d+)*), (\d+) GMRES iterations, "
+    r"residual (\S+), setup \S+ s, solve \S+ s"
+)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("make", [cube3d, signed_cube3d])
+def test_krylov_matches_colamd(make, n, caplog):
+    system = assembled(make(n))
     with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
         sol = solve(system)
-    assert "ordering nested-dissection," in caplog.text
-    colamd, _, _ = _lu_solve(system.matrix, system.rhs)
-    x = unknowns(sol)
-    assert np.linalg.norm(x - colamd) <= 1e-10 * np.linalg.norm(colamd)
+    assert "fallback" not in caplog.text and "direct solve" not in caplog.text
+    levels, iterations, residual = KRYLOV_LINE.search(caplog.text).groups()
+    assert int(levels.split("/")[0]) == system.n_pressure
+    assert int(iterations) <= 40
+    assert float(residual) == pytest.approx(sol.residual, rel=1e-3) and sol.residual <= 1e-10
+    ref = colamd(system)
+    assert np.linalg.norm(unknowns(sol) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def fake_gmres(failure):
+    """A stand-in for ``spla.gmres`` that raises, stalls, or claims
+    convergence with a wrong answer."""
+
+    def gmres(A, b, **kwargs):
+        if failure == "raise":
+            raise RuntimeError("Factor is exactly singular")
+        return np.zeros_like(b), (1 if failure == "stall" else 0)
+
+    return gmres
 
 
 @pytest.mark.parametrize(
     "failure,reason",
-    [("residual", "residual"), ("raise", "factorization failed")],
+    [
+        ("raise", "krylov solve failed: Factor is exactly singular"),
+        ("stall", "no convergence in 0 GMRES iterations"),
+        ("wrong", "residual "),
+    ],
 )
-def test_nested_dissection_falls_back_to_colamd(failure, reason, monkeypatch, caplog):
+def test_krylov_falls_back_to_colamd(failure, reason, monkeypatch, caplog):
     system = assembled(signed_cube3d())
-    colamd, _, _ = _lu_solve(system.matrix, system.rhs)
-    real_splu = spla.splu
-
-    def splu(A, permc_spec=None, **kwargs):
-        if permc_spec != "NATURAL":
-            return real_splu(A, permc_spec=permc_spec, **kwargs)
-        if failure == "raise":
-            raise RuntimeError("Factor is exactly singular")
-        return types.SimpleNamespace(solve=np.zeros_like, nnz=0)
-
-    monkeypatch.setattr(spla, "splu", splu)
+    ref = colamd(system)
+    monkeypatch.setattr(spla, "gmres", fake_gmres(failure))
     with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
         sol = solve(system)
-    assert f"ordering colamd (fallback: {reason}" in caplog.text
-    np.testing.assert_array_equal(unknowns(sol), colamd)
+    assert f"direct solve: ordering colamd (fallback: {reason}" in caplog.text
+    assert (KRYLOV_LINE.search(caplog.text) is None) == (failure == "raise")
+    np.testing.assert_array_equal(unknowns(sol), ref)
+
+
+def test_krylov_solve_is_deterministic():
+    """Solving another system in between leaves no state behind."""
+    first, other = assembled(signed_cube3d(16)), assembled(cube3d(12))
+    x = unknowns(solve(first))
+    solve(other)
+    np.testing.assert_array_equal(unknowns(solve(first)), x)
 
 
 def test_two_dimensional_solve_keeps_colamd(caplog):
     system = assembled(builtin_case("case1"))
     with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
         solve(system)
-    assert "ordering colamd," in caplog.text
+    assert "ordering colamd," in caplog.text and "krylov" not in caplog.text
 
 
 def test_assembly_log_counts_schemes(caplog):
@@ -402,11 +434,11 @@ def test_assembly_log_counts_schemes(caplog):
 
 
 @st.composite
-def cartesian_boxes(draw):
-    """A unit-spacing box of 2 to 7 cells per axis, with or without one
-    full fault plane, and a bisection leaf size."""
-    dim = draw(st.sampled_from([2, 3]))
-    n = tuple(draw(st.lists(st.integers(2, 7), min_size=dim, max_size=dim)))
+def cartesian_boxes(draw, dims=(2, 3), largest=7):
+    """A unit-spacing box of 2 to ``largest`` cells per axis, with or without
+    one full fault plane."""
+    dim = draw(st.sampled_from(dims))
+    n = tuple(draw(st.lists(st.integers(2, largest), min_size=dim, max_size=dim)))
     faults = []
     if draw(st.booleans()):
         axis = draw(st.integers(0, dim - 1))
@@ -418,60 +450,31 @@ def cartesian_boxes(draw):
             FaultConfig(tuple(p0), tuple(p1), aperture=0.01, k_parallel=10.0,
                         k_perp=(5.0, 5.0), k_t=(2.0, -3.0), name="F")
         )
-    cfg = CaseConfig(
+    return CaseConfig(
         domain_lo=(0.0,) * dim, domain_hi=tuple(float(k) for k in n),
         resolution=n, matrix_k=1.0, matrix_regions=[], faults=faults,
         bcs=[BcClause(0, "dirichlet", 1.0), BcClause(1, "dirichlet", 0.0)],
         name="box",
     )
-    return cfg, draw(st.integers(1, 16))
 
 
-@settings(max_examples=40, deadline=None)
-@given(cartesian_boxes())
-def test_bisection_order_separates_siblings(box):
-    cfg, leaf = box
+@settings(max_examples=25, deadline=None)
+@given(cartesian_boxes(dims=(3,), largest=12))
+def test_krylov_matches_colamd_on_boxes(cfg):
+    """Boxes up to 12^3 cells: those above 500 pressures coarsen once
+    before the coarsest LU, the others factor the pressure matrix itself."""
     system = assembled(cfg)
-    xyz = _unknown_coordinates(system)
-    n = system.n_unknowns
-    paths = _bisection_paths(xyz, system.matrix, leaf)
-    order = _nested_dissection(system, leaf)
-    np.testing.assert_array_equal(np.sort(order), np.arange(n))
-
-    # No entry of the permuted pattern couples two sibling subtrees: where
-    # the paths of its row and column part, neither goes left and the
-    # other right. One is a separator, and it comes later in the order.
-    P = system.matrix[order][:, order].tocoo()
-    i, j = order[P.row], order[P.col]
-    differ = paths[:, i] != paths[:, j]
-    part = differ.argmax(axis=0)
-    k = np.flatnonzero(differ.any(axis=0))
-    a = paths[part[k], i[k]]
-    b = paths[part[k], j[k]]
-    assert not np.any((np.minimum(a, b) == 0) & (np.maximum(a, b) == 1))
-    r, c = P.row[k], P.col[k]
-    assert np.all(r[a == 2] > c[a == 2]) and np.all(c[b == 2] > r[b == 2])
-
-    # A group left unsplit is a leaf of at most ``leaf`` unknowns, unless
-    # its unknowns all share one position. Its unknowns share the path up
-    # to the first -1; separator paths end in 2 instead.
-    depth = np.where((paths < 0).any(axis=0), (paths < 0).argmax(axis=0), len(paths))
-    leaves = {}
-    for u in range(n):
-        key = tuple(paths[: depth[u], u])
-        if not key or key[-1] != 2:
-            leaves.setdefault(key, []).append(u)
-    for members in leaves.values():
-        if len(members) > leaf:
-            assert np.ptp(xyz[members], axis=0).max() == 0
+    x, residual, fallback = _krylov_solve(system, 1e-10)
+    assert fallback is None and residual <= 1e-10
+    ref = colamd(system)
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 @settings(max_examples=30, deadline=None)
 @given(cartesian_boxes(), st.integers(0, 2**32 - 1))
-def test_stacked_maps_match_per_entity_operators(box, seed):
+def test_stacked_maps_match_per_entity_operators(cfg, seed):
     """The stacked operators against each subdomain's and interface's own
     operators, at a random vector of unknowns."""
-    cfg, _ = box
     rng = np.random.default_rng(seed)
     mesh = build_cartesian_md_mesh(
         cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
