@@ -34,7 +34,7 @@ from .mdassembly import (
     mass_balance_report,
     solve,
 )
-from .mdmesh import MeshError, build_cartesian_md_mesh, export_mesh
+from .mdmesh import MeshError, build_cartesian_md_mesh, export_mesh, format_rows
 from .semilocal import InterfaceLawError
 from .verify import VerifyError, run_case
 from .vtkio import write_vtk
@@ -72,10 +72,6 @@ def _load_config(path: str):
     return parse_config(text)
 
 
-def _coord_header(dim: int) -> str:
-    return ",".join("xyz"[:dim])
-
-
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     outdir = args.output if args.output is not None else cfg.output
@@ -99,26 +95,23 @@ def cmd_run(args) -> int:
 
     # Mortar exchange fluxes, positive from the lower-dimensional side into
     # the higher one, located at the mortar (= lower grid) cell centers.
-    lines = [f"interface,cell,{_coord_header(dim)},flux"]
+    xyz, coords = ",".join("xyz"[:dim]), ",".join(["%.10g"] * dim)
+    lines = [f"interface,cell,{xyz},flux"]
     for j, itf in enumerate(mesh.interfaces):
         centers = mesh.subdomains[itf.lower].cell_centers_global()[itf.lower_cells]
-        for m in range(itf.n_mortar):
-            coords = ",".join(f"{c:.10g}" for c in centers[m])
-            lines.append(f"{j},{m},{coords},{sol.lambdas[j][m]:.10g}")
-    mortar_path = os.path.join(outdir, f"{cfg.name}_mortar.csv")
-    with open(mortar_path, "w") as fh:
+        cells = np.arange(itf.n_mortar)
+        table = np.column_stack([np.full(cells.size, j), cells, centers, sol.lambdas[j]])
+        lines += format_rows(f"%d,%d,{coords},%.10g", table)
+    with open(os.path.join(outdir, f"{cfg.name}_mortar.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    lines = [f"subdomain,{_coord_header(dim)},pressure"]
+    lines = [f"subdomain,{xyz},pressure"]
     for i, info in enumerate(mesh.info):
-        if info.kind != "fault":
-            continue
-        centers = mesh.subdomains[i].cell_centers_global()
-        for c in range(centers.shape[0]):
-            coords = ",".join(f"{v:.10g}" for v in centers[c])
-            lines.append(f"{i},{coords},{sol.pressures[i][c]:.10g}")
-    fault_path = os.path.join(outdir, f"{cfg.name}_fault.csv")
-    with open(fault_path, "w") as fh:
+        if info.kind == "fault":
+            centers = mesh.subdomains[i].cell_centers_global()
+            table = np.column_stack([np.full(len(centers), i), centers, sol.pressures[i]])
+            lines += format_rows(f"%d,{coords},%.10g", table)
+    with open(os.path.join(outdir, f"{cfg.name}_fault.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
     lines = [f"mass balance for {cfg.name}"]

@@ -718,20 +718,50 @@ def build_cartesian_md_mesh(
 # Plain-text mesh import/export.
 # ---------------------------------------------------------------------------
 
+#: Columns of each table block of the mesh file, in file order: the
+#: attribute they hold, its width (1, 2, or "d" for the grid dimension) and
+#: its type. An attribute of width 1 is a 1-D array.
+_CELLS = (("cell_volumes", 1, float), ("cell_centers", "d", float), ("cell_widths", "d", float))
+_FACES = (
+    ("face_areas", 1, float), ("face_centers", "d", float), ("face_normals", "d", float),
+    ("face_cells", 2, int), ("face_bnd", 1, int), ("face_cut", 1, int), ("face_side", 1, int),
+)
+_NODES = (("node_coords", "d", float),)
+_FACE_NODES = (("face_nodes", 2, int),)
+_PAIRS = (("higher_faces", 1, int), ("lower_cells", 1, int), ("measures", 1, float))
+
+
+def _widths(columns, d: int) -> list:
+    return [d if w == "d" else w for _, w, _ in columns]
+
+
+def format_rows(fmt: str, table: np.ndarray) -> list:
+    """One %-format of a whole table, one line per row (no line if empty)."""
+    if not table.shape[0]:
+        return []
+    return ["\n".join([fmt] * table.shape[0]) % tuple(table.ravel().tolist())]
+
+
+def _block(tag: str, obj, columns, d: int = 0, counted: bool = True) -> list:
+    """The tag line, with the row count if ``counted``, and rows of a block."""
+    # 17 significant digits read back as the same float.
+    types = [typ for (_, _, typ), w in zip(columns, _widths(columns, d)) for _ in range(w)]
+    fmt = " ".join(["%d" if typ is int else "%.17g" for typ in types])
+    table = np.column_stack([getattr(obj, name) for name, _, _ in columns])
+    return [f"{tag} {table.shape[0]}" if counted else tag] + format_rows(fmt, table)
+
 
 def export_mesh(mesh: MixedDimMesh, path: str) -> None:
     """Write the mesh in the whitespace-separated text format.
 
-    Layout (one entity per line):
-
-    - header: ``mdmesh 1 <ambient dim>`` then ``domain <lo...> <hi...>``
-    - per subdomain: ``subdomain <id> dim <d> kind <kind> faults <ids|->``,
-      ``frame`` (origin then row-major axes), ``cells <n>`` with lines
-      ``<volume> <center...> <widths...>``, ``faces <n>`` with lines
-      ``<area> <center...> <normal...> <c0> <c1> <bnd> <cut> <side>``, and
-      for 2d grids ``nodes <n>`` (coordinates) plus ``face_nodes`` pairs.
-    - per interface: ``interface lower higher side sign fault kind`` then
-      ``pairs <n>`` with lines ``<higher_face> <lower_cell> <measure>``.
+    Lines ``mdmesh 1 <ambient dim>``, ``domain <lo...> <hi...>`` and
+    ``subdomains <n>``; per subdomain ``subdomain <id> dim <d> kind <kind>
+    faults <ids|->``, ``frame <origin...> <row-major axes...>`` and the
+    blocks ``cells``, ``faces`` and ``nodes``, then ``face_nodes`` if there
+    are nodes; ``interfaces <n>``, and per interface ``interface <lower>
+    <higher> <side> <sign> <fault> <kind>`` and a ``pairs`` block. A block is
+    its tag and row count (one row per face for ``face_nodes``, which has no
+    count) and one row per entity with the columns of its table above.
     """
 
     def fmt(vals):
@@ -741,29 +771,15 @@ def export_mesh(mesh: MixedDimMesh, path: str) -> None:
     out.append(f"mdmesh 1 {mesh.dim}")
     out.append(f"domain {fmt(mesh.domain_lo)} {fmt(mesh.domain_hi)}")
     out.append(f"subdomains {mesh.n_subdomains}")
-    for sid, g in enumerate(mesh.subdomains):
-        inf = mesh.info[sid]
+    for sid, (g, inf) in enumerate(zip(mesh.subdomains, mesh.info)):
         fids = ",".join(str(i) for i in inf.fault_ids) if inf.fault_ids else "-"
         out.append(f"subdomain {sid} dim {g.dim} kind {inf.kind} faults {fids}")
         out.append(f"frame {fmt(g.frame_origin)} {fmt(g.frame_axes.ravel())}")
-        out.append(f"cells {g.n_cells}")
-        for c in range(g.n_cells):
-            line = f"{g.cell_volumes[c]:.17g} {fmt(g.cell_centers[c])} {fmt(g.cell_widths[c])}"
-            out.append(line.rstrip())
-        out.append(f"faces {g.n_faces}")
-        for f in range(g.n_faces):
-            out.append(
-                f"{g.face_areas[f]:.17g} {fmt(g.face_centers[f])} {fmt(g.face_normals[f])} "
-                f"{g.face_cells[f, 0]} {g.face_cells[f, 1]} {g.face_bnd[f]} "
-                f"{g.face_cut[f]} {g.face_side[f]}"
-            )
+        out += _block("cells", g, _CELLS, g.dim)
+        out += _block("faces", g, _FACES, g.dim)
         if g.node_coords is not None:
-            out.append(f"nodes {g.node_coords.shape[0]}")
-            for p in g.node_coords:
-                out.append(fmt(p))
-            out.append("face_nodes")
-            for pair in g.face_nodes:
-                out.append(f"{pair[0]} {pair[1]}")
+            out += _block("nodes", g, _NODES, g.dim)
+            out += _block("face_nodes", g, _FACE_NODES, counted=False)
         else:
             out.append("nodes 0")
     out.append(f"interfaces {len(mesh.interfaces)}")
@@ -772,129 +788,86 @@ def export_mesh(mesh: MixedDimMesh, path: str) -> None:
             f"interface {itf.lower} {itf.higher} {itf.side} {itf.side_sign} "
             f"{itf.fault_id} {itf.kind}"
         )
-        out.append(f"pairs {itf.n_mortar}")
-        for m in range(itf.n_mortar):
-            out.append(
-                f"{itf.higher_faces[m]} {itf.lower_cells[m]} {itf.measures[m]:.17g}"
-            )
+        out += _block("pairs", itf, _PAIRS)
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
 
 
+class _MeshFile:
+    """The lines of a mesh file and the index of the one read last."""
+
+    def __init__(self, path: str):
+        with open(path) as fh:
+            self.lines = fh.read().splitlines()
+        self.at = -1
+
+    def take(self, tag: str) -> list:
+        """The fields after ``tag`` on the next line, which must start with it."""
+        self.at += 1
+        fields = self.lines[self.at].split() if self.at < len(self.lines) else []
+        if fields[:1] != [tag]:
+            raise ValueError(f"expected {tag!r}")
+        return fields[1:]
+
+    def block(self, tag: str, columns, d: int = 0, n: Optional[int] = None) -> dict:
+        """The next block's attributes; it has ``n`` rows if not counted."""
+        fields = self.take(tag)
+        n = int(fields[0]) if n is None else n
+        widths = _widths(columns, d)
+        width = sum(widths)
+        rows = self.lines[self.at + 1 : self.at + 1 + n]
+        try:
+            table = np.loadtxt(rows, comments=None, ndmin=2) if n else np.zeros((0, width))
+        except ValueError:
+            table = None
+        if table is None or table.shape != (n, width):
+            for row in rows:  # parse row by row: the bad row raises
+                self.at += 1
+                np.array(row.split(), dtype=float).reshape(width)
+            self.at += 1
+            raise ValueError(f"expected {n} rows of {width} numbers")
+        self.at += n
+        parts = np.split(table, np.cumsum(widths)[:-1], axis=1)
+        return {
+            name: (part[:, 0] if w == 1 else part).astype(typ)
+            for (name, w, typ), part in zip(columns, parts)
+        }
+
+
 def import_mesh(path: str) -> MixedDimMesh:
-    """Read a mesh written by :func:`export_mesh`."""
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    it = iter([ln for ln in tokens if ln.strip()])
+    """Read a mesh written by :func:`export_mesh`.
 
-    def take():
-        return next(it).split()
-
-    head = take()
-    if head[0] != "mdmesh" or head[1] != "1":
-        raise MeshError(f"{path}: not a mdmesh version-1 file")
-    dim = int(head[2])
-    dom = take()
-    assert dom[0] == "domain"
-    vals = [float(v) for v in dom[1:]]
-    domain_lo = np.array(vals[:dim])
-    domain_hi = np.array(vals[dim:])
-    nsub = int(take()[1])
-    subdomains = []
-    info = []
-    for _ in range(nsub):
-        hdr = take()
-        d = int(hdr[3])
-        kind = hdr[5]
-        fids = () if hdr[7] == "-" else tuple(int(x) for x in hdr[7].split(","))
-        fr = [float(v) for v in take()[1:]]
-        origin = np.array(fr[:dim])
-        axes = np.array(fr[dim:]).reshape(d, dim) if d > 0 else np.zeros((0, dim))
-        nc = int(take()[1])
-        vols, centers, widths = [], [], []
-        for _ in range(nc):
-            row = [float(v) for v in take()]
-            vols.append(row[0])
-            centers.append(row[1 : 1 + d])
-            widths.append(row[1 + d : 1 + 2 * d])
-        nf = int(take()[1])
-        fa, fcn, fn, fcl, fb, fcut, fside = [], [], [], [], [], [], []
-        for _ in range(nf):
-            row = take()
-            fa.append(float(row[0]))
-            fcn.append([float(v) for v in row[1 : 1 + d]])
-            fn.append([float(v) for v in row[1 + d : 1 + 2 * d]])
-            rest = row[1 + 2 * d :]
-            fcl.append((int(rest[0]), int(rest[1])))
-            fb.append(int(rest[2]))
-            fcut.append(int(rest[3]))
-            fside.append(int(rest[4]))
-        nn = int(take()[1])
-        node_coords = None
-        face_nodes = None
-        if nn:
-            node_coords = np.array([[float(v) for v in take()] for _ in range(nn)])
-            marker = take()
-            assert marker[0] == "face_nodes"
-            first = [int(v) for v in marker[1:]] if len(marker) > 1 else None
-            pairs = []
-            if first:
-                pairs.append(first)
-            while len(pairs) < nf:
-                pairs.append([int(v) for v in take()])
-            face_nodes = np.array(pairs, dtype=int)
-        grid = CellGrid(
-            dim=d,
-            cell_volumes=np.array(vols),
-            cell_centers=np.array(centers).reshape(nc, d),
-            cell_widths=np.array(widths).reshape(nc, d),
-            face_areas=np.array(fa),
-            face_centers=np.array(fcn).reshape(nf, d),
-            face_normals=np.array(fn).reshape(nf, d),
-            face_cells=np.array(fcl, dtype=int).reshape(nf, 2),
-            face_bnd=np.array(fb, dtype=int),
-            face_cut=np.array(fcut, dtype=int),
-            face_side=np.array(fside, dtype=int),
-            frame_origin=origin,
-            frame_axes=axes,
-            node_coords=node_coords,
-            face_nodes=face_nodes,
-        )
-        subdomains.append(grid)
-        info.append(SubdomainInfo(kind=kind, fault_ids=fids))
-    nitf = int(take()[1])
-    interfaces = []
-    for _ in range(nitf):
-        hdr = take()
-        lower, higher, side, sign, fault_id = (int(v) for v in hdr[1:6])
-        kind = hdr[6]
-        nm = int(take()[1])
-        hf, lc, ms = [], [], []
-        for _ in range(nm):
-            row = take()
-            hf.append(int(row[0]))
-            lc.append(int(row[1]))
-            ms.append(float(row[2]))
-        interfaces.append(
-            MortarInterface(
-                lower=lower,
-                higher=higher,
-                side=side,
-                side_sign=sign,
-                higher_faces=np.array(hf, dtype=int),
-                lower_cells=np.array(lc, dtype=int),
-                measures=np.array(ms),
-                fault_id=fault_id,
-                kind=kind,
+    A malformed file raises :class:`MeshError` naming the file and the line.
+    """
+    src = _MeshFile(path)
+    try:
+        version, dim = src.take("mdmesh")
+        if version != "1":
+            raise ValueError("not a mdmesh version-1 file")
+        dim = int(dim)
+        dom = np.array(src.take("domain"), dtype=float)
+        subdomains, info = [], []
+        for _ in range(int(src.take("subdomains")[0])):
+            _, _, d, _, kind, _, fids = src.take("subdomain")
+            d = int(d)
+            frame = np.array(src.take("frame"), dtype=float)
+            grid = src.block("cells", _CELLS, d) | src.block("faces", _FACES, d)
+            nodes = src.block("nodes", _NODES, d)
+            if len(nodes["node_coords"]):
+                grid |= nodes | src.block("face_nodes", _FACE_NODES, n=len(grid["face_areas"]))
+            axes = frame[dim:].reshape(d, dim)
+            subdomains.append(CellGrid(d, frame_origin=frame[:dim], frame_axes=axes, **grid))
+            fids = () if fids == "-" else tuple(int(i) for i in fids.split(","))
+            info.append(SubdomainInfo(kind, fids))
+        interfaces = []
+        for _ in range(int(src.take("interfaces")[0])):
+            hdr = src.take("interface")
+            pairs = src.block("pairs", _PAIRS)
+            interfaces.append(
+                MortarInterface(*map(int, hdr[:4]), **pairs, fault_id=int(hdr[4]), kind=hdr[5])
             )
-        )
-    mesh = MixedDimMesh(
-        dim=dim,
-        subdomains=subdomains,
-        info=info,
-        interfaces=interfaces,
-        domain_lo=domain_lo,
-        domain_hi=domain_hi,
-    )
+    except (ValueError, IndexError) as exc:
+        raise MeshError(f"{path}: line {src.at + 1}: {exc}") from None
+    mesh = MixedDimMesh(dim, subdomains, info, interfaces, dom[:dim], dom[dim:])
     mesh.validate()
     return mesh

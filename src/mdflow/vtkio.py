@@ -14,7 +14,7 @@ import logging
 
 import numpy as np
 
-from .mdmesh import CellGrid
+from .mdmesh import CellGrid, format_rows
 
 logger = logging.getLogger(__name__)
 
@@ -91,9 +91,9 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
     out.append("ASCII")
     out.append("DATASET UNSTRUCTURED_GRID")
     out.append(f"POINTS {points.shape[0]} double")
-    out += _rows("%.12g %.12g %.12g", points)
+    out += format_rows("%.12g %.12g %.12g", points)
     out.append(f"CELLS {n_cells} {n_cells * (1 + per_cell)}")
-    out += _rows(" ".join(["%d"] * (1 + per_cell)), np.insert(conn, 0, per_cell, axis=1))
+    out += format_rows(" ".join(["%d"] * (1 + per_cell)), np.insert(conn, 0, per_cell, axis=1))
     out.append(f"CELL_TYPES {n_cells}")
     ctype = _CELL_TYPE[grid.dim]
     out.extend([str(ctype)] * n_cells)
@@ -108,14 +108,8 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
                 )
             out.append(f"SCALARS {name} double 1")
             out.append("LOOKUP_TABLE default")
-            out += _rows("%.12g", values[:, None])
+            out += format_rows("%.12g", values[:, None])
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
     logger.debug("wrote %s: %d points, %d cells", path, points.shape[0], n_cells)
 
-
-def _rows(fmt: str, table: np.ndarray) -> list:
-    """One %-format of a whole table, one line per row (no line if empty)."""
-    if not table.shape[0]:
-        return []
-    return ["\n".join([fmt] * table.shape[0]) % tuple(table.ravel().tolist())]

@@ -6,6 +6,9 @@ n*(n+1) vertical edges plus n*n + 2*n horizontal edges (the slit row is
 duplicated), and the fault line itself carries n cells and n+1 faces.
 """
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -333,29 +336,65 @@ def test_deterministic_rebuild():
         assert np.array_equal(ia.lower_cells, ib.lower_cells)
 
 
-def test_export_import_roundtrip(tmp_path):
-    faults = [one_fault(), one_fault(p0=(0.5, 0.5), p1=(0.5, 1.0))]
-    mesh = build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (8, 8), faults)
+def _assert_same(a, b):
+    """Every dataclass field equal: arrays exactly, with the same dtype kind."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray) and x.dtype.kind == y.dtype.kind, f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("case", ["network2d", "cube3d"])
+def test_export_import_roundtrip(tmp_path, case):
+    # network2d has tips, a T and an X; cube3d has lines and a 0-d point.
+    cfg = builtin_case(case)
+    mesh = build_cartesian_md_mesh(
+        cfg.domain_lo, cfg.domain_hi, (8,) * len(cfg.domain_lo), cfg.fault_specs()
+    )
     path = tmp_path / "mesh.txt"
     export_mesh(mesh, str(path))
     back = import_mesh(str(path))
+    assert back.dim == mesh.dim
+    assert np.array_equal(back.domain_lo, mesh.domain_lo)
+    assert np.array_equal(back.domain_hi, mesh.domain_hi)
     assert len(back.subdomains) == len(mesh.subdomains)
     assert len(back.interfaces) == len(mesh.interfaces)
     for ga, gb in zip(mesh.subdomains, back.subdomains):
-        assert ga.dim == gb.dim
-        assert np.allclose(ga.cell_centers, gb.cell_centers)
-        assert np.allclose(ga.cell_volumes, gb.cell_volumes)
-        assert np.array_equal(ga.face_cells, gb.face_cells)
-        assert np.allclose(ga.frame_origin, gb.frame_origin)
-        assert np.allclose(ga.frame_axes, gb.frame_axes)
+        _assert_same(ga, gb)
+    for ia, ib in zip(mesh.info, back.info):
+        _assert_same(ia, ib)
     for ia, ib in zip(mesh.interfaces, back.interfaces):
-        assert (ia.lower, ia.higher, ia.side, ia.kind) == (
-            ib.lower, ib.higher, ib.side, ib.kind
-        )
-        assert np.array_equal(ia.higher_faces, ib.higher_faces)
-        assert np.array_equal(ia.lower_cells, ib.lower_cells)
-        assert np.allclose(ia.measures, ib.measures)
-    back.validate()
+        _assert_same(ia, ib)
+    again = tmp_path / "again.txt"
+    export_mesh(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda lines: [], 1),
+        (lambda lines: lines[:10], 11),
+        (lambda lines: ["mdmesh 2 2"] + lines[1:], 1),
+        (lambda lines: lines[:1] + ["domian" + lines[1][6:]] + lines[2:], 2),
+        (lambda lines: lines[:6] + ["0.0625 0.125 x 0.25 0.25"] + lines[7:], 7),
+    ],
+    ids=["empty", "truncated", "header", "domain-tag", "non-numeric"],
+)
+def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
+    cfg = builtin_case("case1")
+    mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, (4, 4), cfg.fault_specs())
+    path = tmp_path / "mesh.txt"
+    export_mesh(mesh, str(path))
+    lines = path.read_text().splitlines()
+    # Lines 6 and 7: the matrix's cell block header and its first row.
+    assert lines[5] == "cells 16" and lines[6].startswith("0.0625 0.125 0.125 ")
+    path.write_text("".join(ln + "\n" for ln in edit(lines)))
+    with pytest.raises(MeshError, match=rf"^{re.escape(str(path))}: line {line}: "):
+        import_mesh(str(path))
 
 
 def test_off_grid_fault_rejected():
