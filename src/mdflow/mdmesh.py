@@ -735,11 +735,19 @@ def _widths(columns, d: int) -> list:
     return [d if w == "d" else w for _, w, _ in columns]
 
 
+#: Rows per %-format call of :func:`format_rows`. Each call turns its rows
+#: into Python floats, about 40 bytes per value, so no call holds a whole
+#: table.
+_FORMAT_ROWS = 4096
+
+
 def format_rows(fmt: str, table: np.ndarray) -> list:
-    """One %-format of a whole table, one line per row (no line if empty)."""
-    if not table.shape[0]:
-        return []
-    return ["\n".join([fmt] * table.shape[0]) % tuple(table.ravel().tolist())]
+    """The %-format of a table, one line per row, as one string per
+    :data:`_FORMAT_ROWS` rows (none if the table is empty)."""
+    return [
+        "\n".join([fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
+        for chunk in (table[i : i + _FORMAT_ROWS] for i in range(0, len(table), _FORMAT_ROWS))
+    ]
 
 
 def _block(tag: str, obj, columns, d: int = 0, counted: bool = True) -> list:
@@ -801,17 +809,20 @@ class _MeshFile:
             self.lines = fh.read().splitlines()
         self.at = -1
 
-    def take(self, tag: str) -> list:
-        """The fields after ``tag`` on the next line, which must start with it."""
+    def take(self, tag: str, count: int) -> list:
+        """The ``count`` fields after ``tag`` on the next line, which must
+        start with it."""
         self.at += 1
         fields = self.lines[self.at].split() if self.at < len(self.lines) else []
         if fields[:1] != [tag]:
             raise ValueError(f"expected {tag!r}")
+        if len(fields) != count + 1:
+            raise ValueError(f"expected {count} fields after {tag!r}, found {len(fields) - 1}")
         return fields[1:]
 
     def block(self, tag: str, columns, d: int = 0, n: Optional[int] = None) -> dict:
         """The next block's attributes; it has ``n`` rows if not counted."""
-        fields = self.take(tag)
+        fields = self.take(tag, 1 if n is None else 0)
         n = int(fields[0]) if n is None else n
         widths = _widths(columns, d)
         width = sum(widths)
@@ -841,16 +852,16 @@ def import_mesh(path: str) -> MixedDimMesh:
     """
     src = _MeshFile(path)
     try:
-        version, dim = src.take("mdmesh")
+        version, dim = src.take("mdmesh", 2)
         if version != "1":
             raise ValueError("not a mdmesh version-1 file")
         dim = int(dim)
-        dom = np.array(src.take("domain"), dtype=float)
+        dom = np.array(src.take("domain", 2 * dim), dtype=float)
         subdomains, info = [], []
-        for _ in range(int(src.take("subdomains")[0])):
-            _, _, d, _, kind, _, fids = src.take("subdomain")
+        for _ in range(int(src.take("subdomains", 1)[0])):
+            _, _, d, _, kind, _, fids = src.take("subdomain", 7)
             d = int(d)
-            frame = np.array(src.take("frame"), dtype=float)
+            frame = np.array(src.take("frame", dim + d * dim), dtype=float)
             grid = src.block("cells", _CELLS, d) | src.block("faces", _FACES, d)
             nodes = src.block("nodes", _NODES, d)
             if len(nodes["node_coords"]):
@@ -860,8 +871,8 @@ def import_mesh(path: str) -> MixedDimMesh:
             fids = () if fids == "-" else tuple(int(i) for i in fids.split(","))
             info.append(SubdomainInfo(kind, fids))
         interfaces = []
-        for _ in range(int(src.take("interfaces")[0])):
-            hdr = src.take("interface")
+        for _ in range(int(src.take("interfaces", 1)[0])):
+            hdr = src.take("interface", 6)
             pairs = src.block("pairs", _PAIRS)
             interfaces.append(
                 MortarInterface(*map(int, hdr[:4]), **pairs, fault_id=int(hdr[4]), kind=hdr[5])

@@ -11,6 +11,7 @@ computation.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -91,24 +92,44 @@ def eoc_fit(errors, h) -> float:
 
 
 def sample_nearest(ref_points, ref_values, points) -> np.ndarray:
-    """Nearest-point sampling with averaging over exact distance ties.
+    """Nearest-point sampling with averaging over distance ties, for
+    distinct reference points on a Cartesian lattice.
 
-    On nested Cartesian grids a coarse center either coincides with a fine
-    center or sits symmetrically between 2 (1D) or 4 (2D) of them; the tie
-    average then equals the symmetric local mean of the fine field.
+    Along each axis a point takes the nearest lattice coordinate, and the
+    neighbour on its other side as well where that is as near, within 1e-9
+    relative plus 1e-13. The result is the mean over the reference points
+    at those combinations. On nested Cartesian grids a coarse center either
+    coincides with a fine center or sits symmetrically between 2 (1D) or 4
+    (2D) of them, so the mean is the symmetric local mean of the fine field.
     """
-    from scipy.spatial import cKDTree  # here, so that importing mdflow.cli skips it
-
     ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ref_values = np.asarray(ref_values, dtype=float)
-    k = min(4, ref_points.shape[0])
-    dist, idx = cKDTree(ref_points).query(points, k=k)
-    if k == 1:
-        return ref_values[idx]
-    near = dist <= dist[:, :1] * (1.0 + 1e-9) + 1e-13
-    num = np.where(near, ref_values[idx], 0.0).sum(axis=1)
-    return num / near.sum(axis=1)
+    axes = [np.unique(c) for c in ref_points.T]
+    at = np.full([len(u) for u in axes], -1)  # reference point at each lattice node
+    at[tuple(np.searchsorted(u, c) for u, c in zip(axes, ref_points.T))] = np.arange(len(ref_points))
+    choices = []  # per axis: nearest index, the other neighbour, whether it ties
+    for u, c in zip(axes, points.T):
+        hi = np.clip(np.searchsorted(u, c), 0, len(u) - 1)
+        lo = np.maximum(hi - 1, 0)
+        d_lo, d_hi = np.abs(c - u[lo]), np.abs(u[hi] - c)
+        near = np.where(d_hi < d_lo, hi, lo)
+        other = lo + hi - near
+        d0, d1 = np.minimum(d_lo, d_hi), np.maximum(d_lo, d_hi)
+        choices.append((near, other, (other != near) & (d1 <= d0 * (1.0 + 1e-9) + 1e-13)))
+    total = np.zeros(points.shape[0])
+    count = np.zeros(points.shape[0])
+    for pick in itertools.product((False, True), repeat=len(axes)):
+        i = at[tuple(o if k else n for (n, o, _), k in zip(choices, pick))]
+        hit = i >= 0
+        for (_, _, tie), k in zip(choices, pick):
+            if k:
+                hit &= tie
+        total += np.where(hit, ref_values[i], 0.0)
+        count += hit
+    if not count.all():
+        raise VerifyError("reference points do not cover the nearest lattice points")
+    return total / count
 
 
 @dataclass

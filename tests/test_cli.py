@@ -236,9 +236,23 @@ def test_mesh_export(tmp_path, capsys):
 
 
 def test_cli_import_skips_scipy_spatial():
-    # Only the convergence studies sample with a k-d tree; ``run`` should
-    # not pay for importing scipy.spatial.
+    # Importing the front end should not pay for scipy.spatial.
     src = os.path.dirname(os.path.dirname(mdflow.__file__))
     code = "import sys, mdflow.cli; sys.exit('scipy.spatial' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_compare_never_loads_scipy_spatial(tmp_path):
+    # ``sample_nearest`` looks the reference up on its lattice axes, so the
+    # studies need no k-d tree either.
+    src = os.path.dirname(os.path.dirname(mdflow.__file__))
+    code = (
+        "import sys, mdflow.cli; "
+        f"rc = mdflow.cli.main(['compare', 'case1', '--levels', '2', '--output', {str(tmp_path)!r}]); "
+        "sys.exit(3 if 'scipy.spatial' in sys.modules else rc)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert done.returncode == 0
+    assert (tmp_path / "case1_compare.csv").exists()

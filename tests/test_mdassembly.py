@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mdflow.config import BcClause, CaseConfig, FaultConfig, builtin_case
 from mdflow.discretize import BC_DIRICHLET, DiscretizationError, discretize
@@ -25,6 +25,7 @@ from mdflow.mdassembly import (
     AssemblyError,
     MaterialSet,
     _krylov_solve,
+    _static_pivot_solve,
     assemble_from_problems,
     assemble_global,
     build_problems,
@@ -316,7 +317,8 @@ def test_tpfa_full_tensor_rejected_in_3d():
 
 
 # ---------------------------------------------------------------------------
-# Linear solvers: AMG-preconditioned GMRES in 3D, COLAMD-ordered LU in 2D.
+# Linear solvers: AMG-preconditioned GMRES in 3D, static-pivot LU in 2D, and
+# the COLAMD-ordered LU both fall back to.
 # ---------------------------------------------------------------------------
 
 
@@ -411,11 +413,83 @@ def test_krylov_solve_is_deterministic():
     np.testing.assert_array_equal(unknowns(solve(first)), x)
 
 
-def test_two_dimensional_solve_keeps_colamd(caplog):
-    system = assembled(builtin_case("case1"))
+STATIC_LINE = re.compile(
+    r"direct solve: ordering mmd\(A\+A\^T\), static pivots, (\d+) off-diagonal, "
+    r"factor \S+ s, LU nnz (\d+)"
+)
+
+
+def static_pivot_facts(system, caplog):
+    """Off-diagonal pivots logged by the static-pivot solve, and the
+    solution with its relative residual and fallback reason."""
+    caplog.clear()
     with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
-        solve(system)
-    assert "ordering colamd," in caplog.text and "krylov" not in caplog.text
+        x, residual, fallback = _static_pivot_solve(system.matrix.tocsc(), system.rhs, 1e-10)
+    off = int(STATIC_LINE.search(caplog.text).group(1))
+    return off, x, residual, fallback
+
+
+def zero_diagonals(system):
+    """Rows whose diagonal is exactly zero: cells whose every face carries an
+    imposed flux (mortar or no-flow), such as intersection points."""
+    return int((system.matrix.diagonal() == 0).sum())
+
+
+def test_two_dimensional_solve_uses_static_pivots(caplog):
+    system = assembled(replace(builtin_case("network2d"), resolution=(32, 32)))
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        sol = solve(system)
+    assert "krylov" not in caplog.text and "fallback" not in caplog.text
+    off, nnz = map(int, STATIC_LINE.search(caplog.text).groups())
+    assert zero_diagonals(system) == 4 and 0 < off <= 4 * 4
+    assert nnz < spla.splu(system.matrix.tocsc()).nnz
+    ref = colamd(system)
+    assert np.linalg.norm(unknowns(sol) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class WrongSolve:
+    """A factorization that reports the real one's pivots and size but
+    solves to zero."""
+
+    def __init__(self, lu):
+        self.perm_r, self.perm_c, self.nnz = lu.perm_r, lu.perm_c, lu.nnz
+
+    def solve(self, b):
+        return np.zeros_like(b)
+
+
+def fake_static_splu(failure):
+    """A stand-in for ``spla.splu`` whose static-pivot calls raise or solve
+    wrongly; every other call factors as usual."""
+    splu = spla.splu
+
+    def fake(A, permc_spec=None, **kwargs):
+        lu = splu(A, permc_spec=permc_spec, **kwargs)
+        if permc_spec != "MMD_AT_PLUS_A":
+            return lu
+        if failure == "raise":
+            raise RuntimeError("Factor is exactly singular")
+        return WrongSolve(lu)
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "failure,reason",
+    [
+        ("raise", "static-pivot LU failed: Factor is exactly singular"),
+        ("wrong", "residual 1.0e+00"),
+    ],
+)
+def test_static_pivots_fall_back_to_colamd(failure, reason, monkeypatch, caplog):
+    system = assembled(builtin_case("network2d"))
+    ref = colamd(system)
+    monkeypatch.setattr(spla, "splu", fake_static_splu(failure))
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        sol = solve(system)
+    assert f"direct solve: ordering colamd (fallback: {reason})" in caplog.text
+    assert (STATIC_LINE.search(caplog.text) is None) == (failure == "raise")
+    np.testing.assert_array_equal(unknowns(sol), ref)
 
 
 def test_assembly_log_counts_schemes(caplog):
@@ -535,3 +609,71 @@ def test_stacked_maps_match_per_entity_operators(cfg, seed):
 
     rep = mass_balance_report(solve(system))
     assert rep["max_cell_residual"] <= 1e-10 * rep["scale"]
+
+
+def crossing_box(n, cuts, full_tensor):
+    """A 2D unit-spacing box of ``n`` cells with a full fault across axis
+    ``a`` at ``x_a = k`` for each ``(a, k)`` in ``cuts``, whose crossings are
+    intersection points, and a matrix tensor that is isotropic (TPFA) or
+    full (MPFA)."""
+    faults = []
+    for axis, at in cuts:
+        p0, p1 = [0.0, 0.0], [float(k) for k in n]
+        p0[axis] = p1[axis] = float(at)
+        faults.append(
+            FaultConfig(tuple(p0), tuple(p1), aperture=0.01, k_parallel=10.0,
+                        k_perp=(5.0, 5.0), k_t=(2.0, -3.0), name=f"F{len(faults)}")
+        )
+    cfg = CaseConfig(
+        domain_lo=(0.0, 0.0), domain_hi=tuple(float(k) for k in n), resolution=n,
+        matrix_k=1.0, matrix_regions=[], faults=faults,
+        bcs=[BcClause(0, "dirichlet", 1.0), BcClause(1, "dirichlet", 0.0)],
+        name="box",
+    )
+    mesh = build_cartesian_md_mesh(
+        cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
+    )
+    materials = cfg.material_set()
+    if full_tensor:
+        materials = replace(materials, matrix_base=np.array([[2.0, 0.7], [0.7, 1.5]]))
+    return assemble_global(mesh, materials, cfg.bcs)
+
+
+@st.composite
+def crossing_boxes(draw, largest=12):
+    """Systems of :func:`crossing_box` with 2 to ``largest`` cells and up to
+    two faults per axis."""
+    n = tuple(draw(st.lists(st.integers(2, largest), min_size=2, max_size=2)))
+    cuts = [
+        (axis, at)
+        for axis in (0, 1)
+        for at in draw(st.lists(st.integers(1, n[axis] - 1), max_size=2, unique=True))
+    ]
+    return crossing_box(n, cuts, draw(st.booleans()))
+
+
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # cleared per example
+)
+@given(system=crossing_boxes())
+def test_static_pivots_match_colamd_on_boxes(caplog, system):
+    """Static pivots agree with the partially pivoted COLAMD LU and leave
+    the diagonal only around zero diagonals. On 2300 random boxes there were
+    at most 2.5 times as many off-diagonal pivots as zero diagonals, and at
+    most three where none is zero (a pivot that elimination cancels)."""
+    off, x, residual, fallback = static_pivot_facts(system, caplog)
+    assert fallback is None and residual <= 1e-10
+    assert off <= 4 * max(zero_diagonals(system), 1)
+    ref = colamd(system)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_static_pivots_pass_over_cancelled_pivots(caplog):
+    """The middle cells of this box are closed by mortar and no-flow faces.
+    Elimination leaves one of their pivots at 2.2e-16, which a zero pivot
+    threshold would keep (residual 0.43)."""
+    system = crossing_box((3, 5), [(0, 1), (0, 2), (1, 1), (1, 4)], full_tensor=True)
+    off, x, residual, fallback = static_pivot_facts(system, caplog)
+    assert fallback is None and residual <= 1e-10
+    assert zero_diagonals(system) == 12 and off <= 4 * 12

@@ -15,9 +15,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mdflow.config import FaultConfig, builtin_case
 from mdflow.mdmesh import (
+    _FORMAT_ROWS,
     MeshError,
     build_cartesian_md_mesh,
     export_mesh,
+    format_rows,
     import_mesh,
 )
 
@@ -373,6 +375,16 @@ def test_export_import_roundtrip(tmp_path, case):
     assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, _FORMAT_ROWS, 2 * _FORMAT_ROWS + 3])
+def test_format_rows_matches_row_by_row(n):
+    table = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-5, 10, 5)
+    table[:, 0] = np.arange(n)
+    fmt = "%d %.17g %.12g"
+    chunks = format_rows(fmt, table)
+    assert len(chunks) == -(-n // _FORMAT_ROWS)
+    assert "\n".join(chunks) == "\n".join(fmt % tuple(row) for row in table)
+
+
 @pytest.mark.parametrize(
     "edit, line",
     [
@@ -381,8 +393,11 @@ def test_export_import_roundtrip(tmp_path, case):
         (lambda lines: ["mdmesh 2 2"] + lines[1:], 1),
         (lambda lines: lines[:1] + ["domian" + lines[1][6:]] + lines[2:], 2),
         (lambda lines: lines[:6] + ["0.0625 0.125 x 0.25 0.25"] + lines[7:], 7),
+        (lambda lines: lines[:5] + ["cells 16 7"] + lines[6:], 6),
+        (lambda lines: [ln + " 5" if ln == "face_nodes" else ln for ln in lines], None),
     ],
-    ids=["empty", "truncated", "header", "domain-tag", "non-numeric"],
+    ids=["empty", "truncated", "header", "domain-tag", "non-numeric", "cells-extra",
+         "face-nodes-extra"],
 )
 def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
     cfg = builtin_case("case1")
@@ -392,6 +407,8 @@ def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
     lines = path.read_text().splitlines()
     # Lines 6 and 7: the matrix's cell block header and its first row.
     assert lines[5] == "cells 16" and lines[6].startswith("0.0625 0.125 0.125 ")
+    if line is None:  # the first face_nodes tag line
+        line = lines.index("face_nodes") + 1
     path.write_text("".join(ln + "\n" for ln in edit(lines)))
     with pytest.raises(MeshError, match=rf"^{re.escape(str(path))}: line {line}: "):
         import_mesh(str(path))

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdflow.config import ConfigError, builtin_case
 from mdflow.verify import (
@@ -110,6 +111,48 @@ def test_sample_nearest_tie_takes_mean():
     vals = np.array([2.0, 4.0])
     out = sample_nearest(pts, vals, np.array([[0.5]]))
     assert out[0] == pytest.approx(3.0)
+
+
+def brute_nearest(ref_points, ref_values, points):
+    """Mean over the reference points within the tie tolerance of the
+    nearest one, by every pairwise distance."""
+    dist = np.linalg.norm(points[:, None, :] - ref_points[None, :, :], axis=2)
+    near = dist <= dist.min(axis=1, keepdims=True) * (1.0 + 1e-9) + 1e-13
+    return (near * ref_values).sum(axis=1) / near.sum(axis=1)
+
+
+@st.composite
+def lattice_samples(draw):
+    """A shuffled Cartesian lattice of 1 to 6 coordinates per axis in 1 to 3
+    dimensions, with dyadic spacings so that midpoints tie exactly, and
+    query points on lattice points, on midpoints and anywhere near the box."""
+    dim = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(dim):
+        steps = draw(st.lists(st.integers(1, 4), min_size=0, max_size=5))
+        axes.append(draw(st.integers(-4, 4)) + np.cumsum([0.0] + [s / 4 for s in steps]))
+    ref = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ref = ref[rng.permutation(len(ref))]
+    values = rng.normal(size=len(ref))
+    mids = [np.concatenate([u, (u[1:] + u[:-1]) / 2]) for u in axes]
+    snapped = np.stack([rng.choice(m, size=20) for m in mids], axis=1)
+    loose = rng.uniform(-6.0, 6.0, size=(20, dim))
+    return ref, values, np.concatenate([snapped, loose])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_samples())
+def test_sample_nearest_matches_brute_force(sample):
+    ref, values, points = sample
+    expected = brute_nearest(ref, values, points)
+    np.testing.assert_allclose(sample_nearest(ref, values, points), expected, rtol=1e-14, atol=1e-15)
+
+
+def test_sample_nearest_needs_the_nearest_lattice_points():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # (1, 1) missing
+    with pytest.raises(VerifyError, match="do not cover"):
+        sample_nearest(pts, np.ones(3), np.array([[0.9, 0.9]]))
 
 
 def test_fault_field_collects_fault_cells_only():
