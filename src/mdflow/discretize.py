@@ -71,7 +71,6 @@ class DiscreteOperator:
     trace_p: sps.csr_matrix
     trace_g: sps.csr_matrix
     trace_chi: sps.csr_matrix
-    grad_rec: sps.csr_matrix
     scheme: str  # "TPFA" or "MPFA"
 
 
@@ -107,12 +106,6 @@ def _check_bc(grid: CellGrid, bc: BoundaryCondition) -> None:
         raise DiscretizationError("boundary condition set on an interior face")
 
 
-def isotropic_perm(grid: CellGrid, value) -> np.ndarray:
-    """Per-cell isotropic tensor field from a scalar or per-cell array."""
-    v = np.broadcast_to(np.asarray(value, dtype=float), (grid.n_cells,))
-    return v[:, None, None] * np.eye(grid.dim)[None, :, :]
-
-
 def _empty_operator(grid: CellGrid) -> DiscreteOperator:
     nf, nc, d = grid.n_faces, grid.n_cells, grid.dim
     z = lambda shape: sps.csr_matrix(shape)
@@ -124,7 +117,6 @@ def _empty_operator(grid: CellGrid) -> DiscreteOperator:
         trace_p=z((nf, nc)),
         trace_g=z((nf, nf)),
         trace_chi=z((nf, nc * d)),
-        grad_rec=z((nc * d, nf)),
         scheme="TPFA",
     )
 
@@ -161,20 +153,21 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     nf, nc, d = grid.n_faces, grid.n_cells, grid.dim
     faces = np.arange(nf)
     axis = np.argmax(np.abs(grid.face_normals), axis=1)
-    n = grid.face_normals[faces, axis][:, None]
+    at = faces * d + axis  # flat index of each face's axis entry in (n_faces, d) arrays
+    n = grid.face_normals.ravel()[at][:, None]
     # (n_faces, 2) arrays over a face's first and second cell; -1 marks a
-    # missing second cell, and its entries are never kept.
+    # missing second cell, and its entries are never kept. The chi column
+    # of a cell's face-axis component is its flat index in (n_cells, d) arrays.
     cells = grid.face_cells
     has = cells >= 0
-    c = np.where(has, cells, 0)
-    kn = n * perm[c, axis[:, None], axis[:, None]]  # n^T K_c, on the face axis only
+    chi = np.where(has, cells * d + axis[:, None], -1)
+    kn = n * np.diagonal(perm, axis1=1, axis2=2).ravel()[chi]  # n^T K_c, on the face axis only
     k = kn * n
-    dist = np.abs(grid.face_centers[faces, axis][:, None] - grid.cell_centers[c, axis[:, None]])
+    dist = np.abs(grid.face_centers.ravel()[at][:, None] - grid.cell_centers.ravel()[chi])
     if np.any(has & ((k <= 0) | (dist <= 0))):
         raise DiscretizationError("nonpositive normal permeability or distance")
     a0, a1 = np.where(has, k / np.where(has, dist, 1.0), 0.0).T
     kn0, kn1 = kn.T
-    chi = np.where(has, c * d + axis[:, None], -1)  # chi column of the face axis
     face_col = np.stack([faces, np.full(nf, -1)], axis=1)
 
     area = grid.face_areas
@@ -183,10 +176,9 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     imposed = bc.imposed_flux()
     s = a0 + a1
     T = area * a0 * a1 / s
-    first = np.array([True, False])
-    flux_keep = inner[:, None] | (dirichlet[:, None] & first)
-    trace_keep = inner[:, None] | (imposed[:, None] & first)
-    g_keep = (dirichlet | imposed)[:, None] & first
+    flux_keep = np.stack([inner | dirichlet, inner], axis=1)
+    trace_keep = np.stack([inner | imposed, inner], axis=1)
+    g_keep = np.stack([dirichlet | imposed, np.zeros(nf, dtype=bool)], axis=1)
     # Traces pi = (a0 p0 + a1 p1 + w1 - w0) / (a0 + a1) inside, g at
     # Dirichlet faces and p0 - (g + w0) / a0 at imposed-flux faces.
     return DiscreteOperator(
@@ -202,7 +194,6 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
         trace_chi=_face_rows(
             chi, np.where(inner, -kn0 / s, -kn0 / a0), kn1 / s, trace_keep, nc * d
         ),
-        grad_rec=_gradient_reconstruction(grid, perm),
         scheme="TPFA",
     )
 
@@ -210,11 +201,17 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
 def _face_rows(cols, v0, v1, keep, n_cols) -> sps.csr_matrix:
     """CSR matrix whose row f holds the entries ``keep[f]`` of the (n, 2)
     columns ``cols`` with values ``(v0[f], v1[f])``, in column order."""
-    vals = np.stack(np.broadcast_arrays(v0, v1), axis=1)
-    swap = (keep.all(axis=1) & (cols[:, 0] > cols[:, 1]))[:, None]
-    cols, vals = np.where(swap, cols[:, ::-1], cols), np.where(swap, vals[:, ::-1], vals)
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sps.csr_matrix((vals[keep], cols[keep], indptr), shape=(keep.shape[0], n_cols))
+    flags = keep.view(np.uint8)
+    count = flags[:, 0] + flags[:, 1]
+    indptr = np.concatenate([[0], np.cumsum(count, dtype=np.int64)])
+    vals = np.empty(keep.shape)
+    vals[:, 0], vals[:, 1] = v0, v1
+    indices, data = cols[keep], vals[keep]
+    # Rows that keep both entries with the larger column first swap them.
+    at = indptr[np.flatnonzero((count == 2) & (cols[:, 0] > cols[:, 1]))]
+    indices[at], indices[at + 1] = indices[at + 1], indices[at]
+    data[at], data[at + 1] = data[at + 1], data[at]
+    return sps.csr_matrix((data, indices, indptr), shape=(keep.shape[0], n_cols))
 
 
 def _gradient_reconstruction(grid: CellGrid, perm: np.ndarray) -> sps.csr_matrix:
@@ -250,9 +247,11 @@ def _gradient_reconstruction(grid: CellGrid, perm: np.ndarray) -> sps.csr_matrix
 def _skewed_cells(perm: np.ndarray) -> np.ndarray:
     """Cells whose off-diagonal entries exceed 1e-12 of their largest
     diagonal entry, i.e. whose tensor is not grid-aligned."""
-    d = perm.shape[1]
-    diag = np.abs(np.diagonal(perm, axis1=1, axis2=2)).max(axis=1)
-    return np.flatnonzero(np.abs(perm * (1.0 - np.eye(d))).max(axis=(1, 2)) > 1e-12 * diag)
+    n, d = perm.shape[:2]
+    entries = np.abs(perm.reshape(n, d * d))
+    diag = np.eye(d, dtype=bool).ravel()
+    off = entries[:, ~diag].max(axis=1, initial=0.0)
+    return np.flatnonzero(off > 1e-12 * entries[:, diag].max(axis=1))
 
 
 def discretize(grid, perm, bc) -> DiscreteOperator:
@@ -313,9 +312,7 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
             val, r, c = np.concatenate([val, v]), np.concatenate([r, f]), np.concatenate([c, f])
         ops[name] = sps.csr_matrix((val, (r, c)), shape=shape)
         ops[name].eliminate_zeros()  # the two sub-faces of a face may cancel
-    return DiscreteOperator(
-        grid=grid, grad_rec=_gradient_reconstruction(grid, perm), scheme="MPFA", **ops
-    )
+    return DiscreteOperator(grid=grid, scheme="MPFA", **ops)
 
 
 def _ragged(counts):

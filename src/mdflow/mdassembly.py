@@ -7,8 +7,9 @@ positive from the lower onto the higher subdomain.
 
 The operators of :mod:`mdflow.discretize` are stacked over all subdomains
 into block-diagonal matrices: the flux and trace maps ``Fp, Fg, Fx`` and
-``Tp, Tg, Tx`` of pressures, face data ``g`` and vector source, the
-gradient reconstruction ``R`` and the divergence ``D``. Each interface map
+``Tp, Tg, Tx`` of pressures, face data ``g`` and vector source, and the
+divergence ``D``; so is the gradient reconstruction ``R``, built on lower
+grids only, as ``E`` has no other columns. Each interface map
 spans all mortar cells: ``S`` to the higher face, ``C`` to the lower cell,
 the measures ``W``, ``Mg`` to the imposed flux density on the higher face,
 ``X`` to the vector source in the lower cell, the tangential-gradient
@@ -42,6 +43,7 @@ from .discretize import (
     BC_MORTAR,
     BC_NEUMANN,
     BoundaryCondition,
+    _gradient_reconstruction,
     discretize,
 )
 from .mdmesh import CellGrid, MixedDimMesh, MortarInterface
@@ -369,12 +371,16 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
     n_p, n_f, n_x, n_lam = p_off[-1], f_off[-1], x_off[-1], lam_off[-1]
 
     ops = [discretize(pr.grid, pr.perm, pr.bc) for pr in problems]
-    Fp, Fg, Fx, Tp, Tg, Tx, R = (
+    Fp, Fg, Fx, Tp, Tg, Tx = (
         _stack([getattr(op, name) for op in ops])
-        for name in (
-            "flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi", "grad_rec"
-        )
+        for name in ("flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi")
     )
+    lower = {itf.lower for itf in itfs}
+    R = _stack([
+        _gradient_reconstruction(g, pr.perm) if i in lower
+        else sps.csr_matrix((g.n_cells * g.dim, g.n_faces))
+        for i, (g, pr) in enumerate(zip(grids, problems))
+    ])
     D = _stack([_divergence(g) for g in grids])
     n_mpfa = sum(op.scheme == "MPFA" for op in ops)
     del ops  # the stacked copies replace them

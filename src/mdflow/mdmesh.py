@@ -74,22 +74,14 @@ class CellGrid:
     def n_faces(self) -> int:
         return self.face_areas.shape[0]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.frame_origin.shape[0]
-
     def is_boundary(self) -> np.ndarray:
         """Boolean mask of faces having a single cell neighbor."""
         return self.face_cells[:, 1] < 0
 
     def cell_centers_global(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.tile(self.frame_origin, (self.n_cells, 1))
         return self.frame_origin + self.cell_centers @ self.frame_axes
 
     def face_centers_global(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((0, self.ambient_dim))
         return self.frame_origin + self.face_centers @ self.frame_axes
 
     def validate(self) -> None:
@@ -102,11 +94,10 @@ class CellGrid:
             if not np.allclose(norms, 1.0, atol=1e-12):
                 raise MeshError("face normals are not unit length")
             # Closed-cell condition: signed area-weighted normals cancel.
-            acc = np.zeros((self.n_cells, self.dim))
             out = self.face_areas[:, None] * self.face_normals
-            np.add.at(acc, self.face_cells[:, 0], out)
-            inner = self.face_cells[interior, 1]
-            np.add.at(acc, inner, -out[interior])
+            cells = np.concatenate([self.face_cells[:, 0], self.face_cells[interior, 1]])
+            out = np.concatenate([out, -out[interior]])
+            acc = np.array([np.bincount(cells, o, self.n_cells) for o in out.T])
             scale = np.abs(self.face_areas).max() + 1e-300
             if np.abs(acc).max() > 1e-10 * scale:
                 raise MeshError("closed-cell condition violated")
@@ -563,7 +554,7 @@ def _match_faces_to_cells(
 ) -> np.ndarray:
     """Order ``faces`` of the higher grid to match the lower grid's cells by
     coinciding global centroids. Returns the permuted face array."""
-    fc = grid_h.face_centers_global()[faces]
+    fc = grid_h.frame_origin + grid_h.face_centers[faces] @ grid_h.frame_axes
     cc = grid_l.cell_centers_global()
     if fc.shape[0] != cc.shape[0]:
         raise MeshError("interface face/cell count mismatch")
@@ -582,7 +573,7 @@ def _tag_ambient_boundary(grid: CellGrid, lo: np.ndarray, hi: np.ndarray) -> Non
     cand = np.where((grid.face_cells[:, 1] < 0) & (grid.face_cut < 0))[0]
     if not cand.size:
         return
-    gx = grid.face_centers_global()[cand]
+    gx = grid.frame_origin + grid.face_centers[cand] @ grid.frame_axes
     for a in range(lo.shape[0]):
         grid.face_bnd[cand[np.abs(gx[:, a] - lo[a]) <= _TOL]] = 2 * a
         grid.face_bnd[cand[np.abs(gx[:, a] - hi[a]) <= _TOL]] = 2 * a + 1
@@ -671,13 +662,12 @@ def build_cartesian_md_mesh(
             else:
                 # One interface per adjoining face: the slit copies, or the
                 # tip face of a branch ending here.
-                gx = higher.face_centers_global()
-                at = (
+                faces = np.flatnonzero(
                     (higher.face_cells[:, 1] < 0)
-                    & (np.abs(gx - locus.lo).max(axis=1) <= _TOL)
                     & ((higher.face_cut >= 0) | (higher.face_bnd < 0))
                 )
-                faces = np.flatnonzero(at)
+                gx = higher.frame_origin + higher.face_centers[faces] @ higher.frame_axes
+                faces = faces[np.abs(gx - locus.lo).max(axis=1) <= _TOL]
                 if not faces.size:
                     raise MeshError("intersection point has no adjoining fault face")
                 # Outward normal along +axis: the branch lies on side 2.
@@ -859,7 +849,11 @@ def import_mesh(path: str) -> MixedDimMesh:
         dom = np.array(src.take("domain", 2 * dim), dtype=float)
         subdomains, info = [], []
         for _ in range(int(src.take("subdomains", 1)[0])):
-            _, _, d, _, kind, _, fids = src.take("subdomain", 7)
+            _, dim_tag, d, kind_tag, kind, faults_tag, fids = src.take("subdomain", 7)
+            if (dim_tag, kind_tag, faults_tag) != ("dim", "kind", "faults"):
+                raise ValueError("expected 'subdomain <id> dim <d> kind <kind> faults <ids>'")
+            if kind not in ("matrix", "fault", "intersection"):
+                raise ValueError(f"unknown subdomain kind {kind!r}")
             d = int(d)
             frame = np.array(src.take("frame", dim + d * dim), dtype=float)
             grid = src.block("cells", _CELLS, d) | src.block("faces", _FACES, d)

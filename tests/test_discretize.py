@@ -18,13 +18,20 @@ from mdflow.discretize import (
     BC_NEUMANN,
     BoundaryCondition,
     DiscretizationError,
+    _face_rows,
+    _gradient_reconstruction,
     discretize,
-    isotropic_perm,
     mpfa_discretize,
     tpfa_discretize,
 )
 from mdflow.mdassembly import MaterialSet, build_problems
 from mdflow.mdmesh import build_cartesian_md_mesh
+
+
+def isotropic_perm(grid, value):
+    """Per-cell isotropic tensor field from a scalar or per-cell array."""
+    v = np.broadcast_to(np.asarray(value, dtype=float), (grid.n_cells,))
+    return v[:, None, None] * np.eye(grid.dim)[None, :, :]
 
 
 def ambient_grid(n=4):
@@ -76,7 +83,8 @@ def test_isotropic_linear_patch(scheme):
     exact = lambda x: x @ grad + 1.0
     bc = dirichlet_bc(g, exact)
     K = 3.0
-    op = scheme(g, isotropic_perm(g, K), bc)
+    perm = isotropic_perm(g, K)
+    op = scheme(g, perm, bc)
     p = exact(g.cell_centers_global())
     flux = op.flux_p @ p + op.flux_g @ bc.value
     qvec = -K * grad
@@ -84,7 +92,7 @@ def test_isotropic_linear_patch(scheme):
     assert np.abs(flux - expect).max() < 1e-12
     trace = op.trace_p @ p + op.trace_g @ bc.value
     assert np.abs(trace - exact(g.face_centers_global())).max() < 1e-12
-    rec = (op.grad_rec @ flux).reshape(g.n_cells, 2)
+    rec = (_gradient_reconstruction(g, perm) @ flux).reshape(g.n_cells, 2)
     assert np.abs(rec - grad[None, :]).max() < 1e-12
 
 
@@ -127,9 +135,7 @@ def test_mpfa_reduces_to_tpfa_isotropic():
     for grid, perm in ((g, isotropic_perm(g, 1.7)), (g, aniso), (flipped, aniso)):
         a = tpfa_discretize(grid, perm, bc)
         b = mpfa_discretize(grid, perm, bc)
-        for name in (
-            "flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi", "grad_rec"
-        ):
+        for name in ("flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi"):
             x, y = getattr(a, name), getattr(b, name)
             # same stencil: neither scheme stores a zero coefficient
             assert np.array_equal(x.indptr, y.indptr), name
@@ -193,7 +199,8 @@ def test_vector_source_cancels_gradient():
     trace = op.trace_p @ p + op.trace_g @ bc.value + op.trace_chi @ chi
     assert np.abs(trace - exact(g.face_centers_global())).max() < 1e-12
     # the reconstruction recovers grad p + chi
-    rec = (op.grad_rec @ flux - chi).reshape(g.n_cells, 2)
+    R = _gradient_reconstruction(g, isotropic_perm(g, 2.5))
+    rec = (R @ flux - chi).reshape(g.n_cells, 2)
     assert np.abs(rec - grad[None, :]).max() < 1e-12
 
 
@@ -207,6 +214,46 @@ def test_vector_source_line_grid():
     interior = ~g.is_boundary()
     assert np.allclose(flux[interior], -1.0)
     assert np.allclose(flux[~interior], 0.0)
+
+
+@st.composite
+def face_row_data(draw):
+    """Arguments of :func:`_face_rows`: each row's two distinct columns, in
+    either order, or one column and -1 for a boundary row; random keep
+    flags, never on a -1; nonzero values, the second set sometimes one
+    scalar."""
+    n_cols = draw(st.integers(2, 8))
+    n = draw(st.integers(0, 12))
+    pair = st.lists(st.integers(0, n_cols - 1), min_size=2, max_size=2, unique=True)
+    cols = np.array(draw(st.lists(pair, min_size=n, max_size=n)), dtype=int).reshape(n, 2)
+    boundary = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    cols[boundary, 1] = -1
+    flags = st.lists(st.booleans(), min_size=2 * n, max_size=2 * n)
+    keep = np.array(draw(flags), dtype=bool).reshape(n, 2) & (cols >= 0)
+    value = st.floats(-1e3, 1e3).filter(lambda v: v != 0.0)
+    values = st.lists(value, min_size=n, max_size=n).map(np.array)
+    v0 = draw(values)
+    v1 = draw(value if draw(st.booleans()) else values)
+    return cols, v0, v1, keep, n_cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(face_row_data())
+def test_face_rows_match_an_entrywise_reference(args):
+    cols, v0, v1, keep, n_cols = args
+    m = _face_rows(cols, v0, v1, keep, n_cols)
+    assert m.shape == (keep.shape[0], n_cols)
+    v1 = np.broadcast_to(v1, v0.shape)
+    indptr, indices, data = [0], [], []
+    for f in range(keep.shape[0]):
+        row = sorted((cols[f, k], v) for k, v in enumerate((v0[f], v1[f])) if keep[f, k])
+        indices += [c for c, _ in row]
+        data += [v for _, v in row]
+        indptr.append(len(indices))
+    assert np.array_equal(m.indptr, indptr)
+    assert np.array_equal(m.indices, np.array(indices, dtype=int))
+    assert np.array_equal(m.data, np.array(data, dtype=float))
+    assert np.all(m.data != 0.0)
 
 
 def test_neumann_trace_one_sided():

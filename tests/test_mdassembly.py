@@ -10,6 +10,7 @@ set with a constant fault source of -2; all fields are piecewise linear,
 hence reproduced to machine precision.
 """
 
+import importlib
 import logging
 import re
 
@@ -20,7 +21,13 @@ from dataclasses import replace
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mdflow.config import BcClause, CaseConfig, FaultConfig, builtin_case
-from mdflow.discretize import BC_DIRICHLET, DiscretizationError, discretize
+from mdflow.discretize import (
+    BC_DIRICHLET,
+    DiscretizationError,
+    _gradient_reconstruction,
+    discretize,
+)
+from mdflow.equidim import EquiDimCase, solve_equidim
 from mdflow.mdassembly import (
     AssemblyError,
     MaterialSet,
@@ -507,6 +514,41 @@ def test_assembly_log_counts_schemes(caplog):
     assert lines[1].endswith("schemes: 0 TPFA, 1 MPFA")
 
 
+def test_gradient_reconstruction_only_on_lower_grids(monkeypatch):
+    # The interface law reads the tangential gradient on the lower side of
+    # each interface only. The matrix grid is never a lower side, and an
+    # equi-dimensional solve has no interface at all. (The package's
+    # ``discretize`` attribute is the function, hence ``import_module``.)
+    modules = [importlib.import_module(m) for m in ("mdflow.mdassembly", "mdflow.discretize")]
+    reconstruct = modules[0]._gradient_reconstruction
+    calls = []
+
+    def counting(grid, perm):
+        calls.append(grid)
+        return reconstruct(grid, perm)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_gradient_reconstruction", counting)
+    for case in ("network2d", "cube3d"):
+        cfg = builtin_case(case)
+        mesh = build_cartesian_md_mesh(
+            cfg.domain_lo, cfg.domain_hi, (8,) * len(cfg.resolution), cfg.fault_specs()
+        )
+        calls.clear()
+        solve(assemble_global(mesh, cfg.material_set(), cfg.bcs))
+        lower = sorted({itf.lower for itf in mesh.interfaces})
+        assert 0 not in lower
+        assert [id(g) for g in calls] == [id(mesh.subdomains[i]) for i in lower]
+    calls.clear()
+    strip = ((0.0, 0.45), (1.0, 0.55), np.array([[50.0, 20.0], [20.0, 2.0]]))
+    solve_equidim(EquiDimCase(
+        domain_lo=(0.0, 0.0), domain_hi=(1.0, 1.0), resolution=(20, 20),
+        matrix_k=np.eye(2), strips=[strip],
+        bcs=[BcClause(2, "dirichlet", 1.0), BcClause(3, "dirichlet", 0.0)],
+    ))
+    assert calls == []
+
+
 @st.composite
 def cartesian_boxes(draw, dims=(2, 3), largest=7):
     """A unit-spacing box of 2 to ``largest`` cells per axis, with or without
@@ -590,10 +632,11 @@ def test_stacked_maps_match_per_entity_operators(cfg, seed):
                 problems[itf.lower].perm[c], b.chi_coeff[m] * lam_m
             )
     flux, trace, grad = [], [], []
-    for op, pi, gi, ci in zip(ops, p, g, chi):
+    for op, pr, pi, gi, ci in zip(ops, problems, p, g, chi):
         flux.append(op.flux_p @ pi + op.flux_g @ gi + op.flux_chi @ ci.ravel())
         trace.append(op.trace_p @ pi + op.trace_g @ gi + op.trace_chi @ ci.ravel())
-        grad.append((op.grad_rec @ flux[-1]).reshape(ci.shape) - ci)
+        R = _gradient_reconstruction(pr.grid, pr.perm)
+        grad.append((R @ flux[-1]).reshape(ci.shape) - ci)
     assert np.abs(q - np.concatenate(flux)).max() <= tol
 
     # Mortar rows are the interface law of each mortar cell.

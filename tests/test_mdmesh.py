@@ -395,9 +395,11 @@ def test_format_rows_matches_row_by_row(n):
         (lambda lines: lines[:6] + ["0.0625 0.125 x 0.25 0.25"] + lines[7:], 7),
         (lambda lines: lines[:5] + ["cells 16 7"] + lines[6:], 6),
         (lambda lines: [ln + " 5" if ln == "face_nodes" else ln for ln in lines], None),
+        (lambda lines: lines[:3] + ["subdomain 0 dmi 2 knid matrix faults -"] + lines[4:], 4),
+        (lambda lines: lines[:3] + ["subdomain 0 dim 2 kind matirx faults -"] + lines[4:], 4),
     ],
     ids=["empty", "truncated", "header", "domain-tag", "non-numeric", "cells-extra",
-         "face-nodes-extra"],
+         "face-nodes-extra", "subdomain-keywords", "subdomain-kind"],
 )
 def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
     cfg = builtin_case("case1")
@@ -405,7 +407,9 @@ def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
     path = tmp_path / "mesh.txt"
     export_mesh(mesh, str(path))
     lines = path.read_text().splitlines()
-    # Lines 6 and 7: the matrix's cell block header and its first row.
+    # Line 4 is the matrix's subdomain line, lines 6 and 7 its cell block
+    # header and first row.
+    assert lines[3] == "subdomain 0 dim 2 kind matrix faults -"
     assert lines[5] == "cells 16" and lines[6].startswith("0.0625 0.125 0.125 ")
     if line is None:  # the first face_nodes tag line
         line = lines.index("face_nodes") + 1
