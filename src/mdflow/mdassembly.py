@@ -132,17 +132,15 @@ def boundary_condition_from_clauses(
     bc = BoundaryCondition.empty(grid)
     boundary = grid.is_boundary()
     bc.kind[boundary] = BC_NEUMANN
-    if grid.n_faces:
-        gx = grid.face_centers_global()
-        for cl in clauses:
-            mask = boundary & (grid.face_bnd == cl.side) & ~mortar_mask
-            if cl.box is not None:
-                lo = np.asarray(cl.box[0], dtype=float)
-                hi = np.asarray(cl.box[1], dtype=float)
-                mask &= np.all((gx >= lo - _TOL) & (gx <= hi + _TOL), axis=1)
-            kind = BC_DIRICHLET if cl.kind == "dirichlet" else BC_NEUMANN
-            bc.kind[mask] = kind
-            bc.value[mask] = cl.value
+    for cl in clauses:
+        faces = np.flatnonzero(boundary & (grid.face_bnd == cl.side) & ~mortar_mask)
+        if cl.box is not None:
+            gx = grid.frame_origin + grid.face_centers[faces] @ grid.frame_axes
+            lo = np.asarray(cl.box[0], dtype=float)
+            hi = np.asarray(cl.box[1], dtype=float)
+            faces = faces[np.all((gx >= lo - _TOL) & (gx <= hi + _TOL), axis=1)]
+        bc.kind[faces] = BC_DIRICHLET if cl.kind == "dirichlet" else BC_NEUMANN
+        bc.value[faces] = cl.value
     bc.kind[mortar_mask] = BC_MORTAR
     bc.value[mortar_mask] = 0.0
     return bc

@@ -1,11 +1,12 @@
 """Legacy ASCII VTK output for subdomain grids and cell fields.
 
-Writes unstructured-grid files readable by ParaView and VisIt: shared
-points, one cell per grid cell (vertex, line, quad, or voxel depending on
-the grid dimension), and any number of scalar cell-data arrays. Grids
+Writes each grid as a rectilinear-grid file readable by ParaView and
+VisIt: one node coordinate array per ambient axis, the cells of the
+lattice they span, and any number of scalar cell-data arrays. Grids
 embedded in a higher ambient space (fault planes, intersection lines,
-points) come out at their global coordinates, so the files of all
-subdomains of one mesh overlay correctly.
+points) come out at their global coordinates, with one node along each
+axis they do not extend in, so the files of all subdomains of one mesh
+overlay correctly.
 """
 
 from __future__ import annotations
@@ -18,42 +19,6 @@ from .mdmesh import CellGrid, format_rows
 
 logger = logging.getLogger(__name__)
 
-VTK_VERTEX = 1
-VTK_LINE = 3
-VTK_QUAD = 9
-VTK_VOXEL = 11
-
-#: Corner offsets in units of half cell widths, in the point order the cell
-#: type expects: counterclockwise for quads, x-fastest for voxels.
-_CORNERS = {
-    1: np.array([[-1.0], [1.0]]),
-    2: np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float),
-    3: np.array(
-        [
-            [-1, -1, -1], [1, -1, -1], [-1, 1, -1], [1, 1, -1],
-            [-1, -1, 1], [1, -1, 1], [-1, 1, 1], [1, 1, 1],
-        ],
-        dtype=float,
-    ),
-}
-
-_CELL_TYPE = {0: VTK_VERTEX, 1: VTK_LINE, 2: VTK_QUAD, 3: VTK_VOXEL}
-
-
-def cell_corners(grid: CellGrid) -> np.ndarray:
-    """Global corner coordinates per cell, shaped (n_cells, corners, ambient).
-
-    Corner order matches the VTK cell type of the grid's dimension.
-    """
-    if grid.dim == 0:
-        return np.tile(grid.frame_origin, (grid.n_cells, 1, 1))
-    offsets = _CORNERS[grid.dim]
-    local = (
-        grid.cell_centers[:, None, :]
-        + 0.5 * grid.cell_widths[:, None, :] * offsets[None, :, :]
-    )
-    return grid.frame_origin + local @ grid.frame_axes
-
 
 def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow field") -> None:
     """Write one grid with scalar cell data as a legacy ASCII VTK file.
@@ -63,40 +28,56 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
     path : str
         Output file path.
     grid : CellGrid
-        Any grid built by the mesher, of topological dimension 0 to 3.
+        Any grid built by the mesher, of topological dimension 0 to 3. Its
+        cells must fill the lattice of their global node coordinates, each
+        cell spanning one node interval along every axis it extends in.
     cell_data : dict, optional
         Scalar arrays of length ``n_cells`` keyed by their field name.
     title : str, optional
         Header comment line (truncated to the format's 255-character limit).
+
+    Raises
+    ------
+    ValueError
+        If the cells do not fill their lattice or a cell-data array does not
+        have one value per cell; no file is written then.
     """
-    corners = cell_corners(grid)
-    n_cells, per_cell, amb = corners.shape
-    flat = np.zeros((n_cells * per_cell, 3))
-    # Adding 0.0 turns -0.0 into 0.0, so a merged point never prints as -0.
-    flat[:, :amb] = np.round(corners.reshape(n_cells * per_cell, amb), 12) + 0.0
-    # Merge coincident corners of neighboring cells; the rounding only
-    # groups values differing by floating-point noise. Points come out in
-    # lexicographic (x, y, z) order.
-    order = np.lexsort(flat.T[::-1])
-    ranked = flat[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    points = ranked[new]
-    conn = np.empty(order.size, dtype=int)
-    conn[order] = np.cumsum(new) - 1
-    conn = conn.reshape(n_cells, per_cell)
+    n_cells = grid.n_cells
+    centers = grid.cell_centers_global()
+    half = 0.5 * np.abs(grid.cell_widths @ grid.frame_axes)
+    coords, ids, stride, spans_one = [], np.zeros(n_cells, dtype=int), 1, True
+    for a in range(3):
+        if a >= centers.shape[1]:
+            coords.append(np.zeros(1))
+            continue
+        # Adding 0.0 turns -0.0 into 0.0, so no coordinate prints as -0.
+        lo = np.round(centers[:, a] - half[:, a], 12) + 0.0
+        hi = np.round(centers[:, a] + half[:, a], 12) + 0.0
+        values = np.unique(np.concatenate([lo, hi]))
+        # One node per run of values differing by floating-point noise: far
+        # from the origin, the node two neighbours share can differ in its
+        # last bits by more than the rounding above removes.
+        new = np.diff(values, prepend=-np.inf) > 1e-9 * max(1.0, np.abs(values).max())
+        nodes, node_of = values[new], np.cumsum(new) - 1
+        i = node_of[np.searchsorted(values, lo)]
+        spans_one &= np.array_equal(node_of[np.searchsorted(values, hi)], i + (nodes.size > 1))
+        # VTK numbers the cells x-fastest, max(nodes - 1, 1) along each axis.
+        ids += stride * i
+        stride *= max(nodes.size - 1, 1)
+        coords.append(nodes)
+    order = np.argsort(ids)
+    if not (spans_one and stride == n_cells and np.array_equal(ids[order], np.arange(n_cells))):
+        raise ValueError(f"the cells written to {path!r} do not fill a rectilinear lattice")
 
     out = ["# vtk DataFile Version 2.0"]
     out.append(title.splitlines()[0][:255] if title else "mdflow field")
     out.append("ASCII")
-    out.append("DATASET UNSTRUCTURED_GRID")
-    out.append(f"POINTS {points.shape[0]} double")
-    out += format_rows("%.12g %.12g %.12g", points)
-    out.append(f"CELLS {n_cells} {n_cells * (1 + per_cell)}")
-    out += format_rows(" ".join(["%d"] * (1 + per_cell)), np.insert(conn, 0, per_cell, axis=1))
-    out.append(f"CELL_TYPES {n_cells}")
-    ctype = _CELL_TYPE[grid.dim]
-    out.extend([str(ctype)] * n_cells)
+    out.append("DATASET RECTILINEAR_GRID")
+    dims = " ".join(str(c.size) for c in coords)
+    out.append(f"DIMENSIONS {dims}")
+    for axis, nodes in zip("XYZ", coords):
+        out.append(f"{axis}_COORDINATES {nodes.size} double")
+        out += format_rows("%.12g", nodes[:, None])
     cell_data = cell_data or {}
     if cell_data:
         out.append(f"CELL_DATA {n_cells}")
@@ -108,8 +89,7 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
                 )
             out.append(f"SCALARS {name} double 1")
             out.append("LOOKUP_TABLE default")
-            out += format_rows("%.12g", values[:, None])
+            out += format_rows("%.12g", values[order, None])
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
-    logger.debug("wrote %s: %d points, %d cells", path, points.shape[0], n_cells)
-
+    logger.debug("wrote %s: %s nodes, %d cells", path, dims, n_cells)

@@ -64,8 +64,9 @@ def test_run_writes_all_outputs(tmp_path, capsys):
     text = matrix_vtk.read_text()
     assert text.startswith("# vtk DataFile Version 2.0")
     assert "SCALARS pressure double 1" in text
-    assert "CELL_TYPES 64" in text
-    assert "CELL_TYPES 8" in fault_vtk.read_text()
+    assert "DATASET RECTILINEAR_GRID" in text
+    assert "CELL_DATA 64" in text
+    assert "CELL_DATA 8" in fault_vtk.read_text()
 
     mortar = (out / "demo_mortar.csv").read_text().splitlines()
     assert mortar[0] == "interface,cell,x,y,flux"
@@ -83,6 +84,20 @@ def test_run_writes_all_outputs(tmp_path, capsys):
         [ln for ln in balance if ln.startswith("max cell residual")][0].split()[-1]
     )
     assert resid < 1e-10
+
+
+def test_run_far_from_the_origin_writes_all_outputs(tmp_path):
+    # 1e5 / 3 wide cells: neighbours compute their shared nodes differently
+    # in the last bits.
+    text = DEMO.replace("hi = 1 1", "hi = 1e5 1e5").replace("resolution = 8 8", "resolution = 3 4")
+    text = text.replace("p0 = 0 0.5", "p0 = 0 5e4").replace("p1 = 1 0.5", "p1 = 1e5 5e4")
+    out = tmp_path / "out"
+    assert main(["run", write_demo(tmp_path, text=text), "--output", str(out)]) == 0
+    text = (out / "demo_sub00.vtk").read_text()
+    assert "DIMENSIONS 4 5 1" in text and "CELL_DATA 12" in text
+    assert "DIMENSIONS 4 1 1" in (out / "demo_sub01.vtk").read_text()
+    for name in ("demo_mortar.csv", "demo_fault.csv", "demo_balance.txt"):
+        assert (out / name).exists()
 
 
 def test_run_uniform_dirichlet_gives_constant_field(tmp_path):

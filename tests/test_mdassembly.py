@@ -23,6 +23,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from mdflow.config import BcClause, CaseConfig, FaultConfig, builtin_case
 from mdflow.discretize import (
     BC_DIRICHLET,
+    BC_MORTAR,
+    BC_NEUMANN,
     DiscretizationError,
     _gradient_reconstruction,
     discretize,
@@ -35,6 +37,7 @@ from mdflow.mdassembly import (
     _static_pivot_solve,
     assemble_from_problems,
     assemble_global,
+    boundary_condition_from_clauses,
     build_problems,
     mass_balance_report,
     solve,
@@ -547,6 +550,63 @@ def test_gradient_reconstruction_only_on_lower_grids(monkeypatch):
         bcs=[BcClause(2, "dirichlet", 1.0), BcClause(3, "dirichlet", 0.0)],
     ))
     assert calls == []
+
+
+CLAUSE_MESHES = [
+    build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, n, cfg.fault_specs())
+    for cfg, n in ((builtin_case("network2d"), (8, 8)), (builtin_case("cube3d"), (4, 4, 4)))
+]
+
+
+def clause_reference(grid, clauses, mortar_mask):
+    """Face kinds and values from box tests on every face's global center."""
+    kind = np.where(grid.is_boundary(), BC_NEUMANN, 0).astype(np.int8)
+    value = np.zeros(grid.n_faces)
+    gx = grid.face_centers_global()
+    for cl in clauses:
+        mask = grid.is_boundary() & (grid.face_bnd == cl.side) & ~mortar_mask
+        if cl.box is not None:
+            inside = (gx >= np.subtract(cl.box[0], 1e-9)) & (gx <= np.add(cl.box[1], 1e-9))
+            mask &= np.all(inside, axis=1)
+        kind[mask] = BC_DIRICHLET if cl.kind == "dirichlet" else BC_NEUMANN
+        value[mask] = cl.value
+    kind[mortar_mask] = BC_MORTAR
+    value[mortar_mask] = 0.0
+    return kind, value
+
+
+@st.composite
+def clause_lists(draw):
+    """A built-in mesh and one to four clauses, whole-side or boxed, with
+    box corners on and off grid lines."""
+    m = draw(st.integers(0, len(CLAUSE_MESHES) - 1))
+    dim = CLAUSE_MESHES[m].dim
+    coord = st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.625, 1.0])
+    clauses = []
+    for _ in range(draw(st.integers(1, 4))):
+        box = None
+        if draw(st.booleans()):
+            a = [draw(coord) for _ in range(dim)]
+            b = [draw(coord) for _ in range(dim)]
+            box = (tuple(map(min, a, b)), tuple(map(max, a, b)))
+        clauses.append(BcClause(
+            draw(st.integers(0, 2 * dim - 1)), draw(st.sampled_from(["dirichlet", "neumann"])),
+            draw(st.floats(-5, 5)), box,
+        ))
+    return m, clauses
+
+
+@settings(max_examples=50, deadline=None)
+@given(clause_lists())
+def test_boundary_clauses_match_a_test_of_every_face(case):
+    m, clauses = case
+    mesh = CLAUSE_MESHES[m]
+    for i, grid in enumerate(mesh.subdomains):
+        mortar = mesh.mortar_face_mask(i)
+        bc = boundary_condition_from_clauses(grid, clauses, mortar)
+        kind, value = clause_reference(grid, clauses, mortar)
+        assert bc.kind.dtype == kind.dtype and np.array_equal(bc.kind, kind)
+        assert np.array_equal(bc.value, value)
 
 
 @st.composite

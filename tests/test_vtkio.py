@@ -1,17 +1,45 @@
-"""Legacy ASCII VTK writer tests: merged points, connectivity, cell data.
+"""Legacy ASCII VTK writer tests: lattice coordinates, cell order, cell data.
 
-Files are parsed back and checked against ``cell_corners``, which gives
-every cell's corners independently of the point merging.
+Files are parsed back, and every cell of the lattice is matched to the grid
+cell whose corners (``cell_corners``, computed here independently of the
+writer) span the same box.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdflow.config import FaultConfig, builtin_case
 from mdflow.mdmesh import build_cartesian_md_mesh
-from mdflow.vtkio import VTK_LINE, VTK_QUAD, VTK_VERTEX, VTK_VOXEL, cell_corners, write_vtk
+from mdflow.vtkio import write_vtk
+from test_mdmesh import _build, fault_boxes
 
-CELL_TYPES = {0: VTK_VERTEX, 1: VTK_LINE, 2: VTK_QUAD, 3: VTK_VOXEL}
+#: Corner offsets in units of half cell widths.
+_CORNERS = {
+    1: np.array([[-1.0], [1.0]]),
+    2: np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float),
+    3: np.array(
+        [
+            [-1, -1, -1], [1, -1, -1], [-1, 1, -1], [1, 1, -1],
+            [-1, -1, 1], [1, -1, 1], [-1, 1, 1], [1, 1, 1],
+        ],
+        dtype=float,
+    ),
+}
+
+
+def cell_corners(grid):
+    """Global corner coordinates per cell, shaped (n_cells, corners, ambient)."""
+    if grid.dim == 0:
+        return np.tile(grid.frame_origin, (grid.n_cells, 1, 1))
+    offsets = _CORNERS[grid.dim]
+    local = (
+        grid.cell_centers[:, None, :]
+        + 0.5 * grid.cell_widths[:, None, :] * offsets[None, :, :]
+    )
+    return grid.frame_origin + local @ grid.frame_axes
 
 
 def mesh_of(case, n):
@@ -24,8 +52,9 @@ def mesh_of(case, n):
 def grids():
     """Every subdomain of a 3D mesh with three crossing fault planes (a 3D
     matrix, 2D planes in 3D, 1D lines, a 0D point), of a 2D network with
-    slits, tips and crossings, and of a 3D mesh around the origin whose
-    corners include -0.0."""
+    slits, tips and crossings, of a 3D mesh around the origin whose
+    corners include -0.0, and of a 2D mesh with a fault whose nodes at 0
+    the writer computes as tiny negative numbers."""
     out = [(f"cube3d/{i}", g) for i, g in enumerate(mesh_of("cube3d", 4).subdomains)]
     out += [(f"network2d/{i}", g) for i, g in enumerate(mesh_of("network2d", 8).subdomains)]
 
@@ -40,31 +69,46 @@ def grids():
         [fault((0.3, -1.0, -2.0), (0.3, 1.0, 2.0)), fault((-0.3, 0.0, -2.0), (0.9, 0.0, 2.0))],
     )
     out += [(f"origin/{i}", g) for i, g in enumerate(mesh.subdomains)]
+    mesh = build_cartesian_md_mesh(
+        (-0.9, -0.6), (0.3, 0.0), (4, 3), [fault((0.0, -0.6), (0.0, 0.0))]
+    )
+    out += [(f"negzero/{i}", g) for i, g in enumerate(mesh.subdomains)]
     return out
 
 
+def shuffled(grid):
+    """The grid with its cells in a random order (the writer reads no faces)."""
+    p = np.random.default_rng(grid.n_cells).permutation(grid.n_cells)
+    return dataclasses.replace(
+        grid,
+        cell_volumes=grid.cell_volumes[p],
+        cell_centers=grid.cell_centers[p],
+        cell_widths=grid.cell_widths[p],
+    )
+
+
 GRIDS = grids()
+#: Grids whose cells are not in VTK order.
+SHUFFLED = [
+    (f"shuffled/{n}", shuffled(g))
+    for n, g in GRIDS
+    if n in ("cube3d/0", "cube3d/1", "cube3d/4", "network2d/1")
+]
 
 
 def read_vtk(path):
-    """Points, cell connectivity, cell types and cell data of a written file."""
+    """Node coordinates per axis and cell data of a written file."""
     lines = open(path).read().splitlines()
     assert lines[0] == "# vtk DataFile Version 2.0"
-    assert lines[2:4] == ["ASCII", "DATASET UNSTRUCTURED_GRID"]
-    i = 4
-    n_points = int(lines[i].split()[1])
-    points = np.array([[float(v) for v in ln.split()] for ln in lines[i + 1 : i + 1 + n_points]])
-    i += 1 + n_points
-    _, n_cells, size = lines[i].split()
-    n_cells = int(n_cells)
-    cells = [[int(v) for v in ln.split()] for ln in lines[i + 1 : i + 1 + n_cells]]
-    assert sum(len(c) for c in cells) == int(size)
-    assert all(c[0] == len(c) - 1 for c in cells)
-    conn = np.array([c[1:] for c in cells], dtype=int).reshape(n_cells, -1)
-    i += 1 + n_cells
-    assert lines[i] == f"CELL_TYPES {n_cells}"
-    types = np.array([int(v) for v in lines[i + 1 : i + 1 + n_cells]], dtype=int)
-    i += 1 + n_cells
+    assert lines[2:4] == ["ASCII", "DATASET RECTILINEAR_GRID"]
+    dims = [int(v) for v in lines[4].split()[1:]]
+    assert lines[4].startswith("DIMENSIONS ") and len(dims) == 3
+    i, coords = 5, []
+    for axis, n in zip("XYZ", dims):
+        assert lines[i] == f"{axis}_COORDINATES {n} double"
+        coords.append(np.array([float(v) for v in lines[i + 1 : i + 1 + n]]))
+        i += 1 + n
+    n_cells = int(np.prod([max(n - 1, 1) for n in dims]))
     data = {}
     if i < len(lines):
         assert lines[i] == f"CELL_DATA {n_cells}"
@@ -74,7 +118,16 @@ def read_vtk(path):
             assert lines[i + 1] == "LOOKUP_TABLE default"
             data[name] = np.array([float(v) for v in lines[i + 2 : i + 2 + n_cells]])
             i += 2 + n_cells
-    return points, conn, types, data
+    return coords, data
+
+
+def lattice_boxes(coords):
+    """Low and high corners of the lattice cells, in VTK (x-fastest) order."""
+    counts = [max(nodes.size - 1, 1) for nodes in coords]
+    ijk = np.unravel_index(np.arange(np.prod(counts)), counts[::-1])[::-1]
+    lo = np.stack([nodes[i] for nodes, i in zip(coords, ijk)], axis=1)
+    hi = np.stack([nodes[i + (nodes.size > 1)] for nodes, i in zip(coords, ijk)], axis=1)
+    return lo, hi
 
 
 def padded_corners(grid):
@@ -82,36 +135,90 @@ def padded_corners(grid):
     return np.concatenate([c, np.zeros(c.shape[:2] + (3 - c.shape[2],))], axis=2)
 
 
-@pytest.mark.parametrize("name,grid", GRIDS, ids=[n for n, _ in GRIDS])
-def test_points_and_connectivity_match_cell_corners(name, grid, tmp_path):
+def file_cells(grid, path, atol=1e-12):
+    """The grid cell at each cell of the file, matched by box, and the file's
+    cell data; asserts that the boxes are the grid cells' to ``atol``."""
+    coords, data = read_vtk(path)
+    lo, hi = lattice_boxes(coords)
+    corners = padded_corners(grid)
+    ref_lo, ref_hi = corners.min(axis=1), corners.max(axis=1)
+    assert lo.shape == ref_lo.shape
+    scale = max(1.0, np.abs(corners).max())
+    key = lambda a, b: np.lexsort(np.round(np.hstack([a, b]) / scale, 9).T)
+    cell = np.empty(grid.n_cells, dtype=int)
+    cell[key(lo, hi)] = key(ref_lo, ref_hi)
+    assert np.abs(lo - ref_lo[cell]).max() < atol
+    assert np.abs(hi - ref_hi[cell]).max() < atol
+    assert all(np.all(np.diff(nodes) > 0) for nodes in coords)
+    return cell, data
+
+
+@pytest.mark.parametrize("name,grid", GRIDS + SHUFFLED, ids=[n for n, _ in GRIDS + SHUFFLED])
+def test_cell_boxes_match_cell_corners(name, grid, tmp_path):
     path = tmp_path / "g.vtk"
     write_vtk(str(path), grid)
-    points, conn, types, data = read_vtk(path)
-    corners = padded_corners(grid)
-    assert conn.shape == corners.shape[:2]
-    assert np.abs(points[conn] - corners).max() < 1e-12
-    # Coincident corners share one point, distinct ones do not, and every
-    # point is used.
-    distinct = np.unique(np.round(corners.reshape(-1, 3), 9), axis=0)
-    assert points.shape[0] == distinct.shape[0]
-    assert np.unique(conn).size == points.shape[0]
-    assert np.all(np.diff(points[:, 0]) >= 0)  # lexicographic point order
-    assert "-0" not in open(path).read().split()  # merged zeros print as 0
-    assert np.all(types == CELL_TYPES[grid.dim])
+    cell, data = file_cells(grid, path)
     assert data == {}
+    if not name.startswith("shuffled/"):
+        assert np.array_equal(cell, np.arange(grid.n_cells))  # the mesher's order is VTK's
+    assert "-0" not in open(path).read().split()  # rounded zeros print as 0
 
 
-@pytest.mark.parametrize("name,grid", GRIDS[::3], ids=[n for n, _ in GRIDS[::3]])
+@pytest.mark.parametrize(
+    "name,grid", GRIDS[::3] + SHUFFLED, ids=[n for n, _ in GRIDS[::3] + SHUFFLED]
+)
 def test_cell_data_round_trips(name, grid, tmp_path):
     rng = np.random.default_rng(grid.n_cells)
     fields = {"pressure": rng.normal(size=grid.n_cells), "k": rng.uniform(1e-6, 1e6, grid.n_cells)}
     path = tmp_path / "g.vtk"
     write_vtk(str(path), grid, fields, title="field test\nignored")
     assert open(path).read().splitlines()[1] == "field test"
-    _, _, _, data = read_vtk(path)
+    cell, data = file_cells(grid, path)
     assert list(data) == ["pressure", "k"]
     for key, values in fields.items():
-        assert np.abs(data[key] - values).max() <= 1e-11 * np.abs(values).max()
+        assert np.abs(data[key] - values[cell]).max() <= 1e-11 * np.abs(values).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(fault_boxes(), st.integers(1, 3))
+def test_subdomain_files_round_trip(tmp_path_factory, box, k):
+    mesh, _ = _build(box, k)
+    path = tmp_path_factory.getbasetemp() / "round_trip.vtk"
+    for grid in mesh.subdomains:
+        values = np.sin(np.arange(grid.n_cells) + 0.5) * 10.0 ** (np.arange(grid.n_cells) % 7 - 3)
+        write_vtk(str(path), grid, {"p": values})
+        # Coordinates below 4 in magnitude printed to 12 significant digits.
+        cell, data = file_cells(grid, path, atol=1e-11)
+        assert np.array_equal(data["p"], [float("%.12g" % v) for v in values[cell]])
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        ([0.0, 0.0], [1e5, 1e5], [3, 3], [(0, 1, {1: (0, 3)})]),
+        ([0.0, 0.0], [1e5, 1e5], [7, 13], [(0, 3, {1: (0, 13)}), (1, 5, {0: (2, 7)})]),
+        ([1e5, 1e5], [10.0, 10.0], [7, 13], [(1, 6, {0: (0, 7)})]),
+        ([-1e6, 0.0], [4e6, 1e6], [11, 13], [(0, 4, {1: (3, 13)})]),
+        (
+            [1e5, -1e5, 0.0], [10.0, 3e5, 1e5], [3, 7, 5],
+            [(0, 1, {1: (0, 7), 2: (0, 5)}), (1, 3, {0: (0, 3), 2: (1, 4)})],
+        ),
+    ],
+    ids=["1e5-3x3", "1e5-7x13", "offset-1e5", "1e6-11x13", "3d-1e5"],
+)
+def test_grids_far_from_the_origin_are_written(box, tmp_path):
+    # Neighbours' shared nodes differ in their last bits here, by more than
+    # rounding to 12 decimals removes; each must still be one lattice node.
+    mesh, _ = _build(box, 1)
+    assert len(mesh.subdomains) > 1
+    path = tmp_path / "g.vtk"
+    for grid in mesh.subdomains:
+        values = np.cos(np.arange(grid.n_cells) * 0.7)
+        write_vtk(str(path), grid, {"p": values})
+        # Coordinates printed to 12 significant digits.
+        cell, data = file_cells(grid, path, atol=1e-11 * np.abs(padded_corners(grid)).max())
+        assert np.array_equal(cell, np.arange(grid.n_cells))
+        assert np.array_equal(data["p"], [float("%.12g" % v) for v in values])
 
 
 def test_bad_length_cell_data_rejected(tmp_path):
@@ -124,12 +231,43 @@ def test_bad_length_cell_data_rejected(tmp_path):
     assert not path.exists()
 
 
+def _holed(grid, dropped):
+    keep = np.arange(grid.n_cells) != dropped
+    return dataclasses.replace(
+        grid,
+        cell_volumes=grid.cell_volumes[keep],
+        cell_centers=grid.cell_centers[keep],
+        cell_widths=grid.cell_widths[keep],
+    )
+
+
+def _widened(grid):
+    # Cell 0 spans [0, 2] along x, over its neighbor: the nodes and the cell
+    # ids stay those of the full lattice.
+    centers, widths = grid.cell_centers.copy(), grid.cell_widths.copy()
+    centers[0, 0], widths[0, 0] = 1.0, 2.0
+    return dataclasses.replace(grid, cell_centers=centers, cell_widths=widths)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [lambda g: _holed(g, 0), lambda g: _holed(g, 4), lambda g: _holed(g, 8), _widened],
+    ids=["drop-corner", "drop-center", "drop-last", "overlap"],
+)
+def test_cells_off_a_lattice_rejected(defect, tmp_path):
+    bad = defect(build_cartesian_md_mesh((0.0, 0.0), (3.0, 3.0), (3, 3), []).subdomains[0])
+    path = tmp_path / "g.vtk"
+    with pytest.raises(ValueError, match="rectilinear lattice"):
+        write_vtk(str(path), bad, {"pressure": np.zeros(bad.n_cells)})
+    assert not path.exists()
+
+
 def test_tiny_grid_file_is_unchanged(tmp_path):
-    # The exact bytes the writer has always produced for this grid.
+    # The exact bytes the writer produces for this grid.
     expected = (
-        "# vtk DataFile Version 2.0\ntiny\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-        "POINTS 6 double\n0 0 0\n0 1 0\n1 0 0\n1 1 0\n2 0 0\n2 1 0\n"
-        "CELLS 2 10\n4 0 2 3 1\n4 2 4 5 3\nCELL_TYPES 2\n9\n9\nCELL_DATA 2\n"
+        "# vtk DataFile Version 2.0\ntiny\nASCII\nDATASET RECTILINEAR_GRID\n"
+        "DIMENSIONS 3 2 1\nX_COORDINATES 3 double\n0\n1\n2\n"
+        "Y_COORDINATES 2 double\n0\n1\nZ_COORDINATES 1 double\n0\nCELL_DATA 2\n"
         "SCALARS pressure double 1\nLOOKUP_TABLE default\n1.5\n-0.25\n"
         "SCALARS k double 1\nLOOKUP_TABLE default\n0.001\n0.666666666667\n"
     )
