@@ -16,7 +16,6 @@ from .config import (
     FaultConfig,
     builtin_case,
     parse_config,
-    write_config,
 )
 from .discretize import (
     BoundaryCondition,
@@ -98,6 +97,5 @@ __all__ = [
     "solve",
     "solve_equidim",
     "tpfa_discretize",
-    "write_config",
     "write_vtk",
 ]

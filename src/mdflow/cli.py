@@ -36,7 +36,7 @@ from .mdassembly import (
 )
 from .mdmesh import MeshError, build_cartesian_md_mesh, export_mesh, format_rows
 from .semilocal import InterfaceLawError
-from .verify import VerifyError, run_case
+from .verify import VerifyError, _error_eoc, run_case
 from .vtkio import write_vtk
 
 logger = logging.getLogger(__name__)
@@ -159,11 +159,9 @@ def cmd_compare(args) -> int:
     os.makedirs(args.output, exist_ok=True)
     lines = ["level,h,N,N_f,error_local,eoc_local,error_semilocal,eoc_semilocal,case"]
     for rl, rs in zip(local.records, semi.records):
-        ol = "" if np.isnan(rl.order) else f"{rl.order:.6g}"
-        os_ = "" if np.isnan(rs.order) else f"{rs.order:.6g}"
         lines.append(
             f"{rl.level},{rl.h:.10g},{rl.n_cells},{rl.n_fault_cells},"
-            f"{rl.error:.10g},{ol},{rs.error:.10g},{os_},{args.case}"
+            f"{_error_eoc(rl)},{_error_eoc(rs)},{args.case}"
         )
     text = "\n".join(lines) + "\n"
     path = os.path.join(args.output, f"{args.case}_compare.csv")

@@ -66,8 +66,8 @@ class FaultConfig:
 
     Cross-term and normal conductivities are scalars per side; the cross
     term acts along the first in-plane axis (the only case the axis-aligned
-    geometry needs; the library-level :class:`FaultSpec` accepts full
-    vectors and tensors).
+    geometry needs; :class:`EquiDimFaultPerm` accepts full vectors and
+    tensors).
     """
 
     p0: tuple
@@ -79,29 +79,16 @@ class FaultConfig:
     name: str = ""
 
     def spec(self) -> FaultSpec:
-        dim = len(self.p0)
-        t = dim - 1
-        kpar = self.k_parallel * np.eye(t)
-        kt1 = np.zeros(t)
-        kt2 = np.zeros(t)
-        kt1[0] = self.k_t[0]
-        kt2[0] = self.k_t[1]
-        return FaultSpec(
-            p0=tuple(self.p0),
-            p1=tuple(self.p1),
-            aperture=self.aperture,
-            k_parallel=kpar,
-            k_perp=(self.k_perp[0], self.k_perp[1]),
-            k_t=(kt1, kt2),
-            name=self.name,
-        )
+        return FaultSpec(p0=tuple(self.p0), p1=tuple(self.p1), name=self.name)
 
     def equi_perm(self) -> EquiDimFaultPerm:
-        s = self.spec()
+        t = len(self.p0) - 1
+        k_t = np.zeros((2, t))
+        k_t[:, 0] = self.k_t
         return EquiDimFaultPerm(
-            k_parallel=np.asarray(s.k_parallel, dtype=float),
-            k_perp=s.k_perp,
-            k_t=s.k_t,
+            k_parallel=self.k_parallel * np.eye(t),
+            k_perp=(self.k_perp[0], self.k_perp[1]),
+            k_t=(k_t[0], k_t[1]),
         )
 
 
@@ -358,46 +345,6 @@ def parse_config(text: str) -> CaseConfig:
     except ConfigError as exc:
         raise ConfigError(f"line {dline}: {exc}") from None
     return cfg
-
-
-def _fmt(values) -> str:
-    return " ".join(f"{float(v):.12g}" for v in np.ravel(values))
-
-
-def write_config(cfg: CaseConfig) -> str:
-    """Serialize a configuration; ``parse_config`` restores it exactly."""
-    out = ["[domain]"]
-    out.append(f"lo = {_fmt(cfg.domain_lo)}")
-    out.append(f"hi = {_fmt(cfg.domain_hi)}")
-    out.append("resolution = " + " ".join(str(int(r)) for r in cfg.resolution))
-    out.append(f"matrix_k = {_fmt([cfg.matrix_k])}")
-    out.append(f"formulation = {cfg.formulation}")
-    out.append(f"output = {cfg.output}")
-    out.append(f"name = {cfg.name}")
-    for lo, hi, k in cfg.matrix_regions:
-        out.append("")
-        out.append("[region]")
-        out.append(f"box = {_fmt(lo)} {_fmt(hi)}")
-        out.append(f"k = {_fmt([k])}")
-    for f in cfg.faults:
-        out.append("")
-        out.append("[fault]")
-        out.append(f"p0 = {_fmt(f.p0)}")
-        out.append(f"p1 = {_fmt(f.p1)}")
-        out.append(f"aperture = {_fmt([f.aperture])}")
-        out.append(f"k_parallel = {_fmt([f.k_parallel])}")
-        out.append(f"k_perp = {_fmt(f.k_perp)}")
-        out.append(f"k_t = {_fmt(f.k_t)}")
-        out.append(f"name = {f.name}")
-    for clause in cfg.bcs:
-        out.append("")
-        out.append("[bc]")
-        out.append(f"side = {SIDE_NAMES[clause.side]}")
-        out.append(f"kind = {clause.kind}")
-        out.append(f"value = {_fmt([clause.value])}")
-        if clause.box is not None:
-            out.append(f"box = {_fmt(clause.box[0])} {_fmt(clause.box[1])}")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -145,40 +145,28 @@ class SubdomainInfo:
 class FaultSpec:
     """Axis-aligned thin inclusion given by two corner points.
 
-    The two corners must agree in exactly one coordinate (the fault plane).
-    The fault normal points toward increasing plane coordinate; material
-    side 1 is the side the normal points into, side 2 the other. ``k_t``
-    entries are vectors in the fault's in-plane axes taken in increasing
-    ambient-axis order.
+    The two corners must agree in exactly one coordinate (the fault plane),
+    to within an absolute 1e-9. The fault normal points toward increasing
+    plane coordinate; side 1 is the side the normal points into, side 2 the
+    other.
     """
 
     p0: tuple
     p1: tuple
-    aperture: float
-    k_parallel: np.ndarray  # (dim-1) x (dim-1) in-plane tensor
-    k_perp: tuple  # scalar per side (side1, side2)
-    k_t: tuple  # in-plane vector per side (side1, side2)
     name: str = ""
+    axis: int = field(init=False)  # the constant (plane-normal) coordinate axis
 
     def __post_init__(self):
         p0 = np.asarray(self.p0, dtype=float)
         p1 = np.asarray(self.p1, dtype=float)
         if p0.shape != p1.shape:
             raise MeshError(f"fault {self.name!r}: corner dimension mismatch")
-        eq = np.isclose(p0, p1, atol=_TOL)
-        if eq.sum() != 1:
+        same = np.flatnonzero(np.abs(p1 - p0) <= _TOL)
+        if same.size != 1:
             raise MeshError(
                 f"fault {self.name!r}: corners must agree in exactly one coordinate"
             )
-        if self.aperture <= 0:
-            raise MeshError(f"fault {self.name!r}: aperture must be positive")
-
-    @property
-    def axis(self) -> int:
-        """The constant (plane-normal) coordinate axis."""
-        p0 = np.asarray(self.p0, dtype=float)
-        p1 = np.asarray(self.p1, dtype=float)
-        return int(np.where(np.isclose(p0, p1, atol=_TOL))[0][0])
+        self.axis = int(same[0])
 
     @property
     def plane(self) -> float:

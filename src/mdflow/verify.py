@@ -4,8 +4,8 @@ Two kinds of reference are used. The thin-strip cases (case1, case2)
 compare the reduced fault pressure against a fully resolved solve on a
 fine grid. The network cases (network2d, cube3d) have no affordable
 resolved reference, so they self-converge against a reference run at
-twice the finest studied resolution, which is excluded from the order
-computation.
+twice the finest studied resolution (at most 40 cells per axis in 3D),
+which is excluded from the order computation.
 """
 
 from __future__ import annotations
@@ -25,20 +25,18 @@ from .mdmesh import build_cartesian_md_mesh
 
 logger = logging.getLogger(__name__)
 
-#: cells per axis at each study level. The 3D entries are multiples of 8 so
-#: the boundary patches (quarter and seven-eighths marks) and the mid-plane
-#: faults stay on grid lines at every level.
-CASE_LADDERS = {
-    "case1": [4, 8, 16, 32, 64],
-    "case2": [4, 8, 16, 32, 64],
-    "network2d": [8, 16, 32, 64],
-    "cube3d": [8, 16, 24],
+#: Each built-in study: the cells per axis of its levels, its reference, and
+#: the reference's cells per axis when the whole ladder runs. An ``equidim``
+#: reference is the resolved strip. A ``self`` reference is the same model at
+#: twice the finest level run, capped at that size unless the levels reach
+#: it. The 3D entries are multiples of 8 so the boundary patches (quarter and
+#: seven-eighths marks) and the mid-plane faults stay on grid lines.
+_STUDIES = {
+    "case1": ((4, 8, 16, 32, 64), "equidim", 200),
+    "case2": ((4, 8, 16, 32, 64), "equidim", 200),
+    "network2d": ((8, 16, 32, 64), "self", 128),
+    "cube3d": ((8, 16, 24), "self", 40),
 }
-
-#: self-reference resolution overrides for the default ladders. The usual
-#: reference is twice the finest level; the 3D study caps it at 40 cells per
-#: axis, the largest aligned grid a small machine factors comfortably.
-CASE_REFS = {"cube3d": 40}
 
 
 class VerifyError(Exception):
@@ -171,12 +169,17 @@ class StudyResult:
     def to_csv(self) -> str:
         lines = ["level,h,N,N_f,error,eoc,formulation,case"]
         for r in self.records:
-            order = "" if np.isnan(r.order) else f"{r.order:.6g}"
             lines.append(
                 f"{r.level},{r.h:.10g},{r.n_cells},{r.n_fault_cells},"
-                f"{r.error:.10g},{order},{self.formulation},{self.case}"
+                f"{_error_eoc(r)},{self.formulation},{self.case}"
             )
         return "\n".join(lines) + "\n"
+
+
+def _error_eoc(r: LevelRecord) -> str:
+    """The error and order CSV columns of a level; the first has no order."""
+    order = "" if np.isnan(r.order) else f"{r.order:.6g}"
+    return f"{r.error:.10g},{order}"
 
 
 def fault_field(mesh, pressures):
@@ -195,17 +198,10 @@ def fault_field(mesh, pressures):
     return out
 
 
-def _ladder(cfg: CaseConfig, levels: int) -> list:
-    """Per-axis cell counts of each study level.
-
-    Built-in cases use their tuned ladders; anything else refines the
-    config's own resolution dyadically. Requesting more levels than a
-    ladder holds extends it by doubling the last entry.
-    """
-    base = CASE_LADDERS.get(cfg.name)
-    if base is None:
-        base = [int(max(cfg.resolution)) * 2**k for k in range(levels)]
-    steps = list(base[:levels])
+def _ladder(ladder, levels: int) -> list:
+    """Per-axis cell counts of each study level: the ladder's first
+    ``levels`` entries, extended by doubling the last one."""
+    steps = list(ladder[:levels])
     while len(steps) < levels:
         steps.append(steps[-1] * 2)
     return steps
@@ -308,45 +304,43 @@ def equidim_oracle(cfg: CaseConfig, resolution: int = 200):
 _ORACLE_PROFILES = {}
 
 
-def _equidim_errors(cfg, formulation, steps, resolution=200):
-    xs, peq = equidim_oracle(cfg, resolution)
-    ref_pts = xs[:, None]
-    ip = cfg.faults[0].spec().inplane_axes[0]
-    records = []
-    for lv, n in enumerate(steps):
-        mesh, sol = _solve_resolution(cfg, formulation, n)
-        parts = fault_field(mesh, sol.pressures)
-        centers, values, sizes = parts[0]
-        ref_vals = sample_nearest(ref_pts, peq, centers[:, ip][:, None])
-        err = l2_fault_error(values, ref_vals, sizes)
-        records.append(
-            LevelRecord(
-                level=lv,
-                h=_study_h(cfg, n),
-                n_cells=sum(g.n_cells for g in mesh.subdomains),
-                n_fault_cells=values.shape[0],
-                error=err,
-            )
-        )
-        logger.info("%s at %d cells/axis: error %.6g", cfg.name, n, err)
-    return records, f"equidim:{resolution}"
-
-
-def _self_errors(cfg, formulation, steps):
+def _reference(cfg, formulation, steps, kind, n):
+    """Per fault, the reference points and values, the axes of the fault
+    centers they span, and the reference's label."""
+    if kind == "equidim":
+        xs, peq = equidim_oracle(cfg, n)
+        return [(xs[:, None], peq)], [cfg.faults[0].spec().inplane_axes[0]], f"equidim:{n}"
     ref_n = 2 * steps[-1]
-    if cfg.name in CASE_REFS and steps == CASE_LADDERS.get(cfg.name):
-        ref_n = CASE_REFS[cfg.name]
+    if steps[-1] < n:
+        ref_n = min(ref_n, n)
     logger.info("%s: solving self-reference at %d cells/axis", cfg.name, ref_n)
     ref_mesh, ref_sol = _solve_resolution(cfg, formulation, ref_n)
-    ref_parts = fault_field(ref_mesh, ref_sol.pressures)
+    refs = [(c, v) for c, v, _ in fault_field(ref_mesh, ref_sol.pressures)]
+    dim = len(cfg.resolution)
+    return refs, list(range(dim)), "self:" + "x".join([str(ref_n)] * dim)
+
+
+def run_case(case: str, formulation: str = "semilocal", levels: int = None) -> StudyResult:
+    """Run one built-in convergence study and return its per-level table."""
+    if formulation not in ("local", "semilocal"):
+        raise ConfigError(f"unknown formulation {formulation!r}")
+    cfg = builtin_case(case)
+    ladder, kind, n_ref = _STUDIES[case]
+    if levels is None:
+        levels = len(ladder)
+    if levels < 1:
+        raise ConfigError("need at least one level")
+    steps = _ladder(ladder, levels)
+    t0 = time.time()
+    refs, axes, reference = _reference(cfg, formulation, steps, kind, n_ref)
     records = []
     for lv, n in enumerate(steps):
         mesh, sol = _solve_resolution(cfg, formulation, n)
         parts = fault_field(mesh, sol.pressures)
-        if len(parts) != len(ref_parts):
+        if len(parts) != len(refs):
             raise VerifyError("fault subdomain count changed across levels")
         centers, values, sizes = zip(*parts)
-        ref_vals = [sample_nearest(rc, rv, c) for c, (rc, rv, _) in zip(centers, ref_parts)]
+        ref_vals = [sample_nearest(rp, rv, c[:, axes]) for c, (rp, rv) in zip(centers, refs)]
         values = np.concatenate(values)
         err = l2_fault_error(values, np.concatenate(ref_vals), np.concatenate(sizes))
         records.append(
@@ -358,31 +352,12 @@ def _self_errors(cfg, formulation, steps):
                 error=err,
             )
         )
-        logger.info("%s at %d cells/axis: error %.6g", cfg.name, n, err)
-    dim = len(cfg.resolution)
-    return records, "self:" + "x".join([str(ref_n)] * dim)
-
-
-def run_case(case: str, formulation: str = "semilocal", levels: int = None) -> StudyResult:
-    """Run one built-in convergence study and return its per-level table."""
-    if formulation not in ("local", "semilocal"):
-        raise ConfigError(f"unknown formulation {formulation!r}")
-    cfg = builtin_case(case)
-    if levels is None:
-        levels = len(CASE_LADDERS[case])
-    if levels < 1:
-        raise ConfigError("need at least one level")
-    steps = _ladder(cfg, levels)
-    t0 = time.time()
-    if case in ("case1", "case2"):
-        records, ref = _equidim_errors(cfg, formulation, steps)
-    else:
-        records, ref = _self_errors(cfg, formulation, steps)
+        logger.info("%s at %d cells/axis: error %.6g", case, n, err)
     if len(records) >= 2:
         orders = eoc([r.error for r in records], [r.h for r in records])
         for rec, order in zip(records[1:], orders):
             rec.order = order
     logger.info("%s (%s): %d levels in %.1fs", case, formulation, levels, time.time() - t0)
     return StudyResult(
-        case=case, formulation=formulation, records=records, reference=ref
+        case=case, formulation=formulation, records=records, reference=reference
     )

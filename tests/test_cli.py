@@ -192,6 +192,29 @@ def test_compare_writes_dual_columns(tmp_path, capsys):
         assert float(cells[4]) > 0 and float(cells[6]) > 0
 
 
+def test_compare_case1_matches_the_benchmark_table(tmp_path):
+    """The benchmark's stored case1 table, at the benchmark's tolerances:
+    1e-8 relative on h and the errors, 1e-5 on the orders (printed to six
+    significant digits)."""
+    assert main(["compare", "case1", "--output", str(tmp_path)]) == 0
+    got = [row.split(",") for row in (tmp_path / "case1_compare.csv").read_text().splitlines()]
+    ref = os.path.join(os.path.dirname(__file__), "..", "perfbench", "refs", "compare-case1.csv")
+    with open(ref) as fh:
+        want = [row.split(",") for row in fh.read().splitlines()]
+    assert got[0] == want[0] and len(got) == len(want)
+    col = {name: k for k, name in enumerate(want[0])}
+    for g, w in zip(got[1:], want[1:]):
+        for name in ("level", "N", "N_f", "case"):
+            assert g[col[name]] == w[col[name]], name
+        for name in ("h", "error_local", "error_semilocal"):
+            got_v, want_v = float(g[col[name]]), float(w[col[name]])
+            assert abs(got_v - want_v) <= 1e-8 * abs(want_v), name
+        for name in ("eoc_local", "eoc_semilocal"):
+            assert (g[col[name]] == "") == (w[col[name]] == ""), name
+            if w[col[name]]:
+                assert abs(float(g[col[name]]) - float(w[col[name]])) <= 1e-5, name
+
+
 def test_compare_solves_the_reference_once(tmp_path, monkeypatch):
     import mdflow.verify as verify
 

@@ -2,15 +2,57 @@
 
 import pytest
 
+import numpy as np
+
 from mdflow.config import (
     BUILTIN_CASES,
+    SIDE_NAMES,
     ConfigError,
     builtin_case,
     parse_config,
-    write_config,
 )
 
 BASE = "[domain]\nlo = 0 0\nhi = 1 1\nresolution = 4 4\nmatrix_k = 1\n"
+
+
+def _fmt(values) -> str:
+    return " ".join(f"{float(v):.12g}" for v in np.ravel(values))
+
+
+def write_config(cfg) -> str:
+    """Serialize a configuration; ``parse_config`` restores it exactly."""
+    out = ["[domain]"]
+    out.append(f"lo = {_fmt(cfg.domain_lo)}")
+    out.append(f"hi = {_fmt(cfg.domain_hi)}")
+    out.append("resolution = " + " ".join(str(int(r)) for r in cfg.resolution))
+    out.append(f"matrix_k = {_fmt([cfg.matrix_k])}")
+    out.append(f"formulation = {cfg.formulation}")
+    out.append(f"output = {cfg.output}")
+    out.append(f"name = {cfg.name}")
+    for lo, hi, k in cfg.matrix_regions:
+        out.append("")
+        out.append("[region]")
+        out.append(f"box = {_fmt(lo)} {_fmt(hi)}")
+        out.append(f"k = {_fmt([k])}")
+    for f in cfg.faults:
+        out.append("")
+        out.append("[fault]")
+        out.append(f"p0 = {_fmt(f.p0)}")
+        out.append(f"p1 = {_fmt(f.p1)}")
+        out.append(f"aperture = {_fmt([f.aperture])}")
+        out.append(f"k_parallel = {_fmt([f.k_parallel])}")
+        out.append(f"k_perp = {_fmt(f.k_perp)}")
+        out.append(f"k_t = {_fmt(f.k_t)}")
+        out.append(f"name = {f.name}")
+    for clause in cfg.bcs:
+        out.append("")
+        out.append("[bc]")
+        out.append(f"side = {SIDE_NAMES[clause.side]}")
+        out.append(f"kind = {clause.kind}")
+        out.append(f"value = {_fmt([clause.value])}")
+        if clause.box is not None:
+            out.append(f"box = {_fmt(clause.box[0])} {_fmt(clause.box[1])}")
+    return "\n".join(out) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CASES))

@@ -141,9 +141,8 @@ def test_effective_tensor_case1():
 
 def test_effective_tensor_case2():
     cfg = builtin_case("case2")
-    f = cfg.fault_specs()[0]
-    perm = EquiDimFaultPerm(k_parallel=f.k_parallel, k_perp=f.k_perp, k_t=f.k_t)
-    law = scale_to_mixed_dim(perm, f.aperture, 1)
+    f = cfg.faults[0]
+    law = scale_to_mixed_dim(f.equi_perm(), f.aperture, 1)
     assert law.kappa_parallel == pytest.approx(np.array([[2.0]]))
     assert law.kappa_perp == (10000.0, 10000.0)
     eff = schur_effective_tensor(law)

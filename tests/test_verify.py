@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from mdflow.config import ConfigError, builtin_case
 from mdflow.verify import (
-    CASE_LADDERS,
     LevelRecord,
     StudyResult,
     VerifyError,
+    _STUDIES,
     _ladder,
     _solve_resolution,
     eoc,
@@ -190,19 +190,19 @@ def test_study_result_csv_format():
     assert res.mean_order() == pytest.approx(1.035)
 
 
-def test_ladders_registered():
-    assert CASE_LADDERS["case1"] == [4, 8, 16, 32, 64]
-    assert CASE_LADDERS["case2"] == [4, 8, 16, 32, 64]
-    assert CASE_LADDERS["network2d"] == [8, 16, 32, 64]
-    assert CASE_LADDERS["cube3d"] == [8, 16, 24]
+def test_studies_registered():
+    assert _STUDIES == {
+        "case1": ((4, 8, 16, 32, 64), "equidim", 200),
+        "case2": ((4, 8, 16, 32, 64), "equidim", 200),
+        "network2d": ((8, 16, 32, 64), "self", 128),
+        "cube3d": ((8, 16, 24), "self", 40),
+    }
 
 
-def test_ladder_extension_and_custom_cases():
-    cfg = builtin_case("case1")
-    assert _ladder(cfg, 3) == [4, 8, 16]
-    assert _ladder(cfg, 6) == [4, 8, 16, 32, 64, 128]
-    custom = replace(cfg, name="strip_custom")
-    assert _ladder(custom, 3) == [4, 8, 16]
+def test_ladder_extension():
+    ladder = _STUDIES["case1"][0]
+    assert _ladder(ladder, 3) == [4, 8, 16]
+    assert _ladder(ladder, 6) == [4, 8, 16, 32, 64, 128]
 
 
 def test_run_case_rejects_unknown_inputs():
@@ -232,6 +232,32 @@ def test_self_convergence_study_runs():
     assert res.records[1].error < res.records[0].error
     assert np.isnan(res.records[0].order)
     assert res.records[1].order > 0
+
+
+@pytest.mark.parametrize(
+    "case,levels,ref_n",
+    [("network2d", 4, 128), ("network2d", 5, 256),
+     ("cube3d", 2, 32), ("cube3d", 3, 40), ("cube3d", 4, 96)],
+)
+def test_self_reference_size(case, levels, ref_n, monkeypatch):
+    """Twice the finest level, capped at the table's size only while that
+    size is finer than the finest level. The reference is solved first, so
+    the run stops there."""
+    import mdflow.verify as verify
+
+    class Stop(Exception):
+        pass
+
+    sizes = []
+
+    def first_solve(cfg, formulation, n):
+        sizes.append(n)
+        raise Stop
+
+    monkeypatch.setattr(verify, "_solve_resolution", first_solve)
+    with pytest.raises(Stop):
+        run_case(case, levels=levels)
+    assert sizes == [ref_n]
 
 
 def test_equidim_oracle_profile():

@@ -198,13 +198,14 @@ def test_subdomain_files_round_trip(tmp_path_factory, box, k):
         ([0.0, 0.0], [1e5, 1e5], [3, 3], [(0, 1, {1: (0, 3)})]),
         ([0.0, 0.0], [1e5, 1e5], [7, 13], [(0, 3, {1: (0, 13)}), (1, 5, {0: (2, 7)})]),
         ([1e5, 1e5], [10.0, 10.0], [7, 13], [(1, 6, {0: (0, 7)})]),
+        ([1e5, 1e5], [1.0, 1.0], [7, 7], [(1, 3, {0: (0, 7)})]),
         ([-1e6, 0.0], [4e6, 1e6], [11, 13], [(0, 4, {1: (3, 13)})]),
         (
             [1e5, -1e5, 0.0], [10.0, 3e5, 1e5], [3, 7, 5],
             [(0, 1, {1: (0, 7), 2: (0, 5)}), (1, 3, {0: (0, 3), 2: (1, 4)})],
         ),
     ],
-    ids=["1e5-3x3", "1e5-7x13", "offset-1e5", "1e6-11x13", "3d-1e5"],
+    ids=["1e5-3x3", "1e5-7x13", "offset-1e5", "offset-1e5-size-1", "1e6-11x13", "3d-1e5"],
 )
 def test_grids_far_from_the_origin_are_written(box, tmp_path):
     # Neighbours' shared nodes differ in their last bits here, by more than
