@@ -15,9 +15,11 @@ entering the Darcy law as q = -K (grad p + chi).
 :func:`discretize` picks the scheme from the tensors. Two-point flux (TPFA)
 is consistent only for grid-aligned (diagonal) tensors and rejects any
 other; on such tensors and Cartesian cells the multi-point O-scheme (MPFA)
-reduces to it. MPFA therefore runs only on 2d grids with a full tensor,
-where it recovers convergence, and a full tensor on a 3d grid is an error.
-Both produce the same operator shapes and are interchangeable downstream.
+reduces to it, sub-face by sub-face. MPFA therefore runs only on 2d grids
+with a full tensor, where it recovers convergence, and there only on the
+faces with a node of a cell whose tensor is full; every other face takes
+the two-point rows. A full tensor on a 3d grid is an error. Both schemes
+produce the same operator shapes and are interchangeable downstream.
 """
 
 from __future__ import annotations
@@ -71,7 +73,13 @@ class DiscreteOperator:
     trace_p: sps.csr_matrix
     trace_g: sps.csr_matrix
     trace_chi: sps.csr_matrix
-    scheme: str  # "TPFA" or "MPFA"
+    #: number of faces whose rows come from the multi-point O-scheme
+    multipoint_faces: int
+
+    @property
+    def scheme(self) -> str:
+        """"MPFA" if any face takes multi-point rows, else "TPFA"."""
+        return "MPFA" if self.multipoint_faces else "TPFA"
 
 
 def _check_perm(grid: CellGrid, perm: np.ndarray) -> np.ndarray:
@@ -117,7 +125,7 @@ def _empty_operator(grid: CellGrid) -> DiscreteOperator:
         trace_p=z((nf, nc)),
         trace_g=z((nf, nf)),
         trace_chi=z((nf, nc * d)),
-        scheme="TPFA",
+        multipoint_faces=0,
     )
 
 
@@ -194,7 +202,7 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
         trace_chi=_face_rows(
             chi, np.where(inner, -kn0 / s, -kn0 / a0), kn1 / s, trace_keep, nc * d
         ),
-        scheme="TPFA",
+        multipoint_faces=0,
     )
 
 
@@ -255,10 +263,19 @@ def _skewed_cells(perm: np.ndarray) -> np.ndarray:
 
 
 def discretize(grid, perm, bc) -> DiscreteOperator:
-    """MPFA on a 2d grid with a tensor that is not grid-aligned, TPFA
-    everywhere else, where the O-scheme would reduce to it."""
-    if grid.dim == 2 and _skewed_cells(_check_perm(grid, perm)).size:
-        return mpfa_discretize(grid, perm, bc)
+    """MPFA on the faces of a 2d grid that have a node of a cell whose
+    tensor is not grid-aligned, TPFA everywhere else.
+
+    Both cells of every other face, and every cell of the interaction
+    regions at its nodes, are grid-aligned, so the O-scheme's rows there
+    are the two-point ones and :func:`mpfa_discretize` gives the same
+    operators up to roundoff.
+    """
+    if grid.dim == 2:
+        perm = _check_perm(grid, perm)
+        skew = _skewed_cells(perm)
+        if skew.size:
+            return _mpfa(grid, perm, bc, skew)
     return tpfa_discretize(grid, perm, bc)
 
 
@@ -268,7 +285,8 @@ def discretize(grid, perm, bc) -> DiscreteOperator:
 
 
 def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> DiscreteOperator:
-    """Multi-point flux operators on a 2d Cartesian grid with slits.
+    """Multi-point flux operators on a 2d Cartesian grid with slits, with
+    the O-scheme on every face.
 
     A corner is a (node, cell) pair; it meets exactly two of the cell's faces
     at the node (sub-faces). Corners joined through interior sub-faces form an
@@ -285,8 +303,15 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     Every node goes through the same region kernel. Regions with equal local
     systems (same layout, cell tensors and widths, face areas and boundary
     condition kinds) share one solve, and the operators store only nonzero
-    coefficients.
+    coefficients. :func:`discretize` runs the kernel only near full tensors;
+    this function is its reference.
     """
+    return _mpfa(grid, perm, bc, np.arange(grid.n_cells))
+
+
+def _mpfa(grid, perm, bc, cells) -> DiscreteOperator:
+    """O-scheme rows on the faces that have a node of one of ``cells``,
+    two-point rows from the tensors' diagonals on all other faces."""
     if grid.dim != 2:
         raise DiscretizationError("the MPFA implementation covers 2d grids only")
     if grid.face_nodes is None:
@@ -295,12 +320,21 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     _check_bc(grid, bc)
     nf, nc = grid.n_faces, grid.n_cells
 
-    layout, rows = _mpfa_regions(grid, perm, bc)
+    # Near faces: those with a node of a face of one of the cells. A -1
+    # second cell reads the extra False slot.
+    mark = np.zeros(nc + 1, dtype=bool)
+    mark[cells] = True
+    at_node = np.zeros(grid.face_nodes.max() + 1, dtype=bool)
+    at_node[grid.face_nodes[mark[grid.face_cells].any(axis=1)]] = True
+    near = at_node[grid.face_nodes].any(axis=1)
+
+    layout, rows = _mpfa_regions(grid, perm, bc, near)
     # Imposed-flux faces bypass the local systems: their flux is g * area,
     # and Dirichlet faces take their trace from g.
-    fn = np.flatnonzero(bc.imposed_flux())
-    fd = np.flatnonzero(bc.kind == BC_DIRICHLET)
+    fn = np.flatnonzero(bc.imposed_flux() & near)
+    fd = np.flatnonzero((bc.kind == BC_DIRICHLET) & near)
     extra = {"flux_g": (grid.face_areas[fn], fn), "trace_g": (np.ones(fd.size), fd)}
+    far = None if near.all() else tpfa_discretize(grid, perm * np.eye(2), bc)
     ops = {}
     for name, shape in (
         ("flux_p", (nf, nc)), ("flux_g", (nf, nf)), ("flux_chi", (nf, 2 * nc)),
@@ -310,9 +344,25 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
         if name in extra:
             v, f = extra[name]
             val, r, c = np.concatenate([val, v]), np.concatenate([r, f]), np.concatenate([c, f])
-        ops[name] = sps.csr_matrix((val, (r, c)), shape=shape)
-        ops[name].eliminate_zeros()  # the two sub-faces of a face may cancel
-    return DiscreteOperator(grid=grid, scheme="MPFA", **ops)
+        op = sps.csr_matrix((val, (r, c)), shape=shape)
+        op.eliminate_zeros()  # the two sub-faces of a face may cancel
+        ops[name] = op if far is None else _merge_rows(getattr(far, name), op, near)
+    return DiscreteOperator(grid=grid, multipoint_faces=int(near.sum()), **ops)
+
+
+def _merge_rows(a, b, rows):
+    """CSR matrix with the rows of ``b`` where ``rows`` is set and the rows
+    of ``a`` elsewhere; ``b`` must have no entries outside ``rows``."""
+    count_a = np.diff(a.indptr)
+    count = np.where(rows, np.diff(b.indptr), count_a)
+    indptr = np.concatenate([[0], np.cumsum(count)])
+    from_b = np.repeat(rows, count)
+    from_a = np.repeat(~rows, count_a)
+    indices = np.empty(indptr[-1], dtype=a.indices.dtype)
+    data = np.empty(indptr[-1])
+    indices[from_b], data[from_b] = b.indices, b.data
+    indices[~from_b], data[~from_b] = a.indices[from_a], a.data[from_a]
+    return sps.csr_matrix((data, indices, indptr), shape=a.shape)
 
 
 def _ragged(counts):
@@ -343,8 +393,9 @@ def _distinct_rows(rows):
     return first, inverse.ravel()
 
 
-def _mpfa_regions(grid, perm, bc):
-    """Interaction-region solves for every sub-face of the grid.
+def _mpfa_regions(grid, perm, bc, near):
+    """Interaction-region solves for the sub-faces at the nodes of the
+    faces ``near``; each region is whole, since it never leaves its node.
 
     A region's local system has one row and one unknown (continuity
     pressure) per sub-face, numbered by face id, and right-hand-side columns
@@ -361,22 +412,25 @@ def _mpfa_regions(grid, perm, bc):
     is solved, and its flux and trace rows keep only their nonzero
     coefficients.
 
-    Returns the layout that :func:`_spread` needs to copy those rows to every
-    region, and per operator the representatives' row counts, columns,
-    values and (vector source columns only) component. Arrays prefixed
-    ``s_`` hold one entry per sub-face (a (node, face) pair; sub-face ``s``
-    lies on face ``s // 2``), ``i_`` per sub-face/corner incidence, ``k_``
-    per corner and ``r_`` per representative region.
+    Returns the layout that :func:`_spread` needs to copy those rows to the
+    sub-faces of the near faces, and per operator the representatives' row
+    counts, columns, values and (vector source columns only) component.
+    Arrays prefixed ``s_`` hold one entry per sub-face (a (node, face) pair
+    of the grid's ``face_nodes``), ``i_`` per sub-face/corner incidence,
+    ``k_`` per corner and ``r_`` per representative region.
     """
     nc = grid.n_cells
     fcells = grid.face_cells
-    s_node = grid.face_nodes.ravel()
-    ns = s_node.size
-    s_face = np.arange(ns) // 2
+    at_node = np.zeros(grid.face_nodes.max() + 1, dtype=bool)
+    at_node[grid.face_nodes[near]] = True
+    sub = np.flatnonzero(at_node[grid.face_nodes.ravel()])
+    s_node = grid.face_nodes.ravel()[sub]
+    ns = sub.size
+    s_face = sub // 2  # face_nodes holds two nodes per face
     inner = fcells[s_face, 1] >= 0
     s_dir = bc.kind[s_face] == BC_DIRICHLET
     s_imp = bc.imposed_flux()[s_face]
-    half = grid.face_areas / 2.0
+    s_half = grid.face_areas[s_face] / 2.0
 
     # Corners: a sub-face meets the corner of its face's first cell and, if
     # interior, of its second; every corner must meet exactly two sub-faces.
@@ -422,18 +476,21 @@ def _mpfa_regions(grid, perm, bc):
     # Faces are normal to a grid axis. A normal points away from the face's
     # first cell, so a face lies on the high side of that cell iff its
     # normal points up the axis, and on the low side of the second cell.
-    axis = np.argmax(np.abs(grid.face_normals), axis=1)
-    up = grid.face_normals[np.arange(grid.n_faces), axis] > 0
-    f_code = 2 * axis + up
-    k_code = 2 * axis[s_face[k_sub]] + (
-        (first[k_sub] == np.arange(n_corner)[:, None]) == up[s_face[k_sub]]
-    )
+    normals = grid.face_normals[s_face]
+    s_axis = np.argmax(np.abs(normals), axis=1)
+    s_up = normals[np.arange(ns), s_axis] > 0
+    k_code = 2 * s_axis[k_sub] + ((first[k_sub] == np.arange(n_corner)[:, None]) == s_up[k_sub])
 
     # Corner classes: cell class and face sides. The gradient basis of a
     # class has the offsets +-w/2 from the cell center to its two face
     # centers as rows.
-    _, cell_class = _distinct_rows(
-        np.concatenate([perm.reshape(nc, 4), grid.cell_widths], axis=1).view(np.int64)
+    used = np.zeros(nc, dtype=bool)
+    used[k_cell] = True
+    used = np.flatnonzero(used)
+    cell_class = np.empty(nc, dtype=int)
+    _, cell_class[used] = _distinct_rows(
+        np.concatenate([perm[used].reshape(-1, 4), grid.cell_widths[used]], axis=1)
+        .view(np.int64)
     )
     _, k_rep, k_cls = np.unique(
         16 * cell_class[k_cell] + 4 * k_code[:, 0] + k_code[:, 1],
@@ -446,18 +503,18 @@ def _mpfa_regions(grid, perm, bc):
     M[n, [0, 1], ax] = np.where(code % 2, 0.5, -0.5) * grid.cell_widths[k_cell[k_rep]][n, ax]
     Minv = np.linalg.inv(M)
 
-    def normal_flux(f, cells):
-        """Rows n^T K of the cells for the stored normals of the faces."""
-        return np.where(up[f], 1.0, -1.0)[:, None] * perm[cells, axis[f]]
+    def normal_flux(s, cells):
+        """Rows n^T K of the cells for the stored normals of the sub-faces."""
+        return np.where(s_up[s], 1.0, -1.0)[:, None] * perm[cells, s_axis[s]]
 
     # Region keys, then one representative per distinct key of each group.
-    _, area_class = np.unique(grid.face_areas, return_inverse=True)
+    _, s_area = np.unique(grid.face_areas[s_face], return_inverse=True)
     width = n_c + 3 * n_u
     off_key = np.cumsum(width) - width
     keys = np.empty(int(width.sum()), dtype=np.int64)
     keys[off_key[k_reg] + k_loc] = k_cls
     pos = off_key[s_reg] + n_c[s_reg] + 3 * s_loc
-    keys[pos] = 4 * (4 * area_class + f_code)[s_face] + 2 * s_dir + s_imp
+    keys[pos] = 4 * (4 * s_area + 2 * s_axis + s_up) + 2 * s_dir + s_imp
     keys[pos + 1], keys[pos + 2] = k_loc[first], -1
     keys[pos[inner] + 2] = k_loc[second]
     reg_rep = np.empty(n_reg, dtype=int)  # representative number per region
@@ -483,11 +540,11 @@ def _mpfa_regions(grid, perm, bc):
     # corner of an interior sub-face, and -(A_f/2) n^T K_c (...) at
     # imposed-flux sub-faces; Dirichlet sub-faces pin their unknown.
     fac = np.concatenate(
-        [np.where(inner, 1.0, np.where(s_imp, -half[s_face], 0.0)), np.full(second.size, -1.0)]
+        [np.where(inner, 1.0, np.where(s_imp, -s_half, 0.0)), np.full(second.size, -1.0)]
     )
     t = np.flatnonzero((fac != 0.0) & is_rep[s_reg[i_sub]])
     ts, tk = i_sub[t], i_corner[t]
-    r = fac[t, None] * normal_flux(s_face[ts], k_cell[tk])
+    r = fac[t, None] * normal_flux(ts, k_cell[tk])
     rM = np.einsum("tj,tjk->tk", r, Minv[k_cls[tk]])
     g = s_rep[ts]
     row_a = off_a[g] + s_loc[ts] * r_u[g]
@@ -511,7 +568,7 @@ def _mpfa_regions(grid, perm, bc):
              off_r[gd] + s_loc[data] * w[gd] + r_c[gd] + s_loc[data]]
         ),
         np.concatenate(
-            [rM.sum(axis=1), -r[:, 0], -r[:, 1], np.where(s_dir, 1.0, half[s_face])[data]]
+            [rM.sum(axis=1), -r[:, 0], -r[:, 1], np.where(s_dir, 1.0, s_half)[data]]
         ),
         minlength=int(w @ r_u),
     )
@@ -559,7 +616,7 @@ def _mpfa_regions(grid, perm, bc):
     # are handled globally as g * area.
     sel = rs[~s_imp[rs]]
     k0 = first[sel]
-    r = normal_flux(s_face[sel], k_cell[k0])
+    r = normal_flux(sel, k_cell[k0])
     rM = np.einsum("tj,tjk->tk", r, Minv[k_cls[k0]])
     o, g, col, start = slots(sel)
     vals = sum(
@@ -569,27 +626,29 @@ def _mpfa_regions(grid, perm, bc):
     xc = start + r_c[s_rep[sel]] + r_u[s_rep[sel]] + 2 * k_loc[k0]
     vals[xc] += r[:, 0]
     vals[xc + 1] += r[:, 1]
-    keep(sel, o, g, col, -half[s_face[sel]][o] * vals, ("flux_p", "flux_g", "flux_chi"))
+    keep(sel, o, g, col, -s_half[sel][o] * vals, ("flux_p", "flux_g", "flux_chi"))
 
     # Global columns by region: its cells, then its faces, in local order.
     off = np.cumsum(n_c + n_u) - n_c - n_u
     reg_cols = np.empty(n_corner + ns, dtype=int)
     reg_cols[off[k_reg] + k_loc] = k_cell
     reg_cols[off[s_reg] + n_c[s_reg] + s_loc] = s_face
-    return (s_row, off[s_reg], reg_cols), rows
+    on = near[s_face]
+    return (s_row[on], off[s_reg[on]], s_face[on], reg_cols), rows
 
 
 def _spread(layout, cnt, slot, val, comp=None):
-    """Copy the representatives' row entries to every sub-face.
+    """Copy the representatives' row entries to the layout's sub-faces.
 
     ``cnt`` counts each representative row's entries, which are sorted by
     row; ``slot`` indexes the region's column table, and ``comp`` is the
-    vector component of a chi column. Returns (values, (rows, columns)).
+    vector component of a chi column. Returns (values, (rows, columns)),
+    where a sub-face's row is its face's.
     """
-    s_row, s_off, reg_cols = layout
+    s_row, s_off, s_face, reg_cols = layout
     owner, at = _ragged(cnt[s_row])
     e = (np.cumsum(cnt) - cnt)[s_row[owner]] + at
     cols = reg_cols[s_off[owner] + slot[e]]
     if comp is not None:
         cols = 2 * cols + comp[e]
-    return val[e], (owner // 2, cols)
+    return val[e], (s_face[owner], cols)

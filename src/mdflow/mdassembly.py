@@ -381,6 +381,7 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
     ])
     D = _stack([_divergence(g) for g in grids])
     n_mpfa = sum(op.scheme == "MPFA" for op in ops)
+    n_multipoint = sum(op.multipoint_faces for op in ops)
     del ops  # the stacked copies replace them
 
     blocks = [
@@ -438,12 +439,14 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
 
     logger.info(
         "assembled system: %d pressures, %d mortar fluxes, %d nonzeros; "
-        "schemes: %d TPFA, %d MPFA",
+        "schemes: %d TPFA, %d MPFA (%d of %d faces multi-point)",
         n_p,
         n_lam,
         A.nnz,
         len(grids) - n_mpfa,
         n_mpfa,
+        n_multipoint,
+        n_f,
     )
     return GlobalSystem(
         matrix=A,

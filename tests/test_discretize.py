@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mdflow.config import FaultConfig
 from mdflow.discretize import (
@@ -420,3 +420,40 @@ def test_mpfa_reproduces_linear_fields_on_fault_networks(case):
     assert np.abs(flux - density * g.face_areas).max() < 1e-10
     trace = op.trace_p @ p + op.trace_g @ bc.value
     assert np.abs(trace - exact(xf)).max() < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(fault_networks(), st.data())
+def test_discretize_matches_the_full_o_scheme(case, data):
+    # discretize runs the O-scheme only on faces with a node of a full
+    # tensor cell and takes the two-point rows elsewhere. On a fault network
+    # with random grid-aligned anisotropy, full tensors go on a few cells:
+    # one next to a slit, one on the domain boundary and a few anywhere.
+    mesh, K, _, dirichlet_sides = case
+    assume(abs(K[0, 1]) > 1e-3 * K.max())  # K must count as a full tensor
+    g = mesh.subdomains[0]
+    fc = g.face_cells
+    slit_cells = np.unique(fc[g.face_cut >= 0, 0])
+    boundary_cells = np.unique(fc[g.face_bnd >= 0, 0])
+    cells = [
+        data.draw(st.sampled_from(slit_cells.tolist())),
+        data.draw(st.sampled_from(boundary_cells.tolist())),
+        *data.draw(st.lists(st.integers(0, g.n_cells - 1), max_size=3)),
+    ]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    perm = np.zeros((g.n_cells, 2, 2))
+    perm[:, [0, 1], [0, 1]] = 10.0 ** rng.uniform(-2.0, 2.0, size=(g.n_cells, 2))
+    perm[cells] = K
+    bc = BoundaryCondition.empty(g)
+    bnd = g.is_boundary()
+    bc.kind[bnd] = BC_NEUMANN
+    bc.kind[bnd & np.isin(g.face_bnd, list(dirichlet_sides))] = BC_DIRICHLET
+    bc.kind[mesh.mortar_face_mask(0)] = BC_MORTAR
+    a = discretize(g, perm, bc)
+    b = mpfa_discretize(g, perm, bc)
+    assert 0 < a.multipoint_faces < b.multipoint_faces == g.n_faces
+    for name in ("flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.array_equal(x.indptr, y.indptr), name
+        assert np.array_equal(x.indices, y.indices), name
+        assert abs(x - y).max() <= 1e-12 * abs(y).max(), name

@@ -503,18 +503,28 @@ def test_static_pivots_fall_back_to_colamd(failure, reason, monkeypatch, caplog)
 
 
 def test_assembly_log_counts_schemes(caplog):
+    # The face count is over all grids. A full tensor in one interior cell
+    # of an 8 x 8 box makes the 12 faces at its four nodes multi-point.
     cfg = replace(builtin_case("network2d"), resolution=(8, 8))
     mesh = build_cartesian_md_mesh(
         cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
     )
     box = build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (4, 4), [])
-    full = MaterialSet(matrix_base=np.array([[2.0, 0.7], [0.7, 1.5]]))
+    K = np.array([[2.0, 0.7], [0.7, 1.5]])
+    full = MaterialSet(matrix_base=K)
+    box8 = build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (8, 8), [])
+    one = MaterialSet(matrix_base=np.eye(2), matrix_regions=[((0.4, 0.4), (0.5, 0.5), K)])
     with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
         assemble_global(mesh, cfg.material_set(), cfg.bcs)
         assemble_global(box, full, [BcClause(2, "dirichlet", 1.0)])
+        assemble_global(box8, one, [BcClause(2, "dirichlet", 1.0)])
     lines = [r.getMessage() for r in caplog.records if "assembled system" in r.getMessage()]
-    assert lines[0].endswith(f"schemes: {len(mesh.subdomains)} TPFA, 0 MPFA")
-    assert lines[1].endswith("schemes: 0 TPFA, 1 MPFA")
+    n_faces = sum(g.n_faces for g in mesh.subdomains)
+    assert lines[0].endswith(
+        f"schemes: {len(mesh.subdomains)} TPFA, 0 MPFA (0 of {n_faces} faces multi-point)"
+    )
+    assert lines[1].endswith("schemes: 0 TPFA, 1 MPFA (40 of 40 faces multi-point)")
+    assert lines[2].endswith("schemes: 0 TPFA, 1 MPFA (12 of 144 faces multi-point)")
 
 
 def test_gradient_reconstruction_only_on_lower_grids(monkeypatch):
