@@ -17,9 +17,9 @@ is consistent only for grid-aligned (diagonal) tensors and rejects any
 other; on such tensors and Cartesian cells the multi-point O-scheme (MPFA)
 reduces to it, sub-face by sub-face. MPFA therefore runs only on 2d grids
 with a full tensor, where it recovers convergence, and there only on the
-faces with a node of a cell whose tensor is full; every other face takes
-the two-point rows. A full tensor on a 3d grid is an error. Both schemes
-produce the same operator shapes and are interchangeable downstream.
+faces of a cell whose tensor is full; every other face takes the two-point
+rows. A full tensor on a 3d grid is an error. Both schemes produce the same
+operator shapes and are interchangeable downstream.
 """
 
 from __future__ import annotations
@@ -158,6 +158,12 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
             f"have off-diagonal entries, the first is cell {skew[0]}"
         )
     _check_bc(grid, bc)
+    return _tpfa(grid, perm, bc)
+
+
+def _tpfa(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> DiscreteOperator:
+    """:func:`tpfa_discretize` on checked data; reads only the tensors'
+    diagonals."""
     nf, nc, d = grid.n_faces, grid.n_cells, grid.dim
     faces = np.arange(nf)
     axis = np.argmax(np.abs(grid.face_normals), axis=1)
@@ -263,13 +269,14 @@ def _skewed_cells(perm: np.ndarray) -> np.ndarray:
 
 
 def discretize(grid, perm, bc) -> DiscreteOperator:
-    """MPFA on the faces of a 2d grid that have a node of a cell whose
-    tensor is not grid-aligned, TPFA everywhere else.
+    """MPFA on the faces of a 2d grid's cells whose tensor is not
+    grid-aligned, TPFA everywhere else.
 
-    Both cells of every other face, and every cell of the interaction
-    regions at its nodes, are grid-aligned, so the O-scheme's rows there
-    are the two-point ones and :func:`mpfa_discretize` gives the same
-    operators up to roundoff.
+    Both cells of every other face are grid-aligned, so each cell's normal
+    flux there reads only the gradient along the face's axis. The flux
+    continuity of each of its sub-faces is then two-point, whatever the
+    other cells of the interaction region, and :func:`mpfa_discretize`
+    gives the same operators up to roundoff.
     """
     if grid.dim == 2:
         perm = _check_perm(grid, perm)
@@ -303,15 +310,15 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     Every node goes through the same region kernel. Regions with equal local
     systems (same layout, cell tensors and widths, face areas and boundary
     condition kinds) share one solve, and the operators store only nonzero
-    coefficients. :func:`discretize` runs the kernel only near full tensors;
-    this function is its reference.
+    coefficients. :func:`discretize` runs the kernel only on the faces of
+    full-tensor cells; this function is its reference.
     """
     return _mpfa(grid, perm, bc, np.arange(grid.n_cells))
 
 
 def _mpfa(grid, perm, bc, cells) -> DiscreteOperator:
-    """O-scheme rows on the faces that have a node of one of ``cells``,
-    two-point rows from the tensors' diagonals on all other faces."""
+    """O-scheme rows on the faces of ``cells``, two-point rows from the
+    tensors' diagonals on all other faces."""
     if grid.dim != 2:
         raise DiscretizationError("the MPFA implementation covers 2d grids only")
     if grid.face_nodes is None:
@@ -320,13 +327,11 @@ def _mpfa(grid, perm, bc, cells) -> DiscreteOperator:
     _check_bc(grid, bc)
     nf, nc = grid.n_faces, grid.n_cells
 
-    # Near faces: those with a node of a face of one of the cells. A -1
-    # second cell reads the extra False slot.
+    # Near faces: those of one of the cells. A -1 second cell reads the
+    # extra False slot.
     mark = np.zeros(nc + 1, dtype=bool)
     mark[cells] = True
-    at_node = np.zeros(grid.face_nodes.max() + 1, dtype=bool)
-    at_node[grid.face_nodes[mark[grid.face_cells].any(axis=1)]] = True
-    near = at_node[grid.face_nodes].any(axis=1)
+    near = mark[grid.face_cells].any(axis=1)
 
     layout, rows = _mpfa_regions(grid, perm, bc, near)
     # Imposed-flux faces bypass the local systems: their flux is g * area,
@@ -334,7 +339,7 @@ def _mpfa(grid, perm, bc, cells) -> DiscreteOperator:
     fn = np.flatnonzero(bc.imposed_flux() & near)
     fd = np.flatnonzero((bc.kind == BC_DIRICHLET) & near)
     extra = {"flux_g": (grid.face_areas[fn], fn), "trace_g": (np.ones(fd.size), fd)}
-    far = None if near.all() else tpfa_discretize(grid, perm * np.eye(2), bc)
+    far = None if near.all() else _tpfa(grid, perm, bc)
     ops = {}
     for name, shape in (
         ("flux_p", (nf, nc)), ("flux_g", (nf, nf)), ("flux_chi", (nf, 2 * nc)),

@@ -59,8 +59,6 @@ from .semilocal import (
 
 logger = logging.getLogger(__name__)
 
-_TOL = 1e-9
-
 
 class AssemblyError(Exception):
     """Structurally invalid problem (missing BCs, singular setup)."""
@@ -96,18 +94,24 @@ class MaterialSet:
     fault_apertures: list = field(default_factory=list)
     matrix_regions: list = field(default_factory=list)  # (lo, hi, tensor)
 
-    def matrix_perm(self, centers: np.ndarray) -> np.ndarray:
-        d = centers.shape[1]
+    def matrix_perm(self, grid: CellGrid) -> np.ndarray:
+        """Per-cell tensors of the matrix grid: a region holds the cells
+        whose centers lie in its box."""
         base = np.atleast_2d(np.asarray(self.matrix_base, dtype=float))
-        perm = np.tile(base, (centers.shape[0], 1, 1))
+        perm = np.tile(base, (grid.n_cells, 1, 1))
+        centers = grid.cell_centers_global()
         for lo, hi, tensor in self.matrix_regions:
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
-            inside = np.all(
-                (centers >= lo - _TOL) & (centers <= hi + _TOL), axis=1
-            )
-            perm[inside] = np.atleast_2d(np.asarray(tensor, dtype=float))
+            perm[_in_box(grid, centers, lo, hi)] = np.atleast_2d(np.asarray(tensor, dtype=float))
         return perm
+
+
+def _in_box(grid: CellGrid, points: np.ndarray, lo, hi) -> np.ndarray:
+    """Mask of the global ``points`` of ``grid`` in the closed box [lo, hi],
+    with a margin of 1e-6 of the grid's largest cell width."""
+    tol = 1e-6 * grid.cell_widths.max(initial=0.0)
+    lo = np.asarray(lo, dtype=float) - tol
+    hi = np.asarray(hi, dtype=float) + tol
+    return np.all((points >= lo) & (points <= hi), axis=1)
 
 
 @dataclass
@@ -136,9 +140,7 @@ def boundary_condition_from_clauses(
         faces = np.flatnonzero(boundary & (grid.face_bnd == cl.side) & ~mortar_mask)
         if cl.box is not None:
             gx = grid.frame_origin + grid.face_centers[faces] @ grid.frame_axes
-            lo = np.asarray(cl.box[0], dtype=float)
-            hi = np.asarray(cl.box[1], dtype=float)
-            faces = faces[np.all((gx >= lo - _TOL) & (gx <= hi + _TOL), axis=1)]
+            faces = faces[_in_box(grid, gx, *cl.box)]
         bc.kind[faces] = BC_DIRICHLET if cl.kind == "dirichlet" else BC_NEUMANN
         bc.value[faces] = cl.value
     bc.kind[mortar_mask] = BC_MORTAR
@@ -190,7 +192,7 @@ def build_problems(
         info = mesh.info[i]
         d = grid.dim
         if info.kind == "matrix":
-            perm = materials.matrix_perm(grid.cell_centers_global())
+            perm = materials.matrix_perm(grid)
         elif info.kind == "fault":
             law = fault_laws[info.fault_ids[0]]
             eff = schur_effective_tensor(law)

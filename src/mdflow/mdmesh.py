@@ -9,7 +9,13 @@ faces; fault-fault intersections become grids two dimensions lower, down to
 whose cells are copies of the lower-dimensional cells (matching grids).
 
 All geometry is axis aligned. Faults must lie on grid planes and their
-extents must terminate on grid nodes at the requested resolution.
+extents must terminate on grid nodes at the requested resolution. Each
+fault corner is snapped once to a node index of the ambient lattice, within
+1e-6 of a cell width; that is the builder's only tolerance. Every later
+decision (overlaps, intersections, slits, interface pairs, ambient-boundary
+tags) compares node indices, and every stored coordinate is ``x0 + h (k /
+2)`` for a doubled node index ``k``, so the mesh does not depend on the
+units or the origin.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-_TOL = 1e-9
 
 
 class MeshError(Exception):
@@ -146,9 +150,10 @@ class FaultSpec:
     """Axis-aligned thin inclusion given by two corner points.
 
     The two corners must agree in exactly one coordinate (the fault plane),
-    to within an absolute 1e-9. The fault normal points toward increasing
-    plane coordinate; side 1 is the side the normal points into, side 2 the
-    other.
+    to within 1e-9 of the largest difference of their coordinates, so the
+    test holds at any scale and distance from the origin. The fault normal
+    points toward increasing plane coordinate; side 1 is the side the
+    normal points into, side 2 the other.
     """
 
     p0: tuple
@@ -161,7 +166,8 @@ class FaultSpec:
         p1 = np.asarray(self.p1, dtype=float)
         if p0.shape != p1.shape:
             raise MeshError(f"fault {self.name!r}: corner dimension mismatch")
-        same = np.flatnonzero(np.abs(p1 - p0) <= _TOL)
+        gap = np.abs(p1 - p0)
+        same = np.flatnonzero(gap <= 1e-9 * gap.max())
         if same.size != 1:
             raise MeshError(
                 f"fault {self.name!r}: corners must agree in exactly one coordinate"
@@ -178,11 +184,8 @@ class FaultSpec:
         return tuple(a for a in range(d) if a != self.axis)
 
     def extent(self, axis: int) -> tuple:
-        lo = min(self.p0[axis], self.p1[axis])
-        hi = max(self.p0[axis], self.p1[axis])
-        if hi - lo <= _TOL:
-            raise MeshError(f"fault {self.name!r}: zero extent along axis {axis}")
-        return float(lo), float(hi)
+        lo, hi = sorted((float(self.p0[axis]), float(self.p1[axis])))
+        return lo, hi
 
 
 @dataclass
@@ -238,18 +241,9 @@ class MixedDimMesh:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Cut:
-    """A slit locus inside a grid: a plane of constant ``coord`` on ``axis``
-    bounded by open ``spans`` on the remaining local axes (empty for 1d grids,
-    where the cut is a single point)."""
-
-    axis: int
-    coord: float
-    spans: tuple  # ((lo, hi), ...) over the other local axes in order
-
-
 def _snap_index(value: float, lo: float, h: float, name: str) -> int:
+    """The node index of ``value`` on a lattice of origin ``lo`` and
+    spacing ``h``: the builder's one tolerance, 1e-6 of a cell width."""
     t = (value - lo) / h
     k = round(t)
     if abs(t - k) > 1e-6:
@@ -257,27 +251,26 @@ def _snap_index(value: float, lo: float, h: float, name: str) -> int:
     return int(k)
 
 
-def _build_cartesian_grid(
-    lo: Sequence[float],
-    hi: Sequence[float],
-    n: Sequence[int],
-    cuts: Sequence[_Cut],
-    frame_origin: np.ndarray,
-    frame_axes: np.ndarray,
-) -> CellGrid:
-    """Build a uniform Cartesian grid on [lo, hi] with ``n`` cells per axis,
-    duplicating every face that lies on one of ``cuts``.
+def _coords(x0, h, k):
+    """Coordinates ``x0 + h (k / 2)`` of doubled node indices ``k``: node
+    ``i`` is ``2 i`` and the center of cell ``i`` is ``2 i + 1``."""
+    return x0 + h * (k / 2)
 
-    A grid with no axes is a single point cell of unit measure. Every face
-    gets ``face_bnd`` −1; :func:`_tag_ambient_boundary` marks the faces on
-    the ambient box afterwards. Two-dimensional grids also list their nodes.
+
+def _build_cartesian_grid(lo, hi, cuts, x0, h, top) -> CellGrid:
+    """The Cartesian grid of the node box [lo, hi] of the ambient lattice
+    (origin ``x0``, spacing ``h``, ``top`` cells per axis) over the axes
+    the box spans, duplicating every face on one of ``cuts``.
+
+    A cut is the node box of a slit child; it fixes one of the axes the
+    grid spans. A box that spans no axis is a single point cell of unit
+    measure. Faces on the ambient box get ``face_bnd`` 2*axis (+1 on the
+    high side), all others −1. Two-dimensional grids also list their nodes.
     """
-    dim = len(n)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    n = np.asarray(n, dtype=int)
-    if np.any(n <= 0):
-        raise MeshError("resolution must be positive along every axis")
+    axes = np.flatnonzero(lo != hi)
+    dim = axes.size
+    frame_origin = np.where(lo != hi, 0.0, _coords(x0, h, 2 * lo))
+    frame_axes = np.eye(lo.size)[axes]
     if dim == 0:
         return CellGrid(
             dim=0,
@@ -294,15 +287,17 @@ def _build_cartesian_grid(
             frame_origin=frame_origin,
             frame_axes=frame_axes,
         )
-    h = (hi - lo) / n
+    n = (hi - lo)[axes]
+    width = h[axes]
+    nodes = [_coords(x0[g], h[g], 2 * np.arange(lo[g], hi[g] + 1)) for g in axes]
+    mids = [_coords(x0[g], h[g], 2 * np.arange(lo[g], hi[g]) + 1) for g in axes]
 
     # Cells, x-fastest lexicographic ordering: id = i + n0*(j + n1*k).
-    axes_coords = [lo[a] + h[a] * (np.arange(n[a]) + 0.5) for a in range(dim)]
-    grids = np.meshgrid(*axes_coords, indexing="ij")
+    grids = np.meshgrid(*mids, indexing="ij")
     centers = np.stack([g.ravel(order="F") for g in grids], axis=1)
     n_cells = int(np.prod(n))
-    volumes = np.full(n_cells, float(np.prod(h)))
-    widths = np.tile(h, (n_cells, 1))
+    volumes = np.full(n_cells, float(np.prod(width)))
+    widths = np.tile(width, (n_cells, 1))
 
     strides = np.ones(dim, dtype=int)
     for a in range(1, dim):
@@ -310,11 +305,11 @@ def _build_cartesian_grid(
 
     parts = {
         "area": [], "center": [], "normal": [], "cells": [],
-        "cut": [], "side": [], "nodes": [],
+        "bnd": [], "cut": [], "side": [], "nodes": [],
     }
     want_nodes = dim == 2
 
-    for a in range(dim):
+    for a, g in enumerate(axes):
         others = [b for b in range(dim) if b != a]
         if others:
             ranges = [np.arange(n[b]) for b in others]
@@ -324,15 +319,15 @@ def _build_cartesian_grid(
             combo = np.zeros((1, 0), dtype=int)
         k = combo.shape[0]
         P = n[a] + 1
-        area = float(np.prod([h[b] for b in others])) if others else 1.0
+        area = float(np.prod(width[others])) if others else 1.0
 
         plane_idx = np.repeat(np.arange(P), k)
         row_idx = np.tile(np.arange(k), P)
         N0 = P * k
         cen = np.empty((N0, dim))
-        cen[:, a] = lo[a] + plane_idx * h[a]
+        cen[:, a] = nodes[a][plane_idx]
         for bi, b in enumerate(others):
-            cen[:, b] = lo[b] + (combo[row_idx, bi] + 0.5) * h[b]
+            cen[:, b] = mids[b][combo[row_idx, bi]]
 
         cid_off = combo @ strides[others] if others else np.zeros(1, dtype=int)
         cid_lo = cid_off[row_idx] + (plane_idx - 1) * strides[a]
@@ -341,15 +336,20 @@ def _build_cartesian_grid(
         at_lo = plane_idx == 0
         at_hi = plane_idx == n[a]
         boundary = at_lo | at_hi
+        bnd = np.full(N0, -1, dtype=int)
+        bnd[at_lo & (lo[g] == 0)] = 2 * g
+        bnd[at_hi & (hi[g] == top[g])] = 2 * g + 1
 
+        # A slit child fixes axis g at an interior node; its faces are the
+        # ones whose cells along the other axes lie in its span.
         cut_of = np.full(N0, -1, dtype=int)
-        for ci, cut in enumerate(cuts):
-            if cut.axis != a:
+        for ci, (clo, chi) in enumerate(cuts):
+            if clo[g] != chi[g]:
                 continue
-            mask = np.abs(cen[:, a] - cut.coord) <= _TOL
-            for sp, b in zip(cut.spans, others):
-                mask &= (cen[:, b] > sp[0] + _TOL) & (cen[:, b] < sp[1] - _TOL)
-            mask &= ~boundary & (cut_of < 0)
+            mask = lo[g] + plane_idx == clo[g]
+            for bi, b in enumerate(others):
+                cell = lo[axes[b]] + combo[row_idx, bi]
+                mask &= (clo[axes[b]] <= cell) & (cell < chi[axes[b]])
             cut_of[mask] = ci
         slit = cut_of >= 0
 
@@ -379,6 +379,7 @@ def _build_cartesian_grid(
         parts["center"].append(cen[src])
         parts["normal"].append(nrm)
         parts["cells"].append(np.stack([c0, c1], axis=1))
+        parts["bnd"].append(bnd[src])
         parts["cut"].append(cut_arr)
         parts["side"].append(side_arr)
         if want_nodes:
@@ -396,14 +397,11 @@ def _build_cartesian_grid(
     node_coords = None
     face_nodes = None
     if want_nodes:
-        xs = lo[0] + h[0] * np.arange(n[0] + 1)
-        ys = lo[1] + h[1] * np.arange(n[1] + 1)
         node_coords = np.stack(
-            [np.tile(xs, n[1] + 1), np.repeat(ys, n[0] + 1)], axis=1
+            [np.tile(nodes[0], n[1] + 1), np.repeat(nodes[1], n[0] + 1)], axis=1
         )
         face_nodes = np.concatenate(parts["nodes"], axis=0)
 
-    face_cut = np.concatenate(parts["cut"])
     return CellGrid(
         dim=dim,
         cell_volumes=volumes,
@@ -413,8 +411,8 @@ def _build_cartesian_grid(
         face_centers=np.concatenate(parts["center"], axis=0),
         face_normals=np.concatenate(parts["normal"], axis=0),
         face_cells=np.concatenate(parts["cells"], axis=0),
-        face_bnd=np.full_like(face_cut, -1),
-        face_cut=face_cut,
+        face_bnd=np.concatenate(parts["bnd"]),
+        face_cut=np.concatenate(parts["cut"]),
         face_side=np.concatenate(parts["side"]),
         frame_origin=frame_origin,
         frame_axes=frame_axes,
@@ -430,37 +428,35 @@ def _build_cartesian_grid(
 
 @dataclass
 class _Locus:
-    """One box of the fault hierarchy: the ambient domain, a fault, or a
-    fault intersection. ``lo == hi`` on the fixed axes; ``free`` marks the
-    axes the box spans."""
+    """One box of the fault hierarchy, in node indices of the ambient
+    lattice: the ambient domain, a fault, or a fault intersection. The box
+    spans the axes where ``lo < hi`` and fixes the others."""
 
     lo: np.ndarray
     hi: np.ndarray
-    free: np.ndarray
     fault_ids: tuple = ()
     #: parent locus id -> "slit" (strictly inside the parent) or "end" (on
     #: the parent's edge), in increasing id order.
     parents: dict = field(default_factory=dict)
 
+    @property
+    def free(self) -> np.ndarray:
+        return self.lo != self.hi
+
 
 def _meet(a: _Locus, b: _Locus) -> Optional[_Locus]:
     """The locus where two loci of one level meet, or None.
 
-    They meet when each fixes exactly one axis the other spans, they agree
-    on the axes both fix, each one's fixed coordinate lies within the
-    other's span (boundary included), and their common spans overlap.
+    They meet when each fixes exactly one axis the other spans, their boxes
+    intersect (boundary included), and their common spans overlap.
     """
     if np.count_nonzero(a.free != b.free) != 2:
         return None
     lo = np.maximum(a.lo, b.lo)
     hi = np.minimum(a.hi, b.hi)
-    free = a.free & b.free
-    if np.any(hi - lo < -_TOL) or np.any(hi[free] - lo[free] <= _TOL):
+    if np.any(hi < lo) or np.any(hi[a.free & b.free] == lo[a.free & b.free]):
         return None
-    fixed = np.where(a.free, b.lo, a.lo)
-    lo[~free] = fixed[~free]
-    hi[~free] = fixed[~free]
-    return _Locus(lo, hi, free)
+    return _Locus(lo, hi)
 
 
 def _relation(child: _Locus, parent: _Locus) -> str:
@@ -468,30 +464,23 @@ def _relation(child: _Locus, parent: _Locus) -> str:
     parent's edge ("end") along the axis the child newly fixes."""
     axis = parent.free & ~child.free
     c = child.lo[axis]
-    inside = (parent.lo[axis] + _TOL < c) & (c < parent.hi[axis] - _TOL)
+    inside = (parent.lo[axis] < c) & (c < parent.hi[axis])
     return "slit" if inside.all() else "end"
 
 
 def _level_order(m: _Locus) -> tuple:
-    return tuple(np.flatnonzero(m.free)), tuple(np.round(m.lo[~m.free], 12))
+    return tuple(np.flatnonzero(m.free)), tuple(m.lo[~m.free])
 
 
-def _hierarchy(lo: np.ndarray, hi: np.ndarray, faults: Sequence[FaultSpec]) -> list:
+def _hierarchy(n: np.ndarray, boxes: Sequence[tuple], faults: Sequence[FaultSpec]) -> list:
     """Loci of the fault hierarchy in subdomain order.
 
-    The ambient box comes first, then the faults in input order. Each
-    further level holds the pairwise meets of the previous level's loci,
-    merged by rounded location and sorted by (free axes, fixed coordinates).
+    The ambient box comes first, then the faults' node boxes in input
+    order. Each further level holds the pairwise meets of the previous
+    level's loci, merged by box and sorted by (free axes, fixed nodes).
     """
-    dim = lo.shape[0]
-    loci = [_Locus(lo, hi, np.ones(dim, dtype=bool))]
-    for k, f in enumerate(faults):
-        p0 = np.asarray(f.p0, dtype=float)
-        p1 = np.asarray(f.p1, dtype=float)
-        flo, fhi = np.minimum(p0, p1), np.maximum(p0, p1)
-        flo[f.axis] = fhi[f.axis] = f.plane
-        free = np.arange(dim) != f.axis
-        loci.append(_Locus(flo, fhi, free, (k,), {0: "slit"}))
+    loci = [_Locus(np.zeros_like(n), n)]
+    loci += [_Locus(lo, hi, (k,), {0: "slit"}) for k, (lo, hi) in enumerate(boxes)]
     level = range(1, len(loci))
     while len(level) > 1:
         meets = {}
@@ -499,7 +488,7 @@ def _hierarchy(lo: np.ndarray, hi: np.ndarray, faults: Sequence[FaultSpec]) -> l
             for j in range(i + 1, level.stop):
                 m = _meet(loci[i], loci[j])
                 if m is not None:
-                    key = (tuple(np.round(m.lo, 12)), tuple(np.round(m.hi, 12)))
+                    key = (tuple(m.lo), tuple(m.hi))
                     # Parents are collected first; their relations follow.
                     meets.setdefault(key, m).parents.update(dict.fromkeys((i, j)))
         start = len(loci)
@@ -519,52 +508,17 @@ def _hierarchy(lo: np.ndarray, hi: np.ndarray, faults: Sequence[FaultSpec]) -> l
     return loci
 
 
-def _check_overlaps(faults: Sequence[FaultSpec]) -> None:
-    for i, fi in enumerate(faults):
-        for j in range(i + 1, len(faults)):
-            fj = faults[j]
-            if fi.axis != fj.axis or abs(fi.plane - fj.plane) > _TOL:
-                continue
-            overlap = True
-            for a in fi.inplane_axes:
-                lo_i, hi_i = fi.extent(a)
-                lo_j, hi_j = fj.extent(a)
-                if min(hi_i, hi_j) - max(lo_i, lo_j) <= _TOL:
-                    overlap = False
-            if overlap:
+def _check_overlaps(boxes: Sequence[tuple], faults: Sequence[FaultSpec]) -> None:
+    for i, (lo_i, hi_i) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            lo_j, hi_j = boxes[j]
+            free = lo_i != hi_i
+            lo, hi = np.maximum(lo_i, lo_j), np.minimum(hi_i, hi_j)
+            if np.array_equal(free, lo_j != hi_j) and np.all(hi >= lo) and np.all(hi[free] > lo[free]):
                 raise MeshError(
-                    f"faults {fi.name or i!r} and {fj.name or j!r} overlap on a shared plane"
+                    f"faults {faults[i].name or i!r} and {faults[j].name or j!r} "
+                    "overlap on a shared plane"
                 )
-
-
-def _match_faces_to_cells(
-    grid_h: CellGrid, faces: np.ndarray, grid_l: CellGrid
-) -> np.ndarray:
-    """Order ``faces`` of the higher grid to match the lower grid's cells by
-    coinciding global centroids. Returns the permuted face array."""
-    fc = grid_h.frame_origin + grid_h.face_centers[faces] @ grid_h.frame_axes
-    cc = grid_l.cell_centers_global()
-    if fc.shape[0] != cc.shape[0]:
-        raise MeshError("interface face/cell count mismatch")
-    # Lexicographic sort both sides, then invert the cell sort.
-    key_f = np.lexsort(fc.T)
-    key_c = np.lexsort(cc.T)
-    if not np.allclose(fc[key_f], cc[key_c], atol=1e-9):
-        raise MeshError("interface face/cell centroids do not coincide")
-    out = np.empty(cc.shape[0], dtype=int)
-    out[key_c] = faces[key_f]
-    return out
-
-
-def _tag_ambient_boundary(grid: CellGrid, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Mark boundary faces of an embedded grid that lie on the ambient box."""
-    cand = np.where((grid.face_cells[:, 1] < 0) & (grid.face_cut < 0))[0]
-    if not cand.size:
-        return
-    gx = grid.frame_origin + grid.face_centers[cand] @ grid.frame_axes
-    for a in range(lo.shape[0]):
-        grid.face_bnd[cand[np.abs(gx[:, a] - lo[a]) <= _TOL]] = 2 * a
-        grid.face_bnd[cand[np.abs(gx[:, a] - hi[a]) <= _TOL]] = 2 * a + 1
 
 
 def build_cartesian_md_mesh(
@@ -583,7 +537,8 @@ def build_cartesian_md_mesh(
         Cells per axis of the ambient grid.
     faults : sequence of FaultSpec
         Thin inclusions; every fault plane must coincide with an interior
-        grid face plane and fault endpoints must lie on grid nodes.
+        grid face plane and fault endpoints must lie on grid nodes, within
+        1e-6 of a cell width. Each corner is snapped once to its node.
 
     Returns
     -------
@@ -597,21 +552,30 @@ def build_cartesian_md_mesh(
     n = np.asarray(resolution, dtype=int)
     if dim not in (2, 3):
         raise MeshError("ambient dimension must be 2 or 3")
+    if np.any(n <= 0):
+        raise MeshError("resolution must be positive along every axis")
     h = (hi - lo) / n
 
+    boxes = []
     for k, f in enumerate(faults):
         name = f"fault {f.name or k!r}"
         if len(f.p0) != dim:
             raise MeshError(f"{name}: wrong coordinate dimension")
-        if not 0 < _snap_index(f.plane, lo[f.axis], h[f.axis], name) < n[f.axis]:
+        ends = np.array(
+            [[_snap_index(p[a], lo[a], h[a], name) for a in range(dim)] for p in (f.p0, f.p1)]
+        )
+        box_lo, box_hi = ends.min(axis=0), ends.max(axis=0)
+        if not 0 < box_lo[f.axis] < n[f.axis]:
             raise MeshError(f"{name}: plane must lie strictly inside the domain")
+        if np.any(box_lo < 0) or np.any(box_hi > n):
+            raise MeshError(f"{name}: extends outside the domain")
         for a in f.inplane_axes:
-            e0, e1 = f.extent(a)
-            if _snap_index(e0, lo[a], h[a], name) < 0 or _snap_index(e1, lo[a], h[a], name) > n[a]:
-                raise MeshError(f"{name}: extends outside the domain")
-    _check_overlaps(faults)
+            if box_lo[a] == box_hi[a]:
+                raise MeshError(f"{name}: zero extent along axis {a}")
+        boxes.append((box_lo, box_hi))
+    _check_overlaps(boxes, faults)
 
-    loci = _hierarchy(lo, hi, faults)
+    loci = _hierarchy(n, boxes, faults)
     cuts = [[] for _ in loci]  # per locus: its slit children, in locus order
     for c, locus in enumerate(loci):
         for p, how in locus.parents.items():
@@ -620,45 +584,32 @@ def build_cartesian_md_mesh(
 
     subdomains, info, interfaces = [], [], []
     for c, locus in enumerate(loci):
-        axes = np.flatnonzero(locus.free)
-        own_cuts = []
-        for child in cuts[c]:
-            sub = loci[child]
-            k = int(np.flatnonzero(~sub.free[axes])[0])
-            spans = tuple((sub.lo[a], sub.hi[a]) for a in axes if sub.free[a])
-            own_cuts.append(_Cut(k, sub.lo[axes[k]], spans))
         grid = _build_cartesian_grid(
-            locus.lo[axes],
-            locus.hi[axes],
-            np.rint((locus.hi - locus.lo)[axes] / h[axes]).astype(int),
-            own_cuts,
-            np.where(locus.free, 0.0, locus.lo),
-            np.eye(dim)[axes],
+            locus.lo, locus.hi, [(loci[s].lo, loci[s].hi) for s in cuts[c]], lo, h, n
         )
-        _tag_ambient_boundary(grid, lo, hi)
         subdomains.append(grid)
         kind = "matrix" if c == 0 else "fault" if c <= len(faults) else "intersection"
         info.append(SubdomainInfo(kind=kind, fault_ids=locus.fault_ids))
 
         for p, how in locus.parents.items():
             higher = subdomains[p]
+            if how == "slit":
+                at = higher.face_cut == cuts[p].index(c)
+            else:
+                # A point on the end of a line: the line's tip face there,
+                # whose outward normal points up the line at its high end.
+                up = 1.0 if np.array_equal(locus.lo, loci[p].hi) else -1.0
+                at = higher.is_boundary() & (higher.face_cut < 0) & (higher.face_normals[:, 0] == up)
             if grid.dim:
-                # One interface per side, each covering the whole slit.
-                at = (higher.face_cut == cuts[p].index(c))
+                # One interface per side, each covering the whole slit. A
+                # side's slit faces and the lower grid's cells both run
+                # x-fastest over the same span, so they pair in order.
                 sides = (1, 2)
                 groups = [np.flatnonzero(at & (higher.face_side == s)) for s in sides]
             else:
-                # One interface per adjoining face: the slit copies, or the
-                # tip face of a branch ending here.
-                faces = np.flatnonzero(
-                    (higher.face_cells[:, 1] < 0)
-                    & ((higher.face_cut >= 0) | (higher.face_bnd < 0))
-                )
-                gx = higher.frame_origin + higher.face_centers[faces] @ higher.frame_axes
-                faces = faces[np.abs(gx - locus.lo).max(axis=1) <= _TOL]
-                if not faces.size:
-                    raise MeshError("intersection point has no adjoining fault face")
-                # Outward normal along +axis: the branch lies on side 2.
+                # One interface per adjoining face. Outward normal along
+                # +axis: the branch lies on side 2.
+                faces = np.flatnonzero(at)
                 sides = [2 if higher.face_normals[f, 0] > 0 else 1 for f in faces]
                 groups = [faces[i : i + 1] for i in range(faces.size)]
             if p == 0:
@@ -666,13 +617,15 @@ def build_cartesian_md_mesh(
             else:
                 fault_id = p - 1 if p <= len(faults) else -1
             for side, faces in zip(sides, groups):
+                if faces.size != grid.n_cells:
+                    raise MeshError("interface face/cell count mismatch")
                 interfaces.append(
                     MortarInterface(
                         lower=c,
                         higher=p,
                         side=side,
                         side_sign=1 if side == 2 else -1,
-                        higher_faces=_match_faces_to_cells(higher, faces, grid),
+                        higher_faces=faces,
                         lower_cells=np.arange(grid.n_cells),
                         measures=grid.cell_volumes.copy(),
                         fault_id=fault_id,

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mdflow.config import FaultConfig, builtin_case
 from mdflow.mdmesh import (
     _FORMAT_ROWS,
+    FaultSpec,
     MeshError,
     build_cartesian_md_mesh,
     export_mesh,
@@ -416,6 +417,39 @@ def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
     path.write_text("".join(ln + "\n" for ln in edit(lines)))
     with pytest.raises(MeshError, match=rf"^{re.escape(str(path))}: line {line}: "):
         import_mesh(str(path))
+
+
+@pytest.mark.parametrize("s, offset", [(1e-9, 0.0), (1e-9, 1e3), (1.0, 1e6), (1e9, 0.0)])
+def test_fault_plane_found_at_any_scale(s, offset):
+    spec = FaultSpec((s * offset, s * (offset + 0.5)), (s * (offset + 1.0), s * (offset + 0.5)))
+    assert spec.axis == 1
+    with pytest.raises(MeshError, match="exactly one coordinate"):
+        FaultSpec((s * offset, s * offset), (s * offset, s * offset))
+
+
+@pytest.mark.parametrize("case", ["network2d", "cube3d"])
+@pytest.mark.parametrize("s, offset", [(1e-9, 0.0), (1e-8, 1e3), (1.0, 1e6), (1e9, 1e3)])
+def test_mesh_does_not_depend_on_units_or_origin(case, s, offset):
+    # Every decision is taken on the node lattice, so only the coordinates
+    # change, and they change as s (x + offset).
+    cfg = builtin_case(case)
+    at = lambda p: tuple(s * (x + offset) for x in p)
+    specs = [FaultSpec(at(f.p0), at(f.p1), f.name) for f in cfg.faults]
+    res = (8,) * len(cfg.resolution)
+    ref = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, res, cfg.fault_specs())
+    mesh = build_cartesian_md_mesh(at(cfg.domain_lo), at(cfg.domain_hi), res, specs)
+    for a, b in zip(ref.subdomains, mesh.subdomains):
+        for name in ("face_cells", "face_bnd", "face_cut", "face_side", "face_nodes"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.allclose(
+            b.cell_centers_global(), s * (a.cell_centers_global() + offset), rtol=1e-12, atol=0.0
+        )
+        assert np.allclose(b.cell_volumes, s**a.dim * a.cell_volumes, rtol=1e-12, atol=0.0)
+    assert [(i.lower, i.higher, i.side) for i in ref.interfaces] == [
+        (i.lower, i.higher, i.side) for i in mesh.interfaces
+    ]
+    for a, b in zip(ref.interfaces, mesh.interfaces):
+        assert np.array_equal(a.higher_faces, b.higher_faces)
 
 
 def test_off_grid_fault_rejected():
