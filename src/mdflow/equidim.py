@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdassembly import MaterialSet, assemble_global, solve
-from .mdmesh import MeshError, build_cartesian_md_mesh
+from .mdassembly import MaterialSet, _in_box, assemble_global, solve
+from .mdmesh import MeshError, _snap_index, build_cartesian_md_mesh
 
 logger = logging.getLogger(__name__)
 
@@ -24,8 +24,9 @@ logger = logging.getLogger(__name__)
 class EquiDimCase:
     """A fully resolved configuration: matrix plus fault strips as regions.
 
-    Every strip must be aligned with grid lines at the requested resolution
-    and span at least two cell rows, otherwise the strip tensor cannot be
+    Every strip corner must lie on a grid node at the requested resolution
+    (within 1e-6 of a cell width, as for the mesher's faults) and the strip
+    must span at least two cell rows, otherwise the strip tensor cannot be
     represented on the grid.
     """
 
@@ -39,26 +40,17 @@ class EquiDimCase:
     def validate(self) -> None:
         lo = np.asarray(self.domain_lo, dtype=float)
         hi = np.asarray(self.domain_hi, dtype=float)
-        n = np.asarray(self.resolution, dtype=int)
-        h = (hi - lo) / n
+        h = (hi - lo) / np.asarray(self.resolution, dtype=int)
         for s_lo, s_hi, _ in self.strips:
-            s_lo = np.asarray(s_lo, dtype=float)
-            s_hi = np.asarray(s_hi, dtype=float)
-            widths = s_hi - s_lo
-            thin = int(np.argmin(np.where(widths > 0, widths, np.inf)))
-            rows = widths[thin] / h[thin]
-            if abs(rows - round(rows)) > 1e-9 or round(rows) < 2:
-                raise MeshError(
-                    "fault strip must span an integral number of cell rows, "
-                    f"at least two (got {rows:.6g})"
-                )
-            for a in range(lo.shape[0]):
-                for v in (s_lo[a], s_hi[a]):
-                    t = (v - lo[a]) / h[a]
-                    if abs(t - round(t)) > 1e-9:
-                        raise MeshError(
-                            f"strip edge {v} is not on a grid line of spacing {h[a]}"
-                        )
+            k_lo, k_hi = (
+                np.array([_snap_index(x, lo[a], h[a], "fault strip") for a, x in enumerate(p)])
+                for p in (s_lo, s_hi)
+            )
+            rows = k_hi - k_lo
+            # The strip's thin axis: its least positive width.
+            thin = np.argmin(np.where(rows > 0, rows * h, np.inf))
+            if rows[thin] < 2:
+                raise MeshError(f"fault strip must span at least two cell rows (got {rows[thin]})")
 
 
 @dataclass
@@ -86,25 +78,16 @@ def average_fault_pressure(
 ) -> tuple:
     """Profile of the strip pressure along the fault direction.
 
-    Cells whose centroids fall inside [band_lo, band_hi] are grouped by
-    their coordinate on ``axis`` (the in-plane direction) and averaged,
-    which mimics the across-aperture averaging that defines the reduced
-    fault pressure. Returns (coordinates, mean pressures) sorted by
-    coordinate.
+    Cells whose centroids fall inside [band_lo, band_hi] (with the margin
+    of ``mdassembly._in_box``) are grouped by their coordinate on ``axis``
+    (the in-plane direction) and averaged, which mimics the across-aperture
+    averaging that defines the reduced fault pressure. Returns (coordinates,
+    mean pressures) sorted by coordinate.
     """
-    band_lo = np.asarray(band_lo, dtype=float)
-    band_hi = np.asarray(band_hi, dtype=float)
-    centers = sol.grid.cell_centers
-    inside = np.all(
-        (centers >= band_lo - 1e-12) & (centers <= band_hi + 1e-12), axis=1
-    )
+    centers = sol.grid.cell_centers_global()
+    inside = _in_box(sol.grid, centers, band_lo, band_hi)
     if not np.any(inside):
         raise ValueError("averaging band contains no cells")
-    coord = centers[inside, axis]
-    vals = sol.pressures[inside]
-    xs = np.unique(np.round(coord, 12))
-    out = np.empty(xs.shape[0])
-    for i, x in enumerate(xs):
-        sel = np.abs(coord - x) <= 1e-11
-        out[i] = vals[sel].mean()
-    return xs, out
+    # The cells of one column share their coordinate bit for bit.
+    xs, column = np.unique(centers[inside, axis], return_inverse=True)
+    return xs, np.bincount(column, sol.pressures[inside]) / np.bincount(column)

@@ -148,16 +148,18 @@ def boundary_condition_from_clauses(
     return bc
 
 
-def _inherited_scalar(perms, apertures, fault_ids, component=None):
-    """Mean material values over the faults meeting at an intersection."""
+def _inherited_scalar(perms, apertures, fault_ids, along=None):
+    """Mean material values over the faults meeting at an intersection.
+    ``along`` maps each fault to its in-plane index along an intersection
+    line; without it the in-plane value is each tensor's mean diagonal."""
     kp = float(np.mean([np.mean(perms[f].k_perp) for f in fault_ids]))
     ap = float(np.mean([apertures[f] for f in fault_ids]))
-    if component is None:
+    if along is None:
         kpar = float(
             np.mean([np.trace(perms[f].k_parallel) / len(perms[f].k_parallel) for f in fault_ids])
         )
     else:
-        kpar = float(np.mean([perms[f].k_parallel[component, component] for f in fault_ids]))
+        kpar = float(np.mean([perms[f].k_parallel[along[f], along[f]] for f in fault_ids]))
     return kp, ap, kpar
 
 
@@ -187,6 +189,11 @@ def build_problems(
             )
         fault_laws[f] = law
 
+    fault_axes = {
+        info.fault_ids[0]: grid.frame_axes
+        for grid, info in zip(mesh.subdomains, mesh.info)
+        if info.kind == "fault"
+    }
     sub_problems = []
     for i, grid in enumerate(mesh.subdomains):
         info = mesh.info[i]
@@ -198,9 +205,12 @@ def build_problems(
             eff = schur_effective_tensor(law)
             perm = np.tile(eff.tensor, (grid.n_cells, 1, 1))
         elif d > 0:  # intersection line
-            along = int(np.argmax(np.abs(grid.frame_axes[0])))
-            comp = _line_component(mesh, info.fault_ids, along)
-            kp, ap, kpar = _inherited_scalar(perms, aps, info.fault_ids, comp)
+            # The line's index among each fault's own in-plane axes.
+            along = {
+                f: int(np.argmax(np.abs(fault_axes[f] @ grid.frame_axes[0])))
+                for f in info.fault_ids
+            }
+            kp, ap, kpar = _inherited_scalar(perms, aps, info.fault_ids, along)
             codim = mesh.dim - d
             perm = np.full((grid.n_cells, 1, 1), ap**codim * kpar)
         else:  # point: no internal flow
@@ -224,23 +234,13 @@ def build_problems(
                 else mesh.info[itf.lower].fault_ids
             )
             kp, ap, kpar = _inherited_scalar(perms, aps, fids)
-            t = max(lower.dim, 1)
+            t = lower.dim
             synthetic = EquiDimFaultPerm(
                 k_parallel=kpar * np.eye(t),
                 k_perp=(kp, kp),
                 k_t=(np.zeros(t), np.zeros(t)),
             )
             law = scale_to_mixed_dim(synthetic, ap, codim=codim)
-            # Degenerate lower dimension: the law's tangential size must
-            # match the lower grid (0 for points).
-            if lower.dim == 0:
-                law = MixedDimLaw(
-                    kappa_parallel=np.zeros((0, 0)),
-                    kappa_perp=law.kappa_perp,
-                    kappa_t=(np.zeros(0), np.zeros(0)),
-                    codim=codim,
-                    aperture=ap,
-                )
             ok, margin = check_wellposed(law)
             if not ok:
                 raise InterfaceLawError(
@@ -248,20 +248,6 @@ def build_problems(
                 )
         itf_problems.append(InterfaceProblem(itf, law))
     return sub_problems, itf_problems
-
-
-def _line_component(mesh: MixedDimMesh, fault_ids, along_axis: int) -> int:
-    """Local in-plane index of the ambient axis a line runs along, within
-    the first adjoining fault's frame (used to pick the tangential entry)."""
-    # All fault frames use ambient axes in increasing order, so the local
-    # index is the rank of the line axis among the fault's in-plane axes.
-    for i, info in enumerate(mesh.info):
-        if info.kind == "fault" and info.fault_ids[0] in fault_ids:
-            axes = mesh.subdomains[i].frame_axes
-            for k in range(axes.shape[0]):
-                if abs(axes[k, along_axis]) > 0.5:
-                    return k
-    return 0
 
 
 @dataclass

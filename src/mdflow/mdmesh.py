@@ -95,7 +95,7 @@ class CellGrid:
             raise MeshError("interior face with identical neighbors")
         if self.dim > 0:
             norms = np.linalg.norm(self.face_normals, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-12):
+            if not np.allclose(norms, 1.0, rtol=1e-12, atol=0.0):
                 raise MeshError("face normals are not unit length")
             # Closed-cell condition: signed area-weighted normals cancel.
             out = self.face_areas[:, None] * self.face_normals
@@ -230,9 +230,9 @@ class MixedDimMesh:
                 raise MeshError("mortar cells must map to distinct higher faces")
             areas = gh.face_areas[itf.higher_faces]
             vols = gl.cell_volumes[itf.lower_cells]
-            if not np.allclose(areas, vols, rtol=1e-10):
+            if not np.allclose(areas, vols, rtol=1e-10, atol=0.0):
                 raise MeshError("mortar cell measures do not match across sides")
-            if not np.allclose(itf.measures, vols, rtol=1e-10):
+            if not np.allclose(itf.measures, vols, rtol=1e-10, atol=0.0):
                 raise MeshError("stored mortar measures inconsistent")
 
 

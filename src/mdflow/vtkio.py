@@ -28,9 +28,11 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
     path : str
         Output file path.
     grid : CellGrid
-        Any grid built by the mesher, of topological dimension 0 to 3. Its
-        cells must fill the lattice of their global node coordinates, each
-        cell spanning one node interval along every axis it extends in.
+        Any grid built by the mesher or read by ``import_mesh``, of
+        topological dimension 0 to 3. Its nodes along an axis are the planes
+        of its faces normal to that axis. Its cells must be in VTK order
+        (x-fastest), each spanning one node interval along every axis it
+        extends in, as the mesher numbers them.
     cell_data : dict, optional
         Scalar arrays of length ``n_cells`` keyed by their field name.
     title : str, optional
@@ -39,34 +41,29 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
     Raises
     ------
     ValueError
-        If the cells do not fill their lattice or a cell-data array does not
-        have one value per cell; no file is written then.
+        If the cells do not fill their lattice in VTK order or a cell-data
+        array does not have one value per cell; no file is written then.
     """
     n_cells = grid.n_cells
-    centers = grid.cell_centers_global()
-    half = 0.5 * np.abs(grid.cell_widths @ grid.frame_axes)
-    coords, ids, stride, spans_one = [], np.zeros(n_cells, dtype=int), 1, True
-    for a in range(3):
-        if a >= centers.shape[1]:
-            coords.append(np.zeros(1))
-            continue
+    faces = grid.face_centers_global()
+    normals = grid.face_normals @ grid.frame_axes
+    coords = [np.zeros(1)] * 3
+    for a, x0 in enumerate(grid.frame_origin):
+        # An axis the grid does not extend in has one node, its frame origin.
+        on = normals[:, a] != 0
         # Adding 0.0 turns -0.0 into 0.0, so no coordinate prints as -0.
-        lo = np.round(centers[:, a] - half[:, a], 12) + 0.0
-        hi = np.round(centers[:, a] + half[:, a], 12) + 0.0
-        values = np.unique(np.concatenate([lo, hi]))
-        # One node per run of values differing by floating-point noise: far
-        # from the origin, the node two neighbours share can differ in its
-        # last bits by more than the rounding above removes.
-        new = np.diff(values, prepend=-np.inf) > 1e-9 * max(1.0, np.abs(values).max())
-        nodes, node_of = values[new], np.cumsum(new) - 1
-        i = node_of[np.searchsorted(values, lo)]
-        spans_one &= np.array_equal(node_of[np.searchsorted(values, hi)], i + (nodes.size > 1))
-        # VTK numbers the cells x-fastest, max(nodes - 1, 1) along each axis.
-        ids += stride * i
-        stride *= max(nodes.size - 1, 1)
-        coords.append(nodes)
-    order = np.argsort(ids)
-    if not (spans_one and stride == n_cells and np.array_equal(ids[order], np.arange(n_cells))):
+        coords[a] = (np.unique(faces[on, a]) if on.any() else np.array([x0])) + 0.0
+    # VTK numbers the cells x-fastest, max(nodes - 1, 1) along each axis.
+    counts = [max(nodes.size - 1, 1) for nodes in coords]
+    ordered = int(np.prod(counts)) == n_cells
+    if ordered:
+        ijk = np.unravel_index(np.arange(n_cells), counts, order="F")
+        ordered = all(
+            np.all((nodes[i] < x) & (x < nodes[i + 1]))
+            for nodes, i, x in zip(coords, ijk, grid.cell_centers_global().T)
+            if nodes.size > 1
+        )
+    if not ordered:
         raise ValueError(f"the cells written to {path!r} do not fill a rectilinear lattice")
 
     out = ["# vtk DataFile Version 2.0"]
@@ -89,7 +86,7 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
                 )
             out.append(f"SCALARS {name} double 1")
             out.append("LOOKUP_TABLE default")
-            out += format_rows("%.12g", values[order, None])
+            out += format_rows("%.12g", values[:, None])
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
     logger.debug("wrote %s: %s nodes, %d cells", path, dims, n_cells)

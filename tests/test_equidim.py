@@ -9,9 +9,11 @@ averaged strip profile must be symmetric about the domain midline.
 import numpy as np
 import pytest
 
-from mdflow.config import BcClause
+from mdflow.config import BcClause, builtin_case
 from mdflow.equidim import EquiDimCase, average_fault_pressure, solve_equidim
 from mdflow.mdmesh import MeshError
+from mdflow.verify import equidim_oracle
+from test_mdassembly import scaled
 
 
 def strip_case(tensor, n=20, a=0.1, bcs=None, matrix_k=None):
@@ -103,3 +105,15 @@ def test_empty_band_rejected():
     sol = solve_equidim(case)
     with pytest.raises(ValueError):
         average_fault_pressure(sol, (2.0, 2.0), (3.0, 3.0), axis=0)
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-11])
+def test_oracle_profile_does_not_depend_on_units(s):
+    # Cells 5e-13 wide at s = 1e-10: the band and the columns are told
+    # apart on the grid's own lattice, not by absolute margins.
+    cfg = builtin_case("case1")
+    xs, ref = equidim_oracle(cfg)
+    xs_s, prof = equidim_oracle(scaled(cfg, s))
+    assert xs_s.shape == xs.shape == (200,)
+    assert np.abs(xs_s - s * xs).max() <= 1e-14 * s
+    assert np.abs(prof - ref).max() <= 1e-10 * np.abs(ref).max()

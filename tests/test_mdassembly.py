@@ -323,6 +323,28 @@ def test_region_holds_its_cells_in_a_tiny_domain():
     assert np.count_nonzero(perm[:, 0, 0] == 2.0) == 64
 
 
+def test_line_permeability_reads_each_faults_own_entry():
+    # k_parallel = diag(1e4, 4e4) in every fault's own in-plane axes: a line
+    # along y is each fault's first axis in FX (y, z) but its second in
+    # FZ (x, y), so FX and FZ meet in a line of mean entry 2.5e4.
+    cfg = builtin_case("cube3d")
+    specs = cfg.fault_specs()
+    mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, cfg.resolution, specs)
+    mats = cfg.material_set()
+    mats.fault_perms = [replace(p, k_parallel=np.diag([1e4, 4e4])) for p in mats.fault_perms]
+    problems, _ = build_problems(mesh, mats, cfg.bcs)
+    lines = 0
+    for grid, info, prob in zip(mesh.subdomains, mesh.info, problems):
+        if info.kind != "intersection" or grid.dim != 1:
+            continue
+        along = int(np.flatnonzero(grid.frame_axes[0])[0])
+        entries = [[1e4, 4e4][specs[f].inplane_axes.index(along)] for f in info.fault_ids]
+        a = np.mean([mats.fault_apertures[f] for f in info.fault_ids])
+        assert np.allclose(prob.perm / a**2, np.mean(entries), rtol=1e-12, atol=0.0)
+        lines += 1
+    assert lines == 3
+
+
 def test_case1_bottom_inflow_equals_top_outflow():
     cfg = builtin_case("case1")
     mesh, system, sol = solve_config(cfg)

@@ -452,6 +452,25 @@ def test_mesh_does_not_depend_on_units_or_origin(case, s, offset):
         assert np.array_equal(a.higher_faces, b.higher_faces)
 
 
+@pytest.mark.parametrize("doubled", ["measures", "lower-cells"])
+def test_mortar_measures_checked_in_a_tiny_box(doubled):
+    # Mortar cells 2.5e-9 long: numpy's default absolute tolerance of 1e-8
+    # would accept any measure.
+    s = 1e-8
+    mesh = build_cartesian_md_mesh(
+        (0.0, 0.0), (s, s), (4, 4), [one_fault(p0=(0.0, s / 2), p1=(s, s / 2))]
+    )
+    mesh.validate()
+    itf = mesh.interfaces[0]
+    if doubled == "measures":
+        itf.measures = 2.0 * itf.measures
+    else:
+        lower = mesh.subdomains[itf.lower]
+        lower.cell_volumes = 2.0 * lower.cell_volumes
+    with pytest.raises(MeshError, match="measures"):
+        mesh.validate()
+
+
 def test_off_grid_fault_rejected():
     with pytest.raises(MeshError):
         build_cartesian_md_mesh(
