@@ -36,8 +36,9 @@ override). Numbers follow the unit conventions of the solver: lengths in
 meters, conductivities in m/s, heads in meters; no unit suffixes are
 written. ``k_t`` and ``k_perp`` take one value for both fault sides or two
 values (side 1, the side the fault normal points into, first). ``box``
-lists the low corner then the high corner. Boundary sides are named x-, x+,
-y-, y+, z-, z+.
+lists the low corner then the high corner; no low coordinate may exceed its
+high one, and a boundary clause's box is flat on its side. Boundary sides
+are named x-, x+, y-, y+, z-, z+.
 """
 
 from __future__ import annotations
@@ -214,7 +215,10 @@ def _box(vals: list, dim: int, line: int) -> tuple:
         raise ConfigError(
             f"line {line}: 'box' needs {2 * dim} numbers (low corner, high corner)"
         )
-    return (tuple(vals[:dim]), tuple(vals[dim:]))
+    lo, hi = tuple(vals[:dim]), tuple(vals[dim:])
+    if any(a > b for a, b in zip(lo, hi)):
+        raise ConfigError(f"line {line}: 'box' low corner {lo} exceeds its high corner {hi}")
+    return (lo, hi)
 
 
 def parse_config(text: str) -> CaseConfig:

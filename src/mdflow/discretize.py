@@ -307,11 +307,10 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     face-constant Dirichlet data pointwise and makes the stencil collapse to
     the two-point one for isotropic permeability on Cartesian grids.
 
-    Every node goes through the same region kernel. Regions with equal local
-    systems (same layout, cell tensors and widths, face areas and boundary
-    condition kinds) share one solve, and the operators store only nonzero
-    coefficients. :func:`discretize` runs the kernel only on the faces of
-    full-tensor cells; this function is its reference.
+    Every node goes through the same region kernel, which solves each
+    region's own local system, batched by size, and the operators store
+    only nonzero coefficients. :func:`discretize` runs the kernel only on
+    the faces of full-tensor cells; this function is its reference.
     """
     return _mpfa(grid, perm, bc, np.arange(grid.n_cells))
 
@@ -333,7 +332,7 @@ def _mpfa(grid, perm, bc, cells) -> DiscreteOperator:
     mark[cells] = True
     near = mark[grid.face_cells].any(axis=1)
 
-    layout, rows = _mpfa_regions(grid, perm, bc, near)
+    entries = _mpfa_regions(grid, perm, bc, near)
     # Imposed-flux faces bypass the local systems: their flux is g * area,
     # and Dirichlet faces take their trace from g.
     fn = np.flatnonzero(bc.imposed_flux() & near)
@@ -345,7 +344,7 @@ def _mpfa(grid, perm, bc, cells) -> DiscreteOperator:
         ("flux_p", (nf, nc)), ("flux_g", (nf, nf)), ("flux_chi", (nf, 2 * nc)),
         ("trace_p", (nf, nc)), ("trace_g", (nf, nf)), ("trace_chi", (nf, 2 * nc)),
     ):
-        val, (r, c) = _spread(layout, *rows[name])
+        val, (r, c) = entries[name]
         if name in extra:
             v, f = extra[name]
             val, r, c = np.concatenate([val, v]), np.concatenate([r, f]), np.concatenate([c, f])
@@ -377,52 +376,23 @@ def _ragged(counts):
     return owner, np.arange(owner.size) - starts[owner]
 
 
-def _distinct_rows(rows):
-    """Index of the first of each distinct row of an integer matrix, and
-    the number of every row's distinct row.
-
-    Rows are grouped by a 64-bit hash, and the grouping is checked against
-    the rows themselves; after a collision ``np.unique(axis=0)`` decides.
-    Each column is mixed in with the splitmix64 finalizer, whose shifts carry
-    the high bits down, so rows differing only in sign bits do not collide.
-    """
-    h = np.zeros(rows.shape[0], dtype=np.uint64)
-    for col in rows.view(np.uint64).T:
-        h ^= col
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        h ^= h >> np.uint64(31)
-    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
-    if not np.array_equal(rows[first[inverse]], rows):
-        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
-
-
 def _mpfa_regions(grid, perm, bc, near):
-    """Interaction-region solves for the sub-faces at the nodes of the
-    faces ``near``; each region is whole, since it never leaves its node.
+    """O-scheme flux and trace entries of the faces ``near``, from the
+    interaction regions at their nodes; each region is whole, since it never
+    leaves its node.
 
     A region's local system has one row and one unknown (continuity
     pressure) per sub-face, numbered by face id, and right-hand-side columns
     for its cells' pressures (cells numbered by id), its faces' boundary
     data and its cells' vector sources, in that order. Regions are sorted by
     their (sub-face, cell) counts, so each group of equal counts is a
-    contiguous batch.
+    contiguous batch with one solve.
 
-    Within a group, a region's system follows from an integer key: per
-    corner its cell's (tensor, widths) class and the sides of its two faces,
-    and per sub-face its face's normal, area class and boundary condition
-    kind and the local numbers of its first and second corner (which fix
-    the corners' sub-faces too). One representative region per distinct key
-    is solved, and its flux and trace rows keep only their nonzero
-    coefficients.
-
-    Returns the layout that :func:`_spread` needs to copy those rows to the
-    sub-faces of the near faces, and per operator the representatives' row
-    counts, columns, values and (vector source columns only) component.
-    Arrays prefixed ``s_`` hold one entry per sub-face (a (node, face) pair
-    of the grid's ``face_nodes``), ``i_`` per sub-face/corner incidence,
-    ``k_`` per corner and ``r_`` per representative region.
+    Returns per operator the nonzero entries of the near faces' sub-faces
+    as (values, (faces, global columns)); the two sub-faces of a face
+    repeat its row. Arrays prefixed ``s_`` hold one entry per sub-face (a
+    (node, face) pair of the grid's ``face_nodes``), ``i_`` per
+    sub-face/corner incidence and ``k_`` per corner.
     """
     nc = grid.n_cells
     fcells = grid.face_cells
@@ -481,65 +451,24 @@ def _mpfa_regions(grid, perm, bc, near):
     # Faces are normal to a grid axis. A normal points away from the face's
     # first cell, so a face lies on the high side of that cell iff its
     # normal points up the axis, and on the low side of the second cell.
+    # A corner's gradient basis M has the offsets +-w/2 from its cell center
+    # to its two sub-faces' face centers as rows. The two sub-faces lie on
+    # different axes, so M inverts entry by entry into its transpose.
     normals = grid.face_normals[s_face]
     s_axis = np.argmax(np.abs(normals), axis=1)
     s_up = normals[np.arange(ns), s_axis] > 0
-    k_code = 2 * s_axis[k_sub] + ((first[k_sub] == np.arange(n_corner)[:, None]) == s_up[k_sub])
-
-    # Corner classes: cell class and face sides. The gradient basis of a
-    # class has the offsets +-w/2 from the cell center to its two face
-    # centers as rows.
-    used = np.zeros(nc, dtype=bool)
-    used[k_cell] = True
-    used = np.flatnonzero(used)
-    cell_class = np.empty(nc, dtype=int)
-    _, cell_class[used] = _distinct_rows(
-        np.concatenate([perm[used].reshape(-1, 4), grid.cell_widths[used]], axis=1)
-        .view(np.int64)
-    )
-    _, k_rep, k_cls = np.unique(
-        16 * cell_class[k_cell] + 4 * k_code[:, 0] + k_code[:, 1],
-        return_index=True,
-        return_inverse=True,
-    )
-    code, n = k_code[k_rep], np.arange(k_rep.size)[:, None]
-    ax = code // 2
-    M = np.zeros((k_rep.size, 2, 2))
-    M[n, [0, 1], ax] = np.where(code % 2, 0.5, -0.5) * grid.cell_widths[k_cell[k_rep]][n, ax]
-    Minv = np.linalg.inv(M)
+    high = (first[k_sub] == np.arange(n_corner)[:, None]) == s_up[k_sub]
+    ax, n = s_axis[k_sub], np.arange(n_corner)[:, None]
+    Minv = np.zeros((n_corner, 2, 2))
+    Minv[n, ax, [0, 1]] = 1.0 / (np.where(high, 0.5, -0.5) * grid.cell_widths[k_cell][n, ax])
 
     def normal_flux(s, cells):
         """Rows n^T K of the cells for the stored normals of the sub-faces."""
         return np.where(s_up[s], 1.0, -1.0)[:, None] * perm[cells, s_axis[s]]
 
-    # Region keys, then one representative per distinct key of each group.
-    _, s_area = np.unique(grid.face_areas[s_face], return_inverse=True)
-    width = n_c + 3 * n_u
-    off_key = np.cumsum(width) - width
-    keys = np.empty(int(width.sum()), dtype=np.int64)
-    keys[off_key[k_reg] + k_loc] = k_cls
-    pos = off_key[s_reg] + n_c[s_reg] + 3 * s_loc
-    keys[pos] = 4 * (4 * s_area + 2 * s_axis + s_up) + 2 * s_dir + s_imp
-    keys[pos + 1], keys[pos + 2] = k_loc[first], -1
-    keys[pos[inner] + 2] = k_loc[second]
-    reg_rep = np.empty(n_reg, dtype=int)  # representative number per region
-    r_reg, n_rep = [], 0
-    cuts = np.flatnonzero(np.diff(n_u) | np.diff(n_c)) + 1
-    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, n_reg]):
-        group = keys[off_key[r0] : off_key[r0] + (r1 - r0) * width[r0]]
-        rep, inverse = _distinct_rows(group.reshape(r1 - r0, -1))
-        reg_rep[r0:r1] = n_rep + inverse
-        r_reg.append(r0 + rep)
-        n_rep += rep.size
-    r_reg = np.concatenate(r_reg)
-    is_rep = np.zeros(n_reg, dtype=bool)
-    is_rep[r_reg] = True
-    r_u, r_c = n_u[r_reg], n_c[r_reg]
-    w = 3 * r_c + r_u  # right-hand-side columns: cells, faces, chi pairs
-    s_rep = reg_rep[s_reg]
-    s_row = (np.cumsum(r_u) - r_u)[s_rep] + s_loc  # representative's row
-    off_a = np.cumsum(r_u * r_u) - r_u * r_u
-    off_r = np.cumsum(r_u * w) - r_u * w
+    w = 3 * n_c + n_u  # right-hand-side columns: cells, faces, chi pairs
+    off_a = np.cumsum(n_u * n_u) - n_u * n_u
+    off_r = np.cumsum(n_u * w) - n_u * w
 
     # Flux-continuity terms sign * n^T K_c (Minv (pi - p_c) + chi_c), one per
     # corner of an interior sub-face, and -(A_f/2) n^T K_c (...) at
@@ -547,113 +476,98 @@ def _mpfa_regions(grid, perm, bc, near):
     fac = np.concatenate(
         [np.where(inner, 1.0, np.where(s_imp, -s_half, 0.0)), np.full(second.size, -1.0)]
     )
-    t = np.flatnonzero((fac != 0.0) & is_rep[s_reg[i_sub]])
+    t = np.flatnonzero(fac != 0.0)
     ts, tk = i_sub[t], i_corner[t]
     r = fac[t, None] * normal_flux(ts, k_cell[tk])
-    rM = np.einsum("tj,tjk->tk", r, Minv[k_cls[tk]])
-    g = s_rep[ts]
-    row_a = off_a[g] + s_loc[ts] * r_u[g]
+    rM = np.einsum("tj,tjk->tk", r, Minv[tk])
+    g = s_reg[ts]
+    row_a = off_a[g] + s_loc[ts] * n_u[g]
     row_r = off_r[g] + s_loc[ts] * w[g]
-    xc = row_r + r_c[g] + r_u[g] + 2 * k_loc[tk]
-    pin = np.flatnonzero(s_dir & is_rep[s_reg])
-    gp = s_rep[pin]
-    data = np.flatnonzero((s_dir | s_imp) & is_rep[s_reg])
-    gd = s_rep[data]
+    xc = row_r + n_c[g] + n_u[g] + 2 * k_loc[tk]
+    pin = np.flatnonzero(s_dir)
+    data = np.flatnonzero(s_dir | s_imp)
     A = np.bincount(
         np.concatenate(
             [row_a + s_loc[k_sub[tk, 0]], row_a + s_loc[k_sub[tk, 1]],
-             off_a[gp] + s_loc[pin] * (r_u[gp] + 1)]
+             off_a[s_reg[pin]] + s_loc[pin] * (n_u[s_reg[pin]] + 1)]
         ),
         np.concatenate([rM[:, 0], rM[:, 1], np.ones(pin.size)]),
-        minlength=int(r_u @ r_u),
+        minlength=int(n_u @ n_u),
     )
+    g = s_reg[data]
     R = np.bincount(
         np.concatenate(
             [row_r + k_loc[tk], xc, xc + 1,
-             off_r[gd] + s_loc[data] * w[gd] + r_c[gd] + s_loc[data]]
+             off_r[g] + s_loc[data] * w[g] + n_c[g] + s_loc[data]]
         ),
         np.concatenate(
             [rM.sum(axis=1), -r[:, 0], -r[:, 1], np.where(s_dir, 1.0, s_half)[data]]
         ),
-        minlength=int(w @ r_u),
+        minlength=int(w @ n_u),
     )
 
     # One batched solve per group of equal counts; S = A^{-1} R in R's layout.
     S = np.empty_like(R)
-    cuts = np.flatnonzero(np.diff(r_u) | np.diff(r_c)) + 1
-    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, r_reg.size]):
-        u, wr, G = r_u[r0], w[r0], r1 - r0
+    cuts = np.flatnonzero(np.diff(n_u) | np.diff(n_c)) + 1
+    for r0, r1 in zip(np.r_[0, cuts], np.r_[cuts, n_reg]):
+        u, wr, G = n_u[r0], w[r0], r1 - r0
         a = A[off_a[r0] : off_a[r0] + G * u * u].reshape(G, u, u)
         b = slice(off_r[r0], off_r[r0] + G * u * wr)
         S[b] = np.linalg.solve(a, R[b].reshape(G, u, wr)).ravel()
 
-    rs = np.flatnonzero(is_rep[s_reg])
-    rs = rs[np.argsort(s_row[rs])]  # the representatives' sub-faces by row
-    rows = {}
+    # Each right-hand-side column's global column and operator: a cell, a
+    # face, or a cell's chi component.
+    off_w = np.cumsum(w) - w
+    col = np.empty(int(w.sum()), dtype=int)
+    kind = np.empty_like(col)
+    at = off_w[k_reg] + k_loc
+    col[at], kind[at] = k_cell, 0
+    at = off_w[s_reg] + n_c[s_reg] + s_loc
+    col[at], kind[at] = s_face, 1
+    at = off_w[k_reg] + n_c[k_reg] + n_u[k_reg] + 2 * k_loc
+    col[at], col[at + 1] = 2 * k_cell, 2 * k_cell + 1
+    kind[at] = kind[at + 1] = 2
+
+    entries = {}
 
     def slots(sel):
-        """Index into ``sel``, representative and local column of every
+        """Index into ``sel``, region and local column of every
         right-hand-side slot of the sub-faces ``sel``; each one's first slot."""
-        width = w[s_rep[sel]]
-        owner, col = _ragged(width)
-        return owner, s_rep[sel][owner], col, np.cumsum(width) - width
+        width = w[s_reg[sel]]
+        o, c = _ragged(width)
+        return o, s_reg[sel][o], c, np.cumsum(width) - width
 
-    def keep(sel, o, g, col, values, names):
-        """Keep the nonzero slot values as rows of the cell, face and chi
-        operators; cell and face columns index the region's column table,
-        a chi column its cell and component."""
-        j = col - r_c[g] - r_u[g]
-        kind = (col >= r_c[g]).astype(int) + (j >= 0)
+    def keep(sel, o, g, c, values, names):
+        """Keep the nonzero slot values as entries of the sub-faces' face
+        rows in the cell, face and chi operators."""
+        at = off_w[g] + c
+        nonzero, slot_kind = values != 0.0, kind[at]
         for k, name in enumerate(names):
-            m = (kind == k) & (values != 0.0)
-            cnt = np.bincount(s_row[sel[o[m]]], minlength=rs.size)
-            rows[name] = (cnt, col[m], values[m]) if k < 2 else (cnt, j[m] // 2, values[m], j[m] % 2)
+            m = nonzero & (slot_kind == k)
+            entries[name] = (values[m], (s_face[sel[o[m]]], col[at[m]]))
 
     # Traces: each face trace is the mean of its two sub-face pressures;
     # Dirichlet faces already carry the identity.
-    sel = rs[~s_dir[rs]]
-    o, g, col, _ = slots(sel)
-    keep(sel, o, g, col, 0.5 * S[off_r[g] + s_loc[sel][o] * w[g] + col],
+    on = near[s_face]
+    sel = np.flatnonzero(on & ~s_dir)
+    o, g, c, _ = slots(sel)
+    keep(sel, o, g, c, 0.5 * S[off_r[g] + s_loc[sel][o] * w[g] + c],
          ("trace_p", "trace_g", "trace_chi"))
 
     # Fluxes, evaluated from the first cell with the stored face normal:
     # -(A_f/2) n^T K_c0 (Minv (pi - p_c0) + chi_c0). Imposed-flux faces
     # are handled globally as g * area.
-    sel = rs[~s_imp[rs]]
+    sel = np.flatnonzero(on & ~s_imp)
     k0 = first[sel]
     r = normal_flux(sel, k_cell[k0])
-    rM = np.einsum("tj,tjk->tk", r, Minv[k_cls[k0]])
-    o, g, col, start = slots(sel)
+    rM = np.einsum("tj,tjk->tk", r, Minv[k0])
+    o, g, c, start = slots(sel)
     vals = sum(
-        rM[o, m] * S[off_r[g] + s_loc[k_sub[k0, m]][o] * w[g] + col] for m in range(2)
+        rM[o, m] * S[off_r[g] + s_loc[k_sub[k0, m]][o] * w[g] + c] for m in range(2)
     )
     vals[start + k_loc[k0]] -= rM.sum(axis=1)
-    xc = start + r_c[s_rep[sel]] + r_u[s_rep[sel]] + 2 * k_loc[k0]
+    xc = start + n_c[s_reg[sel]] + n_u[s_reg[sel]] + 2 * k_loc[k0]
     vals[xc] += r[:, 0]
     vals[xc + 1] += r[:, 1]
-    keep(sel, o, g, col, -s_half[sel][o] * vals, ("flux_p", "flux_g", "flux_chi"))
-
-    # Global columns by region: its cells, then its faces, in local order.
-    off = np.cumsum(n_c + n_u) - n_c - n_u
-    reg_cols = np.empty(n_corner + ns, dtype=int)
-    reg_cols[off[k_reg] + k_loc] = k_cell
-    reg_cols[off[s_reg] + n_c[s_reg] + s_loc] = s_face
-    on = near[s_face]
-    return (s_row[on], off[s_reg[on]], s_face[on], reg_cols), rows
-
-
-def _spread(layout, cnt, slot, val, comp=None):
-    """Copy the representatives' row entries to the layout's sub-faces.
-
-    ``cnt`` counts each representative row's entries, which are sorted by
-    row; ``slot`` indexes the region's column table, and ``comp`` is the
-    vector component of a chi column. Returns (values, (rows, columns)),
-    where a sub-face's row is its face's.
-    """
-    s_row, s_off, s_face, reg_cols = layout
-    owner, at = _ragged(cnt[s_row])
-    e = (np.cumsum(cnt) - cnt)[s_row[owner]] + at
-    cols = reg_cols[s_off[owner] + slot[e]]
-    if comp is not None:
-        cols = 2 * cols + comp[e]
-    return val[e], (s_face[owner], cols)
+    keep(sel, o, g, c, -s_half[sel][o] * vals, ("flux_p", "flux_g", "flux_chi"))
+    return entries

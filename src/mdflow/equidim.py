@@ -25,9 +25,10 @@ class EquiDimCase:
     """A fully resolved configuration: matrix plus fault strips as regions.
 
     Every strip corner must lie on a grid node at the requested resolution
-    (within 1e-6 of a cell width, as for the mesher's faults) and the strip
-    must span at least two cell rows, otherwise the strip tensor cannot be
-    represented on the grid.
+    (within 1e-6 of a cell width, as for the mesher's faults), its low corner
+    must lie below its high corner on every axis, and the strip must span at
+    least two cell rows across its thin axis, otherwise the strip tensor
+    cannot be represented on the grid.
     """
 
     domain_lo: tuple
@@ -47,8 +48,12 @@ class EquiDimCase:
                 for p in (s_lo, s_hi)
             )
             rows = k_hi - k_lo
-            # The strip's thin axis: its least positive width.
-            thin = np.argmin(np.where(rows > 0, rows * h, np.inf))
+            if np.any(rows <= 0):
+                raise MeshError(
+                    f"fault strip low corner must lie below its high corner on every axis "
+                    f"(cell rows {rows.tolist()})"
+                )
+            thin = np.argmin(rows * h)  # the strip's thin axis: its least width
             if rows[thin] < 2:
                 raise MeshError(f"fault strip must span at least two cell rows (got {rows[thin]})")
 

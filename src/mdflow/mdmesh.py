@@ -183,10 +183,6 @@ class FaultSpec:
         d = len(self.p0)
         return tuple(a for a in range(d) if a != self.axis)
 
-    def extent(self, axis: int) -> tuple:
-        lo, hi = sorted((float(self.p0[axis]), float(self.p1[axis])))
-        return lo, hi
-
 
 @dataclass
 class MixedDimMesh:
@@ -224,8 +220,6 @@ class MixedDimMesh:
             gh = self.subdomains[itf.higher]
             if gh.dim - gl.dim != 1:
                 raise MeshError("interface must connect dimensions differing by 1")
-            if gl.dim >= gh.dim:
-                raise MeshError("interface lower side must have the smaller dimension")
             if np.unique(itf.higher_faces).size != itf.n_mortar:
                 raise MeshError("mortar cells must map to distinct higher faces")
             areas = gh.face_areas[itf.higher_faces]

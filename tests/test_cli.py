@@ -235,6 +235,17 @@ def test_compare_case1_matches_the_benchmark_table(tmp_path):
                 assert abs(float(g[col[name]]) - float(w[col[name]])) <= 1e-5, name
 
 
+def test_benchmark_tracer_finds_every_binding():
+    # The benchmark's tracer replaces library functions by name; a renamed
+    # or re-imported function makes ``install`` raise ``TracerError``.
+    src = os.path.dirname(os.path.dirname(mdflow.__file__))
+    bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    code = "from tracer import Tracer; Tracer().install()"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, bench]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_compare_solves_the_reference_once(tmp_path, monkeypatch):
     import mdflow.verify as verify
 

@@ -150,6 +150,13 @@ def test_two_value_pairs_kept():
             "one or two values",
         ),
         ("lo = 0 0\n", 1, "outside of any section"),
+        # A reversed box would select no cell or face.
+        (BASE + "\n[region]\nbox = 1 1 0.5 0.5\nk = 2\n", 8, "'box' low corner"),
+        (
+            BASE + "\n[bc]\nside = x+\nkind = dirichlet\nvalue = 1\nbox = 1 1 0.5 1\n",
+            11,
+            "'box' low corner",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, needle):

@@ -305,14 +305,13 @@ def random_spd(rng, n):
     return L @ np.transpose(L, (0, 2, 1)) + 0.1 * np.eye(2)
 
 
-def test_region_deduplication_is_invisible():
-    # Cells take one of three SPD tensors by column stripes, so interaction
-    # regions repeat and each distinct local system is solved once. Scaling
-    # every cell's tensor by its own factor 1 + 1e-10 r_i leaves no two
-    # systems equal. The grid has a slit with a tip and Dirichlet, Neumann
-    # and mortar faces. Its vertical faces right of x = 0.5 are numbered in
-    # reverse, so that regions of equal shape and tensors differ in the
-    # local numbering of their sub-faces.
+def test_o_scheme_rows_are_continuous_local_and_numbering_free():
+    # Cells take one of three SPD tensors by column stripes. Scaling every
+    # cell's tensor by its own factor 1 + 1e-10 r_i may move the rows only
+    # by about that much (continuity in the tensors). The grid has a slit
+    # with a tip and Dirichlet, Neumann and mortar faces. Its vertical faces
+    # right of x = 0.5 are numbered in reverse, so that regions of equal
+    # shape and tensors differ in the local numbering of their sub-faces.
     fault = FaultConfig(
         p0=(0.0, 0.5), p1=(0.625, 0.5), aperture=0.01,
         k_parallel=1.0, k_perp=(1.0, 1.0), k_t=(0.0, 0.0), name="F",
@@ -342,9 +341,9 @@ def test_region_deduplication_is_invisible():
     for name in names:
         x, y = getattr(a, name), getattr(b, name)
         assert abs(x - y).max() <= 1e-7 * abs(y).max(), name
-    # A key blind to the tensors would merge the perturbed regions as well.
-    # The vertical faces on a stripe's center line see that stripe's cells
-    # only, so their rows must match a grid of that stripe's tensor alone.
+    # Locality and numbering: the vertical faces on a stripe's center line
+    # see that stripe's cells only, so their rows must match a grid of that
+    # stripe's tensor alone, on either side of the renumbered half.
     xf = g.face_centers[:, 0]
     for t, x0 in ((0, 0.125), (1, 0.375), (2, 0.625), (0, 0.875)):
         rows = np.flatnonzero((g.face_normals[:, 0] != 0) & np.isclose(xf, x0))

@@ -100,6 +100,19 @@ def test_strip_needs_two_rows():
         solve_equidim(case)
 
 
+@pytest.mark.parametrize(
+    "s_lo,s_hi",
+    [((0.0, 0.5), (1.0, 0.5)), ((0.0, 0.55), (1.0, 0.45)), ((1.0, 0.45), (0.0, 0.55))],
+    ids=["flat", "swapped-y", "swapped-x"],
+)
+def test_strip_needs_a_positive_span_on_every_axis(s_lo, s_hi):
+    # Such a strip holds no cell, so the solve would see the matrix alone.
+    case = strip_case(np.eye(2), n=20)
+    case.strips = [(s_lo, s_hi, np.array([[100.0, 80.0], [80.0, 100.0]]))]
+    with pytest.raises(MeshError, match="below its high corner"):
+        case.validate()
+
+
 def test_empty_band_rejected():
     case = strip_case(np.eye(2))
     sol = solve_equidim(case)

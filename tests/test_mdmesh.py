@@ -269,9 +269,9 @@ def _build(box, k):
 
 
 def _extent(specs, fault_ids, axis):
-    return min(specs[f].extent(axis)[1] for f in fault_ids) - max(
-        specs[f].extent(axis)[0] for f in fault_ids
-    )
+    """Length of the span along ``axis`` that the faults share."""
+    spans = [sorted((float(specs[f].p0[axis]), float(specs[f].p1[axis]))) for f in fault_ids]
+    return min(hi for _, hi in spans) - max(lo for lo, _ in spans)
 
 
 @settings(max_examples=100, deadline=None)
