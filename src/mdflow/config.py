@@ -8,7 +8,6 @@ A configuration file is a plain-text section format:
     hi = 1 1
     resolution = 8 8
     matrix_k = 1.0
-    formulation = semilocal
     output = out
 
     [region]
@@ -30,20 +29,22 @@ A configuration file is a plain-text section format:
     value = 10
     box = 0.25 0 0.75 0
 
-``[region]``, ``[fault]`` and ``[bc]`` may repeat. Order matters for
-regions (later boxes override) and boundary conditions (later clauses
-override). Numbers follow the unit conventions of the solver: lengths in
-meters, conductivities in m/s, heads in meters; no unit suffixes are
-written. ``k_t`` and ``k_perp`` take one value for both fault sides or two
-values (side 1, the side the fault normal points into, first). ``box``
-lists the low corner then the high corner; no low coordinate may exceed its
-high one, and a boundary clause's box is flat on its side. Boundary sides
-are named x-, x+, y-, y+, z-, z+.
+:data:`SECTIONS` lists every key with the count and range of its value and
+its default. ``[region]``, ``[fault]`` and ``[bc]`` may repeat. Order
+matters for regions (later boxes override) and boundary conditions (later
+clauses override). Numbers are finite and follow the unit conventions of
+the solver: lengths in meters, conductivities in m/s, heads in meters; no
+unit suffixes are written. ``k_t`` and ``k_perp`` take one value for both
+fault sides or two values (side 1, the side the fault normal points into,
+first). ``mdflow run`` solves the semi-local law; the paper's local law is
+the same fault with ``k_t = 0``. ``box`` lists the low corner then the high
+corner; no low coordinate may exceed its high one, and a boundary clause's
+box is flat on its side. Boundary sides are named x-, x+, y-, y+, z-, z+.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,8 +52,6 @@ import numpy as np
 from .mdassembly import BcClause, MaterialSet
 from .mdmesh import FaultSpec
 from .semilocal import EquiDimFaultPerm
-
-logger = logging.getLogger(__name__)
 
 SIDE_NAMES = ("x-", "x+", "y-", "y+", "z-", "z+")
 
@@ -104,11 +103,12 @@ class CaseConfig:
     matrix_regions: list = field(default_factory=list)  # (lo, hi, k)
     faults: list = field(default_factory=list)
     bcs: list = field(default_factory=list)
-    formulation: str = "semilocal"
     output: str = "."
     name: str = "case"
 
     def validate(self) -> None:
+        """The checks that involve more than one key; each key's own count and
+        range are checked where :func:`parse_config` reads it."""
         d = len(self.domain_lo)
         if len(self.domain_hi) != d or len(self.resolution) != d:
             raise ConfigError("domain corners and resolution disagree in dimension")
@@ -116,31 +116,16 @@ class CaseConfig:
             raise ConfigError(f"domain must be 2D or 3D, got {d}D")
         if any(h <= l for l, h in zip(self.domain_lo, self.domain_hi)):
             raise ConfigError("domain high corner must exceed low corner")
-        if any(int(r) <= 0 for r in self.resolution):
-            raise ConfigError("resolution entries must be positive")
-        if self.formulation not in ("local", "semilocal"):
-            raise ConfigError(f"unknown formulation {self.formulation!r}")
-        for f in self.faults:
-            if len(f.p0) != d or len(f.p1) != d:
-                raise ConfigError(
-                    f"fault {f.name!r} corner dimension disagrees with domain"
-                )
-            if f.aperture <= 0:
-                raise ConfigError(f"fault {f.name!r} aperture must be positive")
-            if any(k <= 0 for k in f.k_perp):
-                raise ConfigError(f"fault {f.name!r} k_perp must be positive")
-        for clause in self.bcs:
-            if not 0 <= clause.side < 2 * d:
-                raise ConfigError(f"boundary side {clause.side} out of range")
 
     def fault_specs(self) -> list:
         return [f.spec() for f in self.faults]
 
-    def material_set(self, formulation: str = None) -> MaterialSet:
+    def material_set(self, formulation: str = "semilocal") -> MaterialSet:
         """Material data, with cross terms dropped for the local variant."""
-        form = formulation or self.formulation
+        if formulation not in ("local", "semilocal"):
+            raise ConfigError(f"unknown formulation {formulation!r}")
         perms = [f.equi_perm() for f in self.faults]
-        if form == "local":
+        if formulation == "local":
             perms = [
                 replace(p, k_t=tuple(np.zeros_like(v) for v in p.k_t))
                 for p in perms
@@ -161,69 +146,139 @@ class CaseConfig:
 # Parsing.
 # ---------------------------------------------------------------------------
 
-_DOMAIN_KEYS = {"lo", "hi", "resolution", "matrix_k", "formulation", "output", "name"}
-_REGION_KEYS = {"box", "k"}
-_FAULT_KEYS = {"p0", "p1", "aperture", "k_parallel", "k_perp", "k_t", "name"}
-_BC_KEYS = {"side", "kind", "value", "box"}
-_SECTION_KEYS = {
-    "domain": _DOMAIN_KEYS,
-    "region": _REGION_KEYS,
-    "fault": _FAULT_KEYS,
-    "bc": _BC_KEYS,
-}
 
-
-def _floats(text: str, line: int, key: str) -> list:
+def _floats(text: str, line: int, key: str, dim=None) -> tuple:
     out = []
     for tok in text.split():
         try:
-            out.append(float(tok))
+            v = float(tok)
         except ValueError:
             raise ConfigError(
                 f"line {line}: expected numbers for {key!r}, got {tok!r}"
             ) from None
+        if not math.isfinite(v):
+            raise ConfigError(f"line {line}: {key!r} must be finite, got {tok!r}")
+        out.append(v)
     if not out:
         raise ConfigError(f"line {line}: {key!r} needs at least one number")
-    return out
+    return tuple(out)
 
 
-def _require(sec: dict, key: str, line: int, section: str):
-    if key not in sec:
-        raise ConfigError(
-            f"line {line}: [{section}] section is missing required key {key!r}"
-        )
-    return sec[key]
+# A reader turns a key's text into its value or raises ConfigError at the
+# key's line. It is called as ``reader(text, line, key, dim)``, where ``dim``
+# is the domain's dimension (None while the domain itself is read);
+# ``_floats`` reads any count of numbers.
 
 
-def _scalar(text: str, line: int, key: str) -> float:
+def _number(positive=False, sides=False):
+    """Reader of one number or, with ``sides``, of one per fault side: one
+    value for both sides or two, side 1 first."""
+    def read(text, line, key, dim):
+        vals = _floats(text, line, key)
+        if len(vals) > (2 if sides else 1):
+            count = "one or two values" if sides else "one value"
+            raise ConfigError(f"line {line}: {key!r} takes {count}")
+        if positive and min(vals) <= 0:
+            raise ConfigError(f"line {line}: {key!r} must be positive")
+        return (vals[0], vals[-1]) if sides else vals[0]
+    return read
+
+
+def _point(text, line, key, dim):
     vals = _floats(text, line, key)
-    if len(vals) != 1:
-        raise ConfigError(f"line {line}: {key!r} takes one value")
-    return vals[0]
+    if len(vals) != dim:
+        raise ConfigError(f"line {line}: {key!r} needs {dim} numbers, one per axis")
+    return vals
 
 
-def _pair(vals: list, line: int, key: str) -> tuple:
-    if len(vals) == 1:
-        return (vals[0], vals[0])
-    if len(vals) == 2:
-        return (vals[0], vals[1])
-    raise ConfigError(f"line {line}: {key!r} takes one or two values")
-
-
-def _box(vals: list, dim: int, line: int) -> tuple:
+def _box(text, line, key, dim):
+    vals = _floats(text, line, key)
     if len(vals) != 2 * dim:
         raise ConfigError(
             f"line {line}: 'box' needs {2 * dim} numbers (low corner, high corner)"
         )
-    lo, hi = tuple(vals[:dim]), tuple(vals[dim:])
+    lo, hi = vals[:dim], vals[dim:]
     if any(a > b for a, b in zip(lo, hi)):
         raise ConfigError(f"line {line}: 'box' low corner {lo} exceeds its high corner {hi}")
     return (lo, hi)
 
 
+def _resolution(text, line, key, dim):
+    vals = _floats(text, line, key)
+    if any(r != int(r) or r <= 0 for r in vals):
+        raise ConfigError(f"line {line}: resolution entries must be positive integers")
+    return tuple(int(r) for r in vals)
+
+
+def _side(text, line, key, dim):
+    if text.lower() not in SIDE_NAMES[: 2 * dim]:
+        raise ConfigError(f"line {line}: unknown boundary side {text!r}")
+    return SIDE_NAMES.index(text.lower())
+
+
+def _kind(text, line, key, dim):
+    if text.lower() not in ("dirichlet", "neumann"):
+        raise ConfigError(f"line {line}: unknown condition kind {text!r}")
+    return text.lower()
+
+
+def _text(text, line, key, dim):
+    return text
+
+
+#: Default of a key that every section of its kind must set.
+REQUIRED = object()
+
+#: Every key of every section, in reading order: its reader and its default.
+#: A fault without a name is named F1, F2, ... by its position.
+SECTIONS = {
+    "domain": {
+        "lo": (_floats, REQUIRED),
+        "hi": (_floats, REQUIRED),
+        "resolution": (_resolution, REQUIRED),
+        "matrix_k": (_number(positive=True), 1.0),
+        "output": (_text, "."),
+        "name": (_text, "case"),
+    },
+    "region": {
+        "box": (_box, REQUIRED),
+        "k": (_number(positive=True), REQUIRED),
+    },
+    "fault": {
+        "p0": (_point, REQUIRED),
+        "p1": (_point, REQUIRED),
+        "aperture": (_number(positive=True), REQUIRED),
+        "k_parallel": (_number(positive=True), REQUIRED),
+        "k_perp": (_number(positive=True, sides=True), REQUIRED),
+        "k_t": (_number(sides=True), (0.0, 0.0)),
+        "name": (_text, None),
+    },
+    "bc": {
+        "side": (_side, REQUIRED),
+        "kind": (_kind, REQUIRED),
+        "value": (_number(), REQUIRED),
+        "box": (_box, None),
+    },
+}
+
+
+def _read_section(name: str, start: int, entries: dict, dim) -> dict:
+    values = {}
+    for key, (reader, default) in SECTIONS[name].items():
+        if key in entries:
+            values[key] = reader(*entries[key], key, dim)
+        elif default is REQUIRED:
+            raise ConfigError(
+                f"line {start}: [{name}] section is missing required key {key!r}"
+            )
+        else:
+            values[key] = default
+    return values
+
+
 def parse_config(text: str) -> CaseConfig:
     """Parse configuration text, reporting errors with their line number."""
-    sections = []  # (name, start_line, {key: (line, raw)})
+    sections = []  # (name, start_line, {key: (raw, line)})
     current = None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -233,7 +288,7 @@ def parse_config(text: str) -> CaseConfig:
             if not line.endswith("]"):
                 raise ConfigError(f"line {ln}: unterminated section header")
             name = line[1:-1].strip().lower()
-            if name not in _SECTION_KEYS:
+            if name not in SECTIONS:
                 raise ConfigError(f"line {ln}: unknown section [{name}]")
             current = (name, ln, {})
             sections.append(current)
@@ -244,13 +299,12 @@ def parse_config(text: str) -> CaseConfig:
             raise ConfigError(f"line {ln}: key outside of any section")
         key, _, val = line.partition("=")
         key = key.strip().lower()
-        val = val.strip()
         name = current[0]
-        if key not in _SECTION_KEYS[name]:
+        if key not in SECTIONS[name]:
             raise ConfigError(f"line {ln}: unknown key {key!r} in [{name}]")
         if key in current[2]:
             raise ConfigError(f"line {ln}: duplicate key {key!r} in [{name}]")
-        current[2][key] = (ln, val)
+        current[2][key] = (val.strip(), ln)
 
     domains = [s for s in sections if s[0] == "domain"]
     if not domains:
@@ -260,94 +314,26 @@ def parse_config(text: str) -> CaseConfig:
             f"line {domains[1][1]}: more than one [domain] section"
         )
     _, dline, dsec = domains[0]
-
-    def dval(key, default=None, required=False):
-        if key in dsec:
-            return dsec[key]
-        if required:
-            raise ConfigError(
-                f"line {dline}: [domain] section is missing required key {key!r}"
-            )
-        return (dline, default)
-
-    ln, lo_raw = dval("lo", required=True)
-    lo = tuple(_floats(lo_raw, ln, "lo"))
-    dim = len(lo)
-    ln, hi_raw = dval("hi", required=True)
-    hi = tuple(_floats(hi_raw, ln, "hi"))
-    ln, res_raw = dval("resolution", required=True)
-    res_f = _floats(res_raw, ln, "resolution")
-    for r in res_f:
-        if r != int(r) or int(r) <= 0:
-            raise ConfigError(f"line {ln}: resolution entries must be positive integers")
-    res = tuple(int(r) for r in res_f)
-    ln, mk = dval("matrix_k", "1.0")
-    matrix_k = _scalar(mk, ln, "matrix_k")
-
-    cfg = CaseConfig(
-        domain_lo=lo,
-        domain_hi=hi,
-        resolution=res,
-        matrix_k=matrix_k,
-        formulation=dval("formulation", "semilocal")[1].strip(),
-        output=dval("output", ".")[1].strip(),
-        name=dval("name", "case")[1].strip(),
-    )
-
-    for name, sline, sec in sections:
-        if name == "domain":
-            continue
-        if name == "region":
-            ln, braw = _require(sec, "box", sline, name)
-            box = _box(_floats(braw, ln, "box"), dim, ln)
-            ln, kraw = _require(sec, "k", sline, name)
-            cfg.matrix_regions.append((box[0], box[1], _scalar(kraw, ln, "k")))
-        elif name == "fault":
-            ln, raw = _require(sec, "p0", sline, name)
-            p0 = tuple(_floats(raw, ln, "p0"))
-            ln, raw = _require(sec, "p1", sline, name)
-            p1 = tuple(_floats(raw, ln, "p1"))
-            ln, raw = _require(sec, "aperture", sline, name)
-            ap = _scalar(raw, ln, "aperture")
-            if ap <= 0:
-                raise ConfigError(f"line {ln}: aperture must be positive")
-            ln, raw = _require(sec, "k_parallel", sline, name)
-            kpar = _scalar(raw, ln, "k_parallel")
-            ln, raw = _require(sec, "k_perp", sline, name)
-            kperp = _pair(_floats(raw, ln, "k_perp"), ln, "k_perp")
-            if kperp[0] <= 0 or kperp[1] <= 0:
-                raise ConfigError(f"line {ln}: k_perp must be positive")
-            if "k_t" in sec:
-                ln, raw = sec["k_t"]
-                kt = _pair(_floats(raw, ln, "k_t"), ln, "k_t")
-            else:
-                kt = (0.0, 0.0)
-            fname = sec["name"][1] if "name" in sec else f"F{len(cfg.faults) + 1}"
-            cfg.faults.append(
-                FaultConfig(p0, p1, ap, kpar, kperp, kt, name=fname)
-            )
-        elif name == "bc":
-            ln, raw = _require(sec, "side", sline, name)
-            side_name = raw.strip().lower()
-            if side_name not in SIDE_NAMES[: 2 * dim]:
-                raise ConfigError(f"line {ln}: unknown boundary side {raw!r}")
-            side = SIDE_NAMES.index(side_name)
-            ln, raw = _require(sec, "kind", sline, name)
-            kind = raw.strip().lower()
-            if kind not in ("dirichlet", "neumann"):
-                raise ConfigError(f"line {ln}: unknown condition kind {raw!r}")
-            ln, raw = _require(sec, "value", sline, name)
-            value = _scalar(raw, ln, "value")
-            box = None
-            if "box" in sec:
-                ln, raw = sec["box"]
-                box = _box(_floats(raw, ln, "box"), dim, ln)
-            cfg.bcs.append(BcClause(side=side, kind=kind, value=value, box=box))
-
+    values = _read_section("domain", dline, dsec, None)
+    cfg = CaseConfig(domain_lo=values.pop("lo"), domain_hi=values.pop("hi"), **values)
     try:
         cfg.validate()
     except ConfigError as exc:
         raise ConfigError(f"line {dline}: {exc}") from None
+
+    dim = len(cfg.domain_lo)
+    for name, start, entries in sections:
+        if name == "domain":
+            continue
+        values = _read_section(name, start, entries, dim)
+        if name == "region":
+            cfg.matrix_regions.append((*values["box"], values["k"]))
+        elif name == "fault":
+            if values["name"] is None:
+                values["name"] = f"F{len(cfg.faults) + 1}"
+            cfg.faults.append(FaultConfig(**values))
+        else:
+            cfg.bcs.append(BcClause(**values))
     return cfg
 
 

@@ -467,6 +467,9 @@ _MAX_ITERATIONS = 50
 #: keeps every diagonal pivot, while 0.0 accepted a pivot of 2.2e-16 on a
 #: 3x5 box whose middle cells are closed by mortar and no-flow faces.
 _PIVOT_THRESHOLD = 1e-8
+#: Relative residual that the fast solvers must reach before the COLAMD LU
+#: takes over.
+_RESIDUAL_TOL = 1e-10
 
 
 def _relative_residual(A, b, x) -> float:
@@ -554,16 +557,16 @@ def _v_cycle(levels, coarse, b: np.ndarray, k: int = 0) -> np.ndarray:
     return x
 
 
-def _krylov_solve(system: GlobalSystem, tol: float):
+def _krylov_solve(system: GlobalSystem):
     """GMRES on the full system; returns the solution, its relative residual
-    and the reason to fall back, None if it met ``tol``.
+    and the reason to fall back, None if it met :data:`_RESIDUAL_TOL`.
 
     The mortar fluxes are eliminated with the diagonal of their block,
     ``S = App - Apl diag(All)^-1 Alp``, and the block-lower-triangular
     preconditioner solves the pressures by one AMG V-cycle on ``S``, then
     the mortar fluxes by that diagonal. It acts from the right, so GMRES
-    minimizes the true residual. GMRES runs to 1/100 of ``tol``: the
-    pressure rows are the cell balances, and stopping at a tenth of ``tol``
+    minimizes the true residual. GMRES runs to 1/100 of that tolerance: the
+    pressure rows are the cell balances, and stopping at a tenth of it
     left the worst cell of a 40^3 cube3d at 1.1e-10 of the flux scale.
     """
     A, b = system.matrix, system.rhs
@@ -582,7 +585,7 @@ def _krylov_solve(system: GlobalSystem, tol: float):
     its = []
     y, info = spla.gmres(
         spla.LinearOperator(A.shape, lambda v: A @ precondition(v)), b,
-        rtol=0.0, atol=0.01 * tol * max(float(np.linalg.norm(b)), 1.0),
+        rtol=0.0, atol=0.01 * _RESIDUAL_TOL * max(float(np.linalg.norm(b)), 1.0),
         restart=_MAX_ITERATIONS, maxiter=1, callback=its.append, callback_type="pr_norm",
     )
     x = precondition(y)
@@ -596,13 +599,13 @@ def _krylov_solve(system: GlobalSystem, tol: float):
     )
     if info != 0:
         return x, residual, f"no convergence in {len(its)} GMRES iterations"
-    return x, residual, None if residual <= tol else f"residual {residual:.1e}"
+    return x, residual, None if residual <= _RESIDUAL_TOL else f"residual {residual:.1e}"
 
 
-def _static_pivot_solve(A: sps.csc_matrix, b: np.ndarray, tol: float):
+def _static_pivot_solve(A: sps.csc_matrix, b: np.ndarray):
     """Sparse LU with a minimum-degree ordering of A + A^T and pivots kept
     on the diagonal; returns the solution, its relative residual and the
-    reason to fall back, None if it met ``tol``.
+    reason to fall back, None if it met :data:`_RESIDUAL_TOL`.
 
     The 2D system is close to symmetric quasi-definite: a symmetric pressure
     block, mortar rows that are negative multiples of their pressure
@@ -625,19 +628,20 @@ def _static_pivot_solve(A: sps.csc_matrix, b: np.ndarray, tol: float):
     )
     x = lu.solve(b)
     residual = _relative_residual(A, b, x)
-    return x, residual, None if residual <= tol else f"residual {residual:.1e}"
+    return x, residual, None if residual <= _RESIDUAL_TOL else f"residual {residual:.1e}"
 
 
-def _solve_linear(system: GlobalSystem, tol: float):
+def _solve_linear(system: GlobalSystem):
     """AMG-preconditioned GMRES in 3D and the static-pivot LU in 2D; sparse
     LU with SuperLU's COLAMD ordering and partial pivoting whenever either
-    fails or misses ``tol``. Returns the solution and its relative residual."""
+    fails or misses :data:`_RESIDUAL_TOL`. Returns the solution and its
+    relative residual."""
     A, b = system.matrix, system.rhs
     if system.mesh.dim == 3:
-        method, fast = "krylov solve", lambda: _krylov_solve(system, tol)
+        method, fast = "krylov solve", lambda: _krylov_solve(system)
     else:
         A = A.tocsc()
-        method, fast = "static-pivot LU", lambda: _static_pivot_solve(A, b, tol)
+        method, fast = "static-pivot LU", lambda: _static_pivot_solve(A, b)
     try:
         x, residual, fallback = fast()
     except RuntimeError as exc:
@@ -657,17 +661,18 @@ def _solve_linear(system: GlobalSystem, tol: float):
     return x, _relative_residual(A, b, x)
 
 
-def solve(system: GlobalSystem, tol: float = 1e-10) -> MdSolution:
+def solve(system: GlobalSystem) -> MdSolution:
     """Solve the assembled system and reconstruct conservative fluxes.
 
     3D systems are solved by GMRES, preconditioned by smoothed-aggregation
     AMG on the pressures once the mortar fluxes are eliminated. 2D systems
     are factored by sparse LU with a minimum-degree ordering of A + A^T and
     static diagonal pivots. Where either fails or its relative residual
-    exceeds ``tol``, a partially pivoted LU with SuperLU's COLAMD ordering
-    solves instead. A final residual above 1e-6 raises :class:`SolverError`.
+    exceeds :data:`_RESIDUAL_TOL`, a partially pivoted LU with SuperLU's
+    COLAMD ordering solves instead. A final residual above 1e-6 raises
+    :class:`SolverError`.
     """
-    x, residual = _solve_linear(system, tol)
+    x, residual = _solve_linear(system)
     if not residual <= 1e-6:
         raise SolverError(f"solution residual too large: {residual:.3e}")
 

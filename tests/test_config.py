@@ -1,5 +1,8 @@
 """Config parsing, validation, and round-trip tests."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import numpy as np
@@ -7,12 +10,41 @@ import numpy as np
 from mdflow.config import (
     BUILTIN_CASES,
     SIDE_NAMES,
+    SECTIONS,
     ConfigError,
     builtin_case,
     parse_config,
 )
 
 BASE = "[domain]\nlo = 0 0\nhi = 1 1\nresolution = 4 4\nmatrix_k = 1\n"
+# Line 7 is the section header, and its keys follow in the order written.
+REGION = BASE + "\n[region]\nbox = 0 0 1 1\nk = 2\n"
+FAULT = BASE + (
+    "\n[fault]\np0 = 0 0.5\np1 = 1 0.5\naperture = 0.01\nk_parallel = 1\nk_perp = 1\n"
+)
+BC = BASE + "\n[bc]\nside = y-\nkind = dirichlet\nvalue = 1\nbox = 0 0 1 0\n"
+
+
+def _set(text, key, value):
+    """``text`` with the value of its first ``key`` line replaced."""
+    return re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+
+
+# Non-finite numbers, where each key is read: (text, key, value, line).
+NON_FINITE = [
+    (BASE, "resolution", "inf 8", 4),
+    (BASE, "resolution", "nan 8", 4),
+    (BASE, "lo", "0 nan", 2),
+    (BASE, "hi", "inf 1", 3),
+    (BASE, "matrix_k", "inf", 5),
+    (FAULT, "aperture", "nan", 10),
+    (FAULT, "k_perp", "inf", 12),
+    (FAULT, "k_perp", "1 nan", 12),
+    (BC, "value", "nan", 10),
+    (BC, "value", "1e999", 10),
+    (BC, "box", "0 0 inf 0", 11),
+    (REGION, "box", "nan 0 1 1", 8),
+]
 
 
 def _fmt(values) -> str:
@@ -26,7 +58,6 @@ def write_config(cfg) -> str:
     out.append(f"hi = {_fmt(cfg.domain_hi)}")
     out.append("resolution = " + " ".join(str(int(r)) for r in cfg.resolution))
     out.append(f"matrix_k = {_fmt([cfg.matrix_k])}")
-    out.append(f"formulation = {cfg.formulation}")
     out.append(f"output = {cfg.output}")
     out.append(f"name = {cfg.name}")
     for lo, hi, k in cfg.matrix_regions:
@@ -157,7 +188,16 @@ def test_two_value_pairs_kept():
             11,
             "'box' low corner",
         ),
-    ],
+        # The local law is a fault with k_t = 0, not a key of its own.
+        (BASE + "formulation = local\n", 6, "unknown key 'formulation'"),
+        (_set(BASE, "matrix_k", "-1"), 5, "'matrix_k' must be positive"),
+        (_set(REGION, "k", "0"), 9, "'k' must be positive"),
+        (_set(FAULT, "k_parallel", "-1"), 11, "'k_parallel' must be positive"),
+        (_set(FAULT, "p0", "0 0.5 0"), 8, "'p0' needs 2 numbers"),
+        (_set(FAULT, "p1", "1"), 9, "'p1' needs 2 numbers"),
+    ]
+    + [(_set(text, key, value), line, f"{key!r} must be finite")
+       for text, key, value, line in NON_FINITE],
 )
 def test_parse_errors_carry_line_numbers(text, line, needle):
     with pytest.raises(ConfigError) as err:
@@ -217,3 +257,21 @@ def test_material_set_local_zeroes_tangential():
     assert sl.k_t[0][0] == 80.0
     assert lo.k_t[0][0] == 0.0
     assert sl.k_perp == lo.k_perp
+
+
+def test_material_set_rejects_unknown_formulation():
+    # The study's short names are resolved by the command line, not here.
+    with pytest.raises(ConfigError, match="unknown formulation 'L'"):
+        builtin_case("case1").material_set("L")
+
+
+def test_readme_lists_every_key():
+    """README's configuration table names the keys of :data:`SECTIONS`,
+    section by section and in reading order; parentheses hold notes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, flags=re.M)
+    listed = {
+        name: re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", keys))
+        for name, keys in rows
+    }
+    assert listed == {name: list(keys) for name, keys in SECTIONS.items()}

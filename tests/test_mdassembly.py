@@ -59,7 +59,7 @@ def series_config(k_perp=0.01, k_t=(0.0, 0.0), n=4):
     )
 
 
-def solve_config(cfg, formulation=None):
+def solve_config(cfg, formulation="semilocal"):
     mesh = build_cartesian_md_mesh(
         cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
     )
@@ -509,7 +509,7 @@ def static_pivot_facts(system, caplog):
     solution with its relative residual and fallback reason."""
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
-        x, residual, fallback = _static_pivot_solve(system.matrix.tocsc(), system.rhs, 1e-10)
+        x, residual, fallback = _static_pivot_solve(system.matrix.tocsc(), system.rhs)
     off = int(STATIC_LINE.search(caplog.text).group(1))
     return off, x, residual, fallback
 
@@ -725,7 +725,7 @@ def test_krylov_matches_colamd_on_boxes(cfg):
     """Boxes up to 12^3 cells: those above 500 pressures coarsen once
     before the coarsest LU, the others factor the pressure matrix itself."""
     system = assembled(cfg)
-    x, residual, fallback = _krylov_solve(system, 1e-10)
+    x, residual, fallback = _krylov_solve(system)
     assert fallback is None and residual <= 1e-10
     ref = colamd(system)
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
