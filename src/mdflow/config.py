@@ -39,7 +39,8 @@ fault sides or two values (side 1, the side the fault normal points into,
 first). ``mdflow run`` solves the semi-local law; the paper's local law is
 the same fault with ``k_t = 0``. ``box`` lists the low corner then the high
 corner; no low coordinate may exceed its high one, and a boundary clause's
-box is flat on its side. Boundary sides are named x-, x+, y-, y+, z-, z+.
+box is flat on its side and must select at least one boundary face of the
+mesh. Boundary sides are named x-, x+, y-, y+, z-, z+.
 """
 
 from __future__ import annotations
@@ -138,6 +139,7 @@ class CaseConfig:
             matrix_base=self.matrix_k * np.eye(d),
             fault_perms=perms,
             fault_apertures=[f.aperture for f in self.faults],
+            fault_names=[f.name for f in self.faults],
             matrix_regions=regions,
         )
 
@@ -333,7 +335,7 @@ def parse_config(text: str) -> CaseConfig:
                 values["name"] = f"F{len(cfg.faults) + 1}"
             cfg.faults.append(FaultConfig(**values))
         else:
-            cfg.bcs.append(BcClause(**values))
+            cfg.bcs.append(BcClause(**values, line=entries["box"][1] if "box" in entries else None))
     return cfg
 
 

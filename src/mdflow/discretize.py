@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.csgraph import connected_components
 
-from .mdmesh import CellGrid, MeshError
+from .mdmesh import CellGrid
 
 logger = logging.getLogger(__name__)
 
@@ -166,9 +166,9 @@ def _tpfa(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> DiscreteOp
     diagonals."""
     nf, nc, d = grid.n_faces, grid.n_cells, grid.dim
     faces = np.arange(nf)
-    axis = np.argmax(np.abs(grid.face_normals), axis=1)
+    axis = grid.face_axis
     at = faces * d + axis  # flat index of each face's axis entry in (n_faces, d) arrays
-    n = grid.face_normals.ravel()[at][:, None]
+    n = grid.face_sign[:, None]
     # (n_faces, 2) arrays over a face's first and second cell; -1 marks a
     # missing second cell, and its entries are never kept. The chi column
     # of a cell's face-axis component is its flat index in (n_cells, d) arrays.
@@ -244,10 +244,8 @@ def _gradient_reconstruction(grid: CellGrid, perm: np.ndarray) -> sps.csr_matrix
     inner = np.flatnonzero(fc[:, 1] >= 0)
     face = np.concatenate([np.arange(grid.n_faces), inner])
     cell = np.concatenate([fc[:, 0], fc[inner, 1]])
-    axis = np.argmax(np.abs(grid.face_normals), axis=1)[face]
-    if np.any(np.bincount(cell * d + axis, minlength=grid.n_cells * d) != 2):
-        raise MeshError("expected Cartesian cells with one face on each side of every axis")
-    coeff = (-0.5 * grid.face_normals[face, axis] / grid.face_areas[face])[:, None] * (
+    axis = grid.face_axis[face]
+    coeff = (-0.5 * grid.face_sign[face] / grid.face_areas[face])[:, None] * (
         np.linalg.inv(perm)[cell, :, axis]
     )
     keep = coeff != 0.0
@@ -320,8 +318,6 @@ def _mpfa(grid, perm, bc, cells) -> DiscreteOperator:
     tensors' diagonals on all other faces."""
     if grid.dim != 2:
         raise DiscretizationError("the MPFA implementation covers 2d grids only")
-    if grid.face_nodes is None:
-        raise DiscretizationError("grid lacks node incidence data")
     perm = _check_perm(grid, perm)
     _check_bc(grid, bc)
     nf, nc = grid.n_faces, grid.n_cells
@@ -408,18 +404,13 @@ def _mpfa_regions(grid, perm, bc, near):
     s_half = grid.face_areas[s_face] / 2.0
 
     # Corners: a sub-face meets the corner of its face's first cell and, if
-    # interior, of its second; every corner must meet exactly two sub-faces.
+    # interior, of its second. A grid's cells are closed on its lattice, so
+    # every corner meets exactly two sub-faces.
     i_sub = np.concatenate([np.arange(ns), np.flatnonzero(inner)])
     i_cell = np.concatenate([fcells[s_face, 0], fcells[s_face[inner], 1]])
-    key, i_corner, count = np.unique(
-        s_node[i_sub].astype(np.int64) * nc + i_cell,
-        return_inverse=True,
-        return_counts=True,
+    key, i_corner = np.unique(
+        s_node[i_sub].astype(np.int64) * nc + i_cell, return_inverse=True
     )
-    bad = np.flatnonzero(count != 2)
-    if bad.size:
-        v, c = divmod(int(key[bad[0]]), nc)
-        raise MeshError(f"cell {c} meets node {v} with {int(count[bad[0]])} faces")
     n_corner = key.size
     k_cell = key % nc
     k_sub = i_sub[np.lexsort((s_face[i_sub], i_corner))].reshape(n_corner, 2)
@@ -454,9 +445,8 @@ def _mpfa_regions(grid, perm, bc, near):
     # A corner's gradient basis M has the offsets +-w/2 from its cell center
     # to its two sub-faces' face centers as rows. The two sub-faces lie on
     # different axes, so M inverts entry by entry into its transpose.
-    normals = grid.face_normals[s_face]
-    s_axis = np.argmax(np.abs(normals), axis=1)
-    s_up = normals[np.arange(ns), s_axis] > 0
+    s_axis = grid.face_axis[s_face]
+    s_up = grid.face_sign[s_face] > 0
     high = (first[k_sub] == np.arange(n_corner)[:, None]) == s_up[k_sub]
     ax, n = s_axis[k_sub], np.arange(n_corner)[:, None]
     Minv = np.zeros((n_corner, 2, 2))

@@ -72,12 +72,14 @@ class SolverError(Exception):
 class BcClause:
     """One boundary condition statement: applies to all faces lying on the
     given ambient box side (2*axis + 0/1 for the low/high side) whose global
-    centroid falls inside ``box`` (whole side when ``box`` is None)."""
+    centroid falls inside ``box`` (whole side when ``box`` is None). A box
+    must select at least one boundary face of the mesh."""
 
     side: int
     kind: str  # "dirichlet" | "neumann"
     value: float
     box: tuple = None  # ((lo...), (hi...))
+    line: int = None  # the configuration line of the box, if read from a file
 
 
 @dataclass
@@ -85,13 +87,15 @@ class MaterialSet:
     """Material data of a configuration, independent of mesh resolution.
 
     ``matrix_regions`` override the base tensor inside axis-aligned boxes,
-    later entries taking precedence. ``fault_perms`` and ``fault_apertures``
-    run parallel to the fault list used to build the mesh.
+    later entries taking precedence. ``fault_perms``, ``fault_apertures``
+    and ``fault_names`` run parallel to the fault list used to build the
+    mesh; without names, messages name a fault by its index.
     """
 
     matrix_base: np.ndarray
     fault_perms: list = field(default_factory=list)
     fault_apertures: list = field(default_factory=list)
+    fault_names: list = field(default_factory=list)
     matrix_regions: list = field(default_factory=list)  # (lo, hi, tensor)
 
     def matrix_perm(self, grid: CellGrid) -> np.ndarray:
@@ -108,7 +112,7 @@ class MaterialSet:
 def _in_box(grid: CellGrid, points: np.ndarray, lo, hi) -> np.ndarray:
     """Mask of the global ``points`` of ``grid`` in the closed box [lo, hi],
     with a margin of 1e-6 of the grid's largest cell width."""
-    tol = 1e-6 * grid.cell_widths.max(initial=0.0)
+    tol = 1e-6 * max((w.max() for w in grid.widths), default=0.0)
     lo = np.asarray(lo, dtype=float) - tol
     hi = np.asarray(hi, dtype=float) + tol
     return np.all((points >= lo) & (points <= hi), axis=1)
@@ -128,24 +132,25 @@ class InterfaceProblem:
     law: MixedDimLaw
 
 
-def boundary_condition_from_clauses(
-    grid: CellGrid, clauses, mortar_mask: np.ndarray
-) -> BoundaryCondition:
+def boundary_condition_from_clauses(grid: CellGrid, clauses, mortar_mask: np.ndarray) -> tuple:
     """Per-face conditions on one grid: no-flow default, clauses in order
-    (later ones override), mortar faces flagged last."""
+    (later ones override), mortar faces flagged last; and the number of
+    faces each clause selects."""
     bc = BoundaryCondition.empty(grid)
     boundary = grid.is_boundary()
     bc.kind[boundary] = BC_NEUMANN
-    for cl in clauses:
+    counts = np.zeros(len(clauses), dtype=int)
+    for k, cl in enumerate(clauses):
         faces = np.flatnonzero(boundary & (grid.face_bnd == cl.side) & ~mortar_mask)
         if cl.box is not None:
             gx = grid.frame_origin + grid.face_centers[faces] @ grid.frame_axes
             faces = faces[_in_box(grid, gx, *cl.box)]
         bc.kind[faces] = BC_DIRICHLET if cl.kind == "dirichlet" else BC_NEUMANN
         bc.value[faces] = cl.value
+        counts[k] = faces.size
     bc.kind[mortar_mask] = BC_MORTAR
     bc.value[mortar_mask] = 0.0
-    return bc
+    return bc, counts
 
 
 def _inherited_scalar(perms, apertures, fault_ids, along=None):
@@ -176,18 +181,33 @@ def build_problems(
     from the faults that meet there. Every interface's law is scaled to the
     codimension of its lower subdomain using the governing fault's data (the
     intersection's inherited data when several faults govern jointly).
+
+    A fault must pass the well-posedness screen on each side and keep a
+    positive definite effective tensor, or :class:`InterfaceLawError` names
+    it. A boundary clause whose box selects no boundary face of any
+    subdomain raises :class:`~mdflow.config.ConfigError` at the box's line.
     """
     perms = materials.fault_perms
     aps = materials.fault_apertures
-    fault_laws = {}
+    fault_laws, effective = {}, {}
     for f, (fp, a) in enumerate(zip(perms, aps)):
+        name = repr(materials.fault_names[f]) if materials.fault_names else f
         law = scale_to_mixed_dim(fp, a, codim=1)
         ok, margin = check_wellposed(law)
         if not ok:
             raise InterfaceLawError(
-                f"fault {f} violates the well-posedness condition (margin {margin:.6g})"
+                f"fault {name} violates the well-posedness condition (margin {margin:.6g})"
             )
-        fault_laws[f] = law
+        eff = schur_effective_tensor(law)
+        lowest = np.linalg.eigvalsh(eff.tensor).min()
+        if lowest <= 0:
+            shares = [kt @ kt / kp for kp, kt in zip(law.kappa_perp, law.kappa_t)]
+            raise InterfaceLawError(
+                f"fault {name}: the effective in-plane tensor is not positive definite "
+                f"(smallest eigenvalue {lowest:.6g}; the sides' shares |k_t|^2/k_perp "
+                f"are {shares[0]:.6g} and {shares[1]:.6g})"
+            )
+        fault_laws[f], effective[f] = law, eff
 
     fault_axes = {
         info.fault_ids[0]: grid.frame_axes
@@ -195,15 +215,14 @@ def build_problems(
         if info.kind == "fault"
     }
     sub_problems = []
+    selected = np.zeros(len(bcs), dtype=int)
     for i, grid in enumerate(mesh.subdomains):
         info = mesh.info[i]
         d = grid.dim
         if info.kind == "matrix":
             perm = materials.matrix_perm(grid)
         elif info.kind == "fault":
-            law = fault_laws[info.fault_ids[0]]
-            eff = schur_effective_tensor(law)
-            perm = np.tile(eff.tensor, (grid.n_cells, 1, 1))
+            perm = np.tile(effective[info.fault_ids[0]].tensor, (grid.n_cells, 1, 1))
         elif d > 0:  # intersection line
             # The line's index among each fault's own in-plane axes.
             along = {
@@ -215,11 +234,20 @@ def build_problems(
             perm = np.full((grid.n_cells, 1, 1), ap**codim * kpar)
         else:  # point: no internal flow
             perm = np.zeros((grid.n_cells, 0, 0))
-        bc = boundary_condition_from_clauses(grid, bcs, mesh.mortar_face_mask(i))
+        bc, counts = boundary_condition_from_clauses(grid, bcs, mesh.mortar_face_mask(i))
+        selected += counts
         src = np.zeros(grid.n_cells)
         if sources is not None and sources[i] is not None:
             src = np.asarray(sources[i], dtype=float)
         sub_problems.append(SubdomainProblem(grid, perm, bc, src))
+    unused = next((cl for cl, count in zip(bcs, selected) if count == 0), None)
+    if unused is not None:
+        from .config import SIDE_NAMES, ConfigError  # config imports this module
+
+        raise ConfigError(
+            (f"line {unused.line}: " if unused.line else "")
+            + f"[bc] box {unused.box} selects no boundary face on side {SIDE_NAMES[unused.side]}"
+        )
 
     itf_problems = []
     for itf in mesh.interfaces:

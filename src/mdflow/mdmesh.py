@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,27 +34,43 @@ class MeshError(Exception):
     """Invalid mesh topology, geometry, or non-representable input."""
 
 
+def _stack(columns, rows: int) -> np.ndarray:
+    """The (rows, len(columns)) array of 1-D columns; (rows, 0) without any."""
+    return np.stack(columns, axis=1) if len(columns) else np.zeros((rows, 0))
+
+
 @dataclass
 class CellGrid:
-    """A fixed-dimension cell grid, possibly embedded in a higher ambient space.
+    """A Cartesian cell grid of dimension ``dim``, possibly embedded in a
+    higher ambient space, stored as a view of its lattice.
 
-    Cell centers, face centers, and face normals are stored in the grid's own
-    local coordinates (``dim`` components). The affine frame
-    ``x_global = frame_origin + local @ frame_axes`` embeds local coordinates
-    into the ambient space.
+    Along each local axis the grid stores its lattice: the coordinates at
+    the doubled indices ``k = 0 .. 2 n`` (node ``i`` is ``2 i``, the center
+    of cell ``i`` is ``2 i + 1``) and the ``n`` cell widths. Cells are
+    numbered in lattice order, x-fastest. A face stores its doubled lattice
+    index, even along the face's axis and odd along the others (the two
+    copies of a slit face share it), and its topology. The fields are set
+    once and checked on construction (:meth:`validate`); every other
+    geometric array is derived from them on first use and kept.
 
-    Interior faces list two distinct cell neighbors and their normal points
-    from ``face_cells[f, 0]`` to ``face_cells[f, 1]``. Boundary faces list one
-    neighbor (second entry −1) and an outward normal.
+    Coordinates are local (``dim`` components); the affine frame
+    ``x_global = frame_origin + local @ frame_axes`` embeds them into the
+    ambient space. The rows of ``frame_axes`` are the unit vectors of the
+    ambient axes the grid spans, in increasing order.
+
+    Interior faces list two distinct cell neighbors, boundary faces one
+    (second entry −1). A face's normal, ``face_sign`` along ``face_axis``,
+    points from ``face_cells[f, 0]`` toward the face: from the first
+    neighbor to the second inside the grid, outward on its boundary.
     """
 
     dim: int
-    cell_volumes: np.ndarray
-    cell_centers: np.ndarray
-    cell_widths: np.ndarray
-    face_areas: np.ndarray
-    face_centers: np.ndarray
-    face_normals: np.ndarray
+    #: per local axis, the coordinates at the doubled indices 0 .. 2 n
+    lattice: tuple
+    #: per local axis, the widths of its n cells
+    widths: tuple
+    #: (n_faces, dim) doubled lattice index of each face
+    face_index: np.ndarray
     face_cells: np.ndarray
     #: −1 for interior / internal faces, else 2*axis + (0 for low, 1 for high)
     #: identifying the ambient domain side the face lies on.
@@ -67,20 +84,83 @@ class CellGrid:
     face_side: np.ndarray
     frame_origin: np.ndarray
     frame_axes: np.ndarray
-    node_coords: Optional[np.ndarray] = None
-    face_nodes: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        self.validate()
+
+    @property
+    def shape(self) -> tuple:
+        """Cells per local axis."""
+        return tuple(w.size for w in self.widths)
 
     @property
     def n_cells(self) -> int:
-        return self.cell_volumes.shape[0]
+        return int(np.prod(self.shape))
 
     @property
     def n_faces(self) -> int:
-        return self.face_areas.shape[0]
+        return self.face_index.shape[0]
 
     def is_boundary(self) -> np.ndarray:
         """Boolean mask of faces having a single cell neighbor."""
         return self.face_cells[:, 1] < 0
+
+    @property
+    def cell_index(self) -> np.ndarray:
+        """(n_cells, dim) cell index of each cell along each axis."""
+        ids = np.arange(self.n_cells)
+        strides = np.cumprod((1,) + self.shape[:-1])
+        return _stack([ids // s % n for s, n in zip(strides, self.shape)], self.n_cells)
+
+    @cached_property
+    def cell_centers(self) -> np.ndarray:
+        centers = [x[2 * i + 1] for x, i in zip(self.lattice, self.cell_index.T)]
+        return _stack(centers, self.n_cells)
+
+    @cached_property
+    def cell_widths(self) -> np.ndarray:
+        return _stack([w[i] for w, i in zip(self.widths, self.cell_index.T)], self.n_cells)
+
+    @cached_property
+    def cell_volumes(self) -> np.ndarray:
+        """Products of the cell widths in axis order; 1 for a point."""
+        return np.prod(self.cell_widths, axis=1)
+
+    @cached_property
+    def face_axis(self) -> np.ndarray:
+        """The axis each face is normal to: the one its index is even on."""
+        return np.nonzero((self.face_index & 1) == 0)[1].astype(np.int8)
+
+    @cached_property
+    def face_centers(self) -> np.ndarray:
+        return _stack([x[k] for x, k in zip(self.lattice, self.face_index.T)], self.n_faces)
+
+    @cached_property
+    def face_areas(self) -> np.ndarray:
+        """Products of the widths of the cells a face spans, in axis order;
+        1 for the point faces of a line."""
+        areas = np.ones(self.n_faces)
+        for w, k in zip(self.widths, self.face_index.T):
+            span = np.ones(2 * w.size + 1)  # 1 at the nodes, the widths between
+            span[1::2] = w
+            areas *= span[k]
+        return areas
+
+    @cached_property
+    def face_sign(self) -> np.ndarray:
+        """The normal's component along the face's axis: 1 where the face
+        lies above its first cell, else −1."""
+        at = np.arange(self.n_faces) * self.dim + self.face_axis  # flat (face, axis) entries
+        first = self.cell_index.ravel()[self.face_cells[:, 0] * self.dim + self.face_axis]
+        return np.where(self.face_index.ravel()[at] > 2 * first + 1, np.int8(1), np.int8(-1))
+
+    @cached_property
+    def face_nodes(self) -> np.ndarray:
+        """The two end nodes of each face of a 2D grid, low end first. The
+        nodes are numbered x-fastest: node (i, j) is i + (n_0 + 1) j."""
+        low, across = self.face_index >> 1, self.face_index & 1
+        strides = np.cumprod((1,) + tuple(n + 1 for n in self.shape[:-1]))
+        return np.stack([low @ strides, (low + across) @ strides], axis=1)
 
     def cell_centers_global(self) -> np.ndarray:
         return self.frame_origin + self.cell_centers @ self.frame_axes
@@ -89,22 +169,31 @@ class CellGrid:
         return self.frame_origin + self.face_centers @ self.frame_axes
 
     def validate(self) -> None:
-        """Assert structural grid invariants (cheap, used at build time)."""
-        interior = ~self.is_boundary()
-        if np.any(self.face_cells[interior, 0] == self.face_cells[interior, 1]):
-            raise MeshError("interior face with identical neighbors")
-        if self.dim > 0:
-            norms = np.linalg.norm(self.face_normals, axis=1)
-            if not np.allclose(norms, 1.0, rtol=1e-12, atol=0.0):
-                raise MeshError("face normals are not unit length")
-            # Closed-cell condition: signed area-weighted normals cancel.
-            out = self.face_areas[:, None] * self.face_normals
-            cells = np.concatenate([self.face_cells[:, 0], self.face_cells[interior, 1]])
-            out = np.concatenate([out, -out[interior]])
-            acc = np.array([np.bincount(cells, o, self.n_cells) for o in out.T])
-            scale = np.abs(self.face_areas).max() + 1e-300
-            if np.abs(acc).max() > 1e-10 * scale:
-                raise MeshError("closed-cell condition violated")
+        """Check that every face lies between its cells, one lattice step
+        from each along the one axis its index is even on, and that each
+        cell has exactly one face on each side of every axis (cheap, run on
+        construction)."""
+        if self.dim == 0:
+            return  # a point has no faces
+        index, (first, second), n = self.face_index, self.face_cells.T, np.array(self.shape)
+        if np.any((index < 0) | (index > 2 * n)) or np.any(sum((k & 1) == 0 for k in index.T) != 1):
+            raise MeshError("face index off the grid's lattice")
+        # The ids of the cells above and below each face along its axis: on
+        # plane p, the cell above exists if p < n and the one below if p > 0.
+        axis, strides = self.face_axis, np.cumprod(np.r_[1, n[:-1]])
+        plane = index.ravel()[np.arange(self.n_faces) * self.dim + axis] >> 1
+        above = (index >> 1) @ strides
+        below = above - strides[axis]
+        up = (first == below) & (plane > 0)  # the face lies above its first cell
+        has_above = plane < n[axis]
+        other = np.where(up, (second == above) & has_above, (second == below) & (plane > 0))
+        if not np.all((up | (first == above) & has_above) & ((second < 0) | other)):
+            raise MeshError("a face does not lie between its cells")
+        inner = second >= 0
+        sides = np.concatenate([2 * first + up, (2 * second + ~up)[inner]]) * self.dim
+        sides += np.concatenate([axis, axis[inner]])
+        if np.any(np.bincount(sides, minlength=2 * self.dim * self.n_cells) != 1):
+            raise MeshError("a cell is not closed by one face on each side of every axis")
 
 
 @dataclass
@@ -213,8 +302,6 @@ class MixedDimMesh:
         return mask
 
     def validate(self) -> None:
-        for g in self.subdomains:
-            g.validate()
         for itf in self.interfaces:
             gl = self.subdomains[itf.lower]
             gh = self.subdomains[itf.higher]
@@ -245,12 +332,6 @@ def _snap_index(value: float, lo: float, h: float, name: str) -> int:
     return int(k)
 
 
-def _coords(x0, h, k):
-    """Coordinates ``x0 + h (k / 2)`` of doubled node indices ``k``: node
-    ``i`` is ``2 i`` and the center of cell ``i`` is ``2 i + 1``."""
-    return x0 + h * (k / 2)
-
-
 def _build_cartesian_grid(lo, hi, cuts, x0, h, top) -> CellGrid:
     """The Cartesian grid of the node box [lo, hi] of the ambient lattice
     (origin ``x0``, spacing ``h``, ``top`` cells per axis) over the axes
@@ -259,159 +340,69 @@ def _build_cartesian_grid(lo, hi, cuts, x0, h, top) -> CellGrid:
     A cut is the node box of a slit child; it fixes one of the axes the
     grid spans. A box that spans no axis is a single point cell of unit
     measure. Faces on the ambient box get ``face_bnd`` 2*axis (+1 on the
-    high side), all others −1. Two-dimensional grids also list their nodes.
+    high side), all others −1.
     """
     axes = np.flatnonzero(lo != hi)
     dim = axes.size
-    frame_origin = np.where(lo != hi, 0.0, _coords(x0, h, 2 * lo))
-    frame_axes = np.eye(lo.size)[axes]
-    if dim == 0:
-        return CellGrid(
-            dim=0,
-            cell_volumes=np.array([1.0]),
-            cell_centers=np.zeros((1, 0)),
-            cell_widths=np.zeros((1, 0)),
-            face_areas=np.zeros(0),
-            face_centers=np.zeros((0, 0)),
-            face_normals=np.zeros((0, 0)),
-            face_cells=np.zeros((0, 2), dtype=int),
-            face_bnd=np.zeros(0, dtype=int),
-            face_cut=np.zeros(0, dtype=int),
-            face_side=np.zeros(0, dtype=int),
-            frame_origin=frame_origin,
-            frame_axes=frame_axes,
-        )
     n = (hi - lo)[axes]
-    width = h[axes]
-    nodes = [_coords(x0[g], h[g], 2 * np.arange(lo[g], hi[g] + 1)) for g in axes]
-    mids = [_coords(x0[g], h[g], 2 * np.arange(lo[g], hi[g]) + 1) for g in axes]
-
-    # Cells, x-fastest lexicographic ordering: id = i + n0*(j + n1*k).
-    grids = np.meshgrid(*mids, indexing="ij")
-    centers = np.stack([g.ravel(order="F") for g in grids], axis=1)
-    n_cells = int(np.prod(n))
-    volumes = np.full(n_cells, float(np.prod(width)))
-    widths = np.tile(width, (n_cells, 1))
-
-    strides = np.ones(dim, dtype=int)
-    for a in range(1, dim):
-        strides[a] = strides[a - 1] * n[a - 1]
-
-    parts = {
-        "area": [], "center": [], "normal": [], "cells": [],
-        "bnd": [], "cut": [], "side": [], "nodes": [],
-    }
-    want_nodes = dim == 2
+    strides = np.cumprod(np.r_[1, n[:-1]])  # cell id = cell index @ strides
+    # An empty part gives a grid without faces (a point) their shapes and types.
+    parts = [(np.zeros((0, dim), int), np.zeros((0, 2), int), *[np.zeros(0, int)] * 3)]
 
     for a, g in enumerate(axes):
-        others = [b for b in range(dim) if b != a]
-        if others:
-            ranges = [np.arange(n[b]) for b in others]
-            mg = np.meshgrid(*ranges, indexing="ij")
-            combo = np.stack([m.ravel(order="F") for m in mg], axis=1)
-        else:
-            combo = np.zeros((1, 0), dtype=int)
-        k = combo.shape[0]
-        P = n[a] + 1
-        area = float(np.prod(width[others])) if others else 1.0
+        # The faces normal to axis a, plane by plane and x-fastest over the
+        # other axes within a plane: ``at`` holds each face's plane along a
+        # and its cell along every other axis.
+        order = [b for b in range(dim) if b != a] + [a]
+        count = np.where(np.arange(dim) == a, n + 1, n)[order]
+        at = np.empty((int(np.prod(count)), dim), dtype=int)
+        at[:, order] = np.column_stack(np.unravel_index(np.arange(len(at)), count, order="F"))
+        plane = at[:, a]
+        cid_hi = at @ strides
+        cid_lo = cid_hi - strides[a]
 
-        plane_idx = np.repeat(np.arange(P), k)
-        row_idx = np.tile(np.arange(k), P)
-        N0 = P * k
-        cen = np.empty((N0, dim))
-        cen[:, a] = nodes[a][plane_idx]
-        for bi, b in enumerate(others):
-            cen[:, b] = mids[b][combo[row_idx, bi]]
-
-        cid_off = combo @ strides[others] if others else np.zeros(1, dtype=int)
-        cid_lo = cid_off[row_idx] + (plane_idx - 1) * strides[a]
-        cid_hi = cid_off[row_idx] + plane_idx * strides[a]
-
-        at_lo = plane_idx == 0
-        at_hi = plane_idx == n[a]
+        at_lo = plane == 0
+        at_hi = plane == n[a]
         boundary = at_lo | at_hi
-        bnd = np.full(N0, -1, dtype=int)
+        bnd = np.full(len(at), -1)
         bnd[at_lo & (lo[g] == 0)] = 2 * g
         bnd[at_hi & (hi[g] == top[g])] = 2 * g + 1
 
         # A slit child fixes axis g at an interior node; its faces are the
         # ones whose cells along the other axes lie in its span.
-        cut_of = np.full(N0, -1, dtype=int)
+        cut_of = np.full(len(at), -1)
+        node = lo[axes] + at
         for ci, (clo, chi) in enumerate(cuts):
-            if clo[g] != chi[g]:
-                continue
-            mask = lo[g] + plane_idx == clo[g]
-            for bi, b in enumerate(others):
-                cell = lo[axes[b]] + combo[row_idx, bi]
-                mask &= (clo[axes[b]] <= cell) & (cell < chi[axes[b]])
-            cut_of[mask] = ci
+            if clo[g] == chi[g]:
+                inside = (clo[axes] <= node) & (node < chi[axes])
+                inside[:, a] = node[:, a] == clo[g]
+                cut_of[inside.all(axis=1)] = ci
         slit = cut_of >= 0
 
-        # Duplicate slit positions: copy 0 attaches below (side 2, outward
-        # normal +e_a), copy 1 attaches above (side 1, outward normal −e_a).
-        rep = np.where(slit, 2, 1)
-        src = np.repeat(np.arange(N0), rep)
-        first_of = np.concatenate(([0], np.cumsum(rep)[:-1]))
-        rank = np.arange(src.shape[0]) - np.repeat(first_of, rep)
-
-        c0 = np.where(at_lo[src], cid_hi[src], cid_lo[src])
-        c0 = np.where(slit[src] & (rank == 1), cid_hi[src], c0)
+        # Duplicate slit positions: the first copy attaches below (side 2),
+        # the second, which repeats its source, above (side 1).
+        src = np.repeat(np.arange(len(at)), np.where(slit, 2, 1))
+        upper = np.r_[False, src[1:] == src[:-1]]
+        c0 = np.where(at_lo[src] | upper, cid_hi[src], cid_lo[src])
         c1 = np.where(boundary[src] | slit[src], -1, cid_hi[src])
+        side = np.where(slit[src], np.where(upper, 1, 2), 0)
+        parts.append([
+            2 * at[src] + (np.arange(dim) != a), np.stack([c0, c1], axis=1),
+            bnd[src], np.where(slit[src], cut_of[src], -1), side,
+        ])
 
-        sign = np.ones(src.shape[0])
-        sign[at_lo[src]] = -1.0
-        sign[slit[src] & (rank == 1)] = -1.0
-        nrm = np.zeros((src.shape[0], dim))
-        nrm[:, a] = sign
-
-        cut_arr = np.where(slit[src], cut_of[src], -1)
-        side_arr = np.zeros(src.shape[0], dtype=int)
-        side_arr[slit[src] & (rank == 0)] = 2
-        side_arr[slit[src] & (rank == 1)] = 1
-
-        parts["area"].append(np.full(src.shape[0], area))
-        parts["center"].append(cen[src])
-        parts["normal"].append(nrm)
-        parts["cells"].append(np.stack([c0, c1], axis=1))
-        parts["bnd"].append(bnd[src])
-        parts["cut"].append(cut_arr)
-        parts["side"].append(side_arr)
-        if want_nodes:
-            j = combo[row_idx, 0]
-            if a == 0:
-                nd = np.stack(
-                    [plane_idx + (n[0] + 1) * j, plane_idx + (n[0] + 1) * (j + 1)], axis=1
-                )
-            else:
-                nd = np.stack(
-                    [j + (n[0] + 1) * plane_idx, j + 1 + (n[0] + 1) * plane_idx], axis=1
-                )
-            parts["nodes"].append(nd[src])
-
-    node_coords = None
-    face_nodes = None
-    if want_nodes:
-        node_coords = np.stack(
-            [np.tile(nodes[0], n[1] + 1), np.repeat(nodes[1], n[0] + 1)], axis=1
-        )
-        face_nodes = np.concatenate(parts["nodes"], axis=0)
-
+    index, cells, bnd, cut, side = (np.concatenate(p) for p in zip(*parts))
     return CellGrid(
         dim=dim,
-        cell_volumes=volumes,
-        cell_centers=centers,
-        cell_widths=widths,
-        face_areas=np.concatenate(parts["area"]),
-        face_centers=np.concatenate(parts["center"], axis=0),
-        face_normals=np.concatenate(parts["normal"], axis=0),
-        face_cells=np.concatenate(parts["cells"], axis=0),
-        face_bnd=np.concatenate(parts["bnd"]),
-        face_cut=np.concatenate(parts["cut"]),
-        face_side=np.concatenate(parts["side"]),
-        frame_origin=frame_origin,
-        frame_axes=frame_axes,
-        node_coords=node_coords,
-        face_nodes=face_nodes,
+        lattice=tuple(x0[g] + h[g] * (np.arange(2 * lo[g], 2 * hi[g] + 1) / 2) for g in axes),
+        widths=tuple(np.full(m, h[g]) for m, g in zip(n, axes)),
+        face_index=index,
+        face_cells=cells,
+        face_bnd=bnd,
+        face_cut=cut,
+        face_side=side,
+        frame_origin=np.where(lo != hi, 0.0, x0 + h * lo),
+        frame_axes=np.eye(lo.size)[axes],
     )
 
 
@@ -593,7 +584,7 @@ def build_cartesian_md_mesh(
                 # A point on the end of a line: the line's tip face there,
                 # whose outward normal points up the line at its high end.
                 up = 1.0 if np.array_equal(locus.lo, loci[p].hi) else -1.0
-                at = higher.is_boundary() & (higher.face_cut < 0) & (higher.face_normals[:, 0] == up)
+                at = higher.is_boundary() & (higher.face_cut < 0) & (higher.face_sign == up)
             if grid.dim:
                 # One interface per side, each covering the whole slit. A
                 # side's slit faces and the lower grid's cells both run
@@ -604,7 +595,7 @@ def build_cartesian_md_mesh(
                 # One interface per adjoining face. Outward normal along
                 # +axis: the branch lies on side 2.
                 faces = np.flatnonzero(at)
-                sides = [2 if higher.face_normals[f, 0] > 0 else 1 for f in faces]
+                sides = [2 if higher.face_sign[f] > 0 else 1 for f in faces]
                 groups = [faces[i : i + 1] for i in range(faces.size)]
             if p == 0:
                 fault_id = c - 1
@@ -646,13 +637,12 @@ def build_cartesian_md_mesh(
 #: Columns of each table block of the mesh file, in file order: the
 #: attribute they hold, its width (1, 2, or "d" for the grid dimension) and
 #: its type. An attribute of width 1 is a 1-D array.
-_CELLS = (("cell_volumes", 1, float), ("cell_centers", "d", float), ("cell_widths", "d", float))
+_LATTICE = (("lattice", 1, float),)
+_WIDTHS = (("widths", 1, float),)
 _FACES = (
-    ("face_areas", 1, float), ("face_centers", "d", float), ("face_normals", "d", float),
-    ("face_cells", 2, int), ("face_bnd", 1, int), ("face_cut", 1, int), ("face_side", 1, int),
+    ("face_index", "d", int), ("face_cells", 2, int), ("face_bnd", 1, int),
+    ("face_cut", 1, int), ("face_side", 1, int),
 )
-_NODES = (("node_coords", "d", float),)
-_FACE_NODES = (("face_nodes", 2, int),)
 _PAIRS = (("higher_faces", 1, int), ("lower_cells", 1, int), ("measures", 1, float))
 
 
@@ -675,53 +665,51 @@ def format_rows(fmt: str, table: np.ndarray) -> list:
     ]
 
 
-def _block(tag: str, obj, columns, d: int = 0, counted: bool = True) -> list:
-    """The tag line, with the row count if ``counted``, and rows of a block."""
+def _block(tag: str, values: dict, columns, d: int = 0) -> list:
+    """The tag line with the row count, then the rows of a block."""
     # 17 significant digits read back as the same float.
     types = [typ for (_, _, typ), w in zip(columns, _widths(columns, d)) for _ in range(w)]
     fmt = " ".join(["%d" if typ is int else "%.17g" for typ in types])
-    table = np.column_stack([getattr(obj, name) for name, _, _ in columns])
-    return [f"{tag} {table.shape[0]}" if counted else tag] + format_rows(fmt, table)
+    table = np.column_stack([values[name] for name, _, _ in columns])
+    return [f"{tag} {table.shape[0]}"] + format_rows(fmt, table)
 
 
 def export_mesh(mesh: MixedDimMesh, path: str) -> None:
     """Write the mesh in the whitespace-separated text format.
 
-    Lines ``mdmesh 1 <ambient dim>``, ``domain <lo...> <hi...>`` and
+    Lines ``mdmesh 2 <ambient dim>``, ``domain <lo...> <hi...>`` and
     ``subdomains <n>``; per subdomain ``subdomain <id> dim <d> kind <kind>
-    faults <ids|->``, ``frame <origin...> <row-major axes...>`` and the
-    blocks ``cells``, ``faces`` and ``nodes``, then ``face_nodes`` if there
-    are nodes; ``interfaces <n>``, and per interface ``interface <lower>
-    <higher> <side> <sign> <fault> <kind>`` and a ``pairs`` block. A block is
-    its tag and row count (one row per face for ``face_nodes``, which has no
-    count) and one row per entity with the columns of its table above.
+    faults <ids|->`` and ``frame <origin...> <row-major axes...>``, per
+    local axis a ``lattice`` block of its 2 n + 1 coordinates and a
+    ``widths`` block of its n cell widths, and a ``faces`` block of face
+    lattice indices and topology; ``interfaces <n>``, and per interface
+    ``interface <lower> <higher> <side> <sign> <fault> <kind>`` and a
+    ``pairs`` block. A block is its tag and row count and one row per
+    entity with the columns of its table above.
     """
 
     def fmt(vals):
         return " ".join(f"{v:.17g}" for v in np.atleast_1d(vals))
 
     out = []
-    out.append(f"mdmesh 1 {mesh.dim}")
+    out.append(f"mdmesh 2 {mesh.dim}")
     out.append(f"domain {fmt(mesh.domain_lo)} {fmt(mesh.domain_hi)}")
     out.append(f"subdomains {mesh.n_subdomains}")
     for sid, (g, inf) in enumerate(zip(mesh.subdomains, mesh.info)):
         fids = ",".join(str(i) for i in inf.fault_ids) if inf.fault_ids else "-"
         out.append(f"subdomain {sid} dim {g.dim} kind {inf.kind} faults {fids}")
         out.append(f"frame {fmt(g.frame_origin)} {fmt(g.frame_axes.ravel())}")
-        out += _block("cells", g, _CELLS, g.dim)
-        out += _block("faces", g, _FACES, g.dim)
-        if g.node_coords is not None:
-            out += _block("nodes", g, _NODES, g.dim)
-            out += _block("face_nodes", g, _FACE_NODES, counted=False)
-        else:
-            out.append("nodes 0")
+        for x, w in zip(g.lattice, g.widths):
+            out += _block("lattice", {"lattice": x}, _LATTICE)
+            out += _block("widths", {"widths": w}, _WIDTHS)
+        out += _block("faces", vars(g), _FACES, g.dim)
     out.append(f"interfaces {len(mesh.interfaces)}")
     for itf in mesh.interfaces:
         out.append(
             f"interface {itf.lower} {itf.higher} {itf.side} {itf.side_sign} "
             f"{itf.fault_id} {itf.kind}"
         )
-        out += _block("pairs", itf, _PAIRS)
+        out += _block("pairs", vars(itf), _PAIRS)
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
 
@@ -745,10 +733,9 @@ class _MeshFile:
             raise ValueError(f"expected {count} fields after {tag!r}, found {len(fields) - 1}")
         return fields[1:]
 
-    def block(self, tag: str, columns, d: int = 0, n: Optional[int] = None) -> dict:
-        """The next block's attributes; it has ``n`` rows if not counted."""
-        fields = self.take(tag, 1 if n is None else 0)
-        n = int(fields[0]) if n is None else n
+    def block(self, tag: str, columns, d: int = 0) -> dict:
+        """The next block's attributes."""
+        n = int(self.take(tag, 1)[0])
         widths = _widths(columns, d)
         width = sum(widths)
         rows = self.lines[self.at + 1 : self.at + 1 + n]
@@ -778,8 +765,8 @@ def import_mesh(path: str) -> MixedDimMesh:
     src = _MeshFile(path)
     try:
         version, dim = src.take("mdmesh", 2)
-        if version != "1":
-            raise ValueError("not a mdmesh version-1 file")
+        if version != "2":
+            raise ValueError("not a mdmesh version-2 file")
         dim = int(dim)
         dom = np.array(src.take("domain", 2 * dim), dtype=float)
         subdomains, info = [], []
@@ -791,12 +778,17 @@ def import_mesh(path: str) -> MixedDimMesh:
                 raise ValueError(f"unknown subdomain kind {kind!r}")
             d = int(d)
             frame = np.array(src.take("frame", dim + d * dim), dtype=float)
-            grid = src.block("cells", _CELLS, d) | src.block("faces", _FACES, d)
-            nodes = src.block("nodes", _NODES, d)
-            if len(nodes["node_coords"]):
-                grid |= nodes | src.block("face_nodes", _FACE_NODES, n=len(grid["face_areas"]))
-            axes = frame[dim:].reshape(d, dim)
-            subdomains.append(CellGrid(d, frame_origin=frame[:dim], frame_axes=axes, **grid))
+            lattice, widths = [], []
+            for _ in range(d):
+                lattice.append(src.block("lattice", _LATTICE)["lattice"])
+                widths.append(src.block("widths", _WIDTHS)["widths"])
+                if lattice[-1].size != 2 * widths[-1].size + 1:
+                    raise ValueError("expected 2 n + 1 lattice coordinates for n widths")
+            grid = src.block("faces", _FACES, d)
+            subdomains.append(CellGrid(
+                d, tuple(lattice), tuple(widths),
+                frame_origin=frame[:dim], frame_axes=frame[dim:].reshape(d, dim), **grid,
+            ))
             fids = () if fids == "-" else tuple(int(i) for i in fids.split(","))
             info.append(SubdomainInfo(kind, fids))
         interfaces = []

@@ -153,10 +153,10 @@ def schur_effective_tensor(law: MixedDimLaw) -> EffectiveTensor:
 
     Each side removes a rank-one term kappa_t kappa_t^T / kappa_perp, the
     Schur complement of the side's transfer coefficient in its local
-    permeability block; the well-posedness margin is what keeps the result
-    positive definite. The coupling vectors kappa_t / kappa_perp reappear
-    both in the vector source induced by the interface fluxes and in the
-    gradient term of the interface law.
+    permeability block; each side's margin bounds its own share, not their
+    sum, so the caller checks that the result is positive definite. The
+    coupling vectors kappa_t / kappa_perp reappear both in the vector source
+    induced by the interface fluxes and in the gradient term of the law.
     """
     t = law.kappa_parallel.shape[0]
     tensor = law.kappa_parallel.copy()

@@ -29,10 +29,9 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
         Output file path.
     grid : CellGrid
         Any grid built by the mesher or read by ``import_mesh``, of
-        topological dimension 0 to 3. Its nodes along an axis are the planes
-        of its faces normal to that axis. Its cells must be in VTK order
-        (x-fastest), each spanning one node interval along every axis it
-        extends in, as the mesher numbers them.
+        topological dimension 0 to 3. Its nodes along each axis it extends
+        in are the even entries of that axis's lattice, and its cells are
+        in lattice order, x-fastest, as VTK numbers them.
     cell_data : dict, optional
         Scalar arrays of length ``n_cells`` keyed by their field name.
     title : str, optional
@@ -41,30 +40,16 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
     Raises
     ------
     ValueError
-        If the cells do not fill their lattice in VTK order or a cell-data
-        array does not have one value per cell; no file is written then.
+        If a cell-data array does not have one value per cell; no file is
+        written then.
     """
     n_cells = grid.n_cells
-    faces = grid.face_centers_global()
-    normals = grid.face_normals @ grid.frame_axes
-    coords = [np.zeros(1)] * 3
-    for a, x0 in enumerate(grid.frame_origin):
-        # An axis the grid does not extend in has one node, its frame origin.
-        on = normals[:, a] != 0
-        # Adding 0.0 turns -0.0 into 0.0, so no coordinate prints as -0.
-        coords[a] = (np.unique(faces[on, a]) if on.any() else np.array([x0])) + 0.0
-    # VTK numbers the cells x-fastest, max(nodes - 1, 1) along each axis.
-    counts = [max(nodes.size - 1, 1) for nodes in coords]
-    ordered = int(np.prod(counts)) == n_cells
-    if ordered:
-        ijk = np.unravel_index(np.arange(n_cells), counts, order="F")
-        ordered = all(
-            np.all((nodes[i] < x) & (x < nodes[i + 1]))
-            for nodes, i, x in zip(coords, ijk, grid.cell_centers_global().T)
-            if nodes.size > 1
-        )
-    if not ordered:
-        raise ValueError(f"the cells written to {path!r} do not fill a rectilinear lattice")
+    # An axis the grid does not extend in has one node, its frame origin.
+    coords = [np.array([x]) for x in np.pad(grid.frame_origin, (0, 3 - grid.frame_origin.size))]
+    for axis, lattice in zip(np.argmax(grid.frame_axes, axis=1), grid.lattice):
+        coords[axis] = lattice[::2]
+    # Adding 0.0 turns -0.0 into 0.0, so no coordinate prints as -0.
+    coords = [nodes + 0.0 for nodes in coords]
 
     out = ["# vtk DataFile Version 2.0"]
     out.append(title.splitlines()[0][:255] if title else "mdflow field")

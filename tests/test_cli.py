@@ -161,6 +161,16 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "mdflow: error:" in err
 
 
+def test_bc_box_off_its_side_exits_2_at_its_line(tmp_path, capsys):
+    # The y+ clause's box lies below the top edge, so it selects no face.
+    cfg = write_demo(tmp_path, text=DEMO + "box = 0 0 1 0.5\n")
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "mdflow: error: line 25: [bc] box ((0.0, 0.0), (1.0, 0.5)) selects no boundary "
+        "face on side y+\n"
+    )
+
+
 def test_unknown_case_exits_2(capsys):
     assert main(["converge", "case99"]) == 2
     assert "mdflow: error:" in capsys.readouterr().err

@@ -47,6 +47,11 @@ def line_grid(n=2):
     return mesh.subdomains[1]
 
 
+def normals(grid):
+    """Unit face normals: along each face's axis, with its sign."""
+    return np.eye(grid.dim)[grid.face_axis] * grid.face_sign[:, None]
+
+
 def dirichlet_bc(grid, values):
     bc = BoundaryCondition.empty(grid)
     bnd = grid.is_boundary()
@@ -88,7 +93,7 @@ def test_isotropic_linear_patch(scheme):
     p = exact(g.cell_centers_global())
     flux = op.flux_p @ p + op.flux_g @ bc.value
     qvec = -K * grad
-    expect = (g.face_normals @ qvec) * g.face_areas
+    expect = (normals(g) @ qvec) * g.face_areas
     assert np.abs(flux - expect).max() < 1e-12
     trace = op.trace_p @ p + op.trace_g @ bc.value
     assert np.abs(trace - exact(g.face_centers_global())).max() < 1e-12
@@ -106,7 +111,7 @@ def test_full_tensor_linear_patch_mpfa():
     op = mpfa_discretize(g, perm, bc)
     p = exact(g.cell_centers_global())
     flux = op.flux_p @ p + op.flux_g @ bc.value
-    expect = (g.face_normals @ (-K @ grad)) * g.face_areas
+    expect = (normals(g) @ (-K @ grad)) * g.face_areas
     assert np.abs(flux - expect).max() < 1e-12
     trace = op.trace_p @ p + op.trace_g @ bc.value
     assert np.abs(trace - exact(g.face_centers_global())).max() < 1e-12
@@ -129,9 +134,10 @@ def test_mpfa_reduces_to_tpfa_isotropic():
     aniso = np.zeros((g.n_cells, 2, 2))
     aniso[:, [0, 1], [0, 1]] = 10.0 ** rng.uniform(-2.0, 2.0, size=(g.n_cells, 2))
     flip = np.flatnonzero(g.face_cells[:, 1] >= 0)[::3]
-    cells, normals = g.face_cells.copy(), g.face_normals.copy()
-    cells[flip], normals[flip] = cells[flip, ::-1], -normals[flip]
-    flipped = dataclasses.replace(g, face_cells=cells, face_normals=normals)
+    cells = g.face_cells.copy()
+    cells[flip] = cells[flip, ::-1]
+    flipped = dataclasses.replace(g, face_cells=cells)
+    assert np.array_equal(flipped.face_sign[flip], -g.face_sign[flip])
     for grid, perm in ((g, isotropic_perm(g, 1.7)), (g, aniso), (flipped, aniso)):
         a = tpfa_discretize(grid, perm, bc)
         b = mpfa_discretize(grid, perm, bc)
@@ -319,12 +325,11 @@ def test_o_scheme_rows_are_continuous_local_and_numbering_free():
     mesh = build_cartesian_md_mesh((0.0, 0.0), (1.0, 0.75), (8, 6), [fault.spec()])
     g = mesh.subdomains[0]
     order = np.arange(g.n_faces)
-    flip = np.flatnonzero((g.face_normals[:, 0] != 0) & (g.face_centers[:, 0] > 0.5))
+    flip = np.flatnonzero((g.face_axis == 0) & (g.face_centers[:, 0] > 0.5))
     order[flip] = flip[::-1]
     g = dataclasses.replace(g, **{
         k: getattr(g, k)[order]
-        for k in ("face_areas", "face_centers", "face_normals", "face_cells",
-                  "face_bnd", "face_cut", "face_side", "face_nodes")
+        for k in ("face_index", "face_cells", "face_bnd", "face_cut", "face_side")
     })
     bc = BoundaryCondition.empty(g)
     bnd = g.is_boundary()
@@ -346,7 +351,7 @@ def test_o_scheme_rows_are_continuous_local_and_numbering_free():
     # stripe's tensor alone, on either side of the renumbered half.
     xf = g.face_centers[:, 0]
     for t, x0 in ((0, 0.125), (1, 0.375), (2, 0.625), (0, 0.875)):
-        rows = np.flatnonzero((g.face_normals[:, 0] != 0) & np.isclose(xf, x0))
+        rows = np.flatnonzero((g.face_axis == 0) & np.isclose(xf, x0))
         c = mpfa_discretize(g, np.tile(K[t], (g.n_cells, 1, 1)), bc)
         for name in names:
             x, y = getattr(a, name)[rows], getattr(c, name)[rows]
@@ -410,7 +415,7 @@ def test_mpfa_reproduces_linear_fields_on_fault_networks(case):
     bc.kind[bnd] = BC_NEUMANN
     bc.kind[bnd & np.isin(g.face_bnd, list(dirichlet_sides))] = BC_DIRICHLET
     bc.kind[mortar] = BC_MORTAR
-    density = g.face_normals @ (-K @ grad)  # along the stored normal
+    density = normals(g) @ (-K @ grad)  # along the face normal
     bc.value[:] = np.where(bc.kind == BC_DIRICHLET, exact(xf), density)
     bc.value[~bnd] = 0.0
     op = mpfa_discretize(g, np.tile(K, (g.n_cells, 1, 1)), bc)

@@ -43,7 +43,7 @@ from mdflow.mdassembly import (
     solve,
 )
 from mdflow.mdmesh import build_cartesian_md_mesh
-from mdflow.semilocal import assemble_interface_blocks
+from mdflow.semilocal import InterfaceLawError, assemble_interface_blocks
 
 
 def series_config(k_perp=0.01, k_t=(0.0, 0.0), n=4):
@@ -311,6 +311,25 @@ def test_pressures_do_not_depend_on_units_or_origin(case):
         p = np.concatenate(solve_config(scaled(cfg, s, offset))[2].pressures)
         err = np.abs(p - ref).max() / np.abs(ref).max()
         assert err <= 1e-10, (s, offset, err)
+
+
+@pytest.mark.parametrize(
+    "k_t, message",
+    [
+        # Each side passes the screen (margin 5600), but the two sides'
+        # shares 0.72 + 0.72 exceed kappa_parallel = 1.
+        (120.0, "fault 'main': the effective in-plane tensor is not positive definite "
+                "(smallest eigenvalue -0.44; the sides' shares |k_t|^2/k_perp are 0.72 and 0.72)"),
+        (1500.0, "fault 'main' violates the well-posedness condition (margin -2.23e+06)"),
+    ],
+)
+def test_a_fault_the_law_cannot_solve_is_named(k_t, message):
+    cfg = builtin_case("case1")
+    cfg.faults[0].k_t = (k_t, k_t)
+    mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, (16, 16), cfg.fault_specs())
+    with pytest.raises(InterfaceLawError) as err:
+        assemble_global(mesh, cfg.material_set(), cfg.bcs)
+    assert str(err.value) == message
 
 
 def test_region_holds_its_cells_in_a_tiny_domain():
@@ -644,9 +663,11 @@ CLAUSE_MESHES = [
 
 
 def clause_reference(grid, clauses, mortar_mask):
-    """Face kinds and values from box tests on every face's global center."""
+    """Face kinds and values from box tests on every face's global center,
+    and the number of faces each clause selects."""
     kind = np.where(grid.is_boundary(), BC_NEUMANN, 0).astype(np.int8)
     value = np.zeros(grid.n_faces)
+    counts = []
     gx = grid.face_centers_global()
     for cl in clauses:
         mask = grid.is_boundary() & (grid.face_bnd == cl.side) & ~mortar_mask
@@ -655,9 +676,10 @@ def clause_reference(grid, clauses, mortar_mask):
             mask &= np.all(inside, axis=1)
         kind[mask] = BC_DIRICHLET if cl.kind == "dirichlet" else BC_NEUMANN
         value[mask] = cl.value
+        counts.append(np.count_nonzero(mask))
     kind[mortar_mask] = BC_MORTAR
     value[mortar_mask] = 0.0
-    return kind, value
+    return kind, value, counts
 
 
 @st.composite
@@ -688,10 +710,11 @@ def test_boundary_clauses_match_a_test_of_every_face(case):
     mesh = CLAUSE_MESHES[m]
     for i, grid in enumerate(mesh.subdomains):
         mortar = mesh.mortar_face_mask(i)
-        bc = boundary_condition_from_clauses(grid, clauses, mortar)
-        kind, value = clause_reference(grid, clauses, mortar)
+        bc, counts = boundary_condition_from_clauses(grid, clauses, mortar)
+        kind, value, expected = clause_reference(grid, clauses, mortar)
         assert bc.kind.dtype == kind.dtype and np.array_equal(bc.kind, kind)
         assert np.array_equal(bc.value, value)
+        assert counts.tolist() == expected
 
 
 @st.composite

@@ -279,9 +279,28 @@ def _extent(specs, fault_ids, axis):
 # Two planes whose spans along their common axis only touch: no line.
 @example(([0.0] * 3, [1.0] * 3, [2] * 3, [(0, 1, {1: (0, 2), 2: (0, 1)}),
                                          (1, 1, {0: (0, 2), 2: (1, 2)})]))
-def test_hierarchy_properties(box):
+def test_hierarchy_properties(tmp_path_factory, box):
     mesh, specs = _build(box, 1)
     mesh.validate()
+    path = tmp_path_factory.getbasetemp() / "hierarchy.mesh"
+    export_mesh(mesh, str(path))
+    written = path.read_bytes()
+    export_mesh(import_mesh(str(path)), str(path))
+    assert path.read_bytes() == written
+    for g in mesh.subdomains:
+        # An interior face's center lies strictly between its cells'
+        # centers along its axis and level with both on every other axis.
+        inner = ~g.is_boundary()
+        x, cells = g.face_centers[inner], g.cell_centers[g.face_cells[inner]]
+        lo, hi = cells.min(axis=1), cells.max(axis=1)
+        along = np.eye(g.dim, dtype=bool)[g.face_axis[inner]]
+        assert np.all(np.where(along, (lo < x) & (x < hi), (lo == x) & (x == hi)))
+        if g.dim == 2:
+            # A face's two nodes are the lattice nodes at its low and high end.
+            row = g.shape[0] + 1
+            ends = 2 * np.stack([g.face_nodes % row, g.face_nodes // row], axis=2)
+            across = np.eye(2, dtype=int)[1 - g.face_axis][:, None]
+            assert np.array_equal(ends, g.face_index[:, None] + [[-1], [1]] * across)
     for itf in mesh.interfaces:
         gl, gh = mesh.subdomains[itf.lower], mesh.subdomains[itf.higher]
         # Each lower cell is paired exactly once per side, with the higher
@@ -340,14 +359,20 @@ def test_deterministic_rebuild():
 
 
 def _assert_same(a, b):
-    """Every dataclass field equal: arrays exactly, with the same dtype kind."""
+    """Every dataclass field equal: arrays exactly, with the same dtype kind,
+    also inside tuples."""
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            assert isinstance(y, np.ndarray) and x.dtype.kind == y.dtype.kind, f.name
-            assert np.array_equal(x, y), f.name
+        if isinstance(x, tuple):
+            assert isinstance(y, tuple) and len(x) == len(y), f.name
         else:
-            assert x == y, f.name
+            x, y = (x,), (y,)
+        for u, v in zip(x, y):
+            if isinstance(u, np.ndarray):
+                assert isinstance(v, np.ndarray) and u.dtype.kind == v.dtype.kind, f.name
+                assert np.array_equal(u, v), f.name
+            else:
+                assert u == v, f.name
 
 
 @pytest.mark.parametrize("case", ["network2d", "cube3d"])
@@ -391,16 +416,17 @@ def test_format_rows_matches_row_by_row(n):
     [
         (lambda lines: [], 1),
         (lambda lines: lines[:10], 11),
-        (lambda lines: ["mdmesh 2 2"] + lines[1:], 1),
+        (lambda lines: ["mdmesh 3 2"] + lines[1:], 1),
+        (lambda lines: ["mdmesh 1 2"] + lines[1:], 1),
         (lambda lines: lines[:1] + ["domian" + lines[1][6:]] + lines[2:], 2),
-        (lambda lines: lines[:6] + ["0.0625 0.125 x 0.25 0.25"] + lines[7:], 7),
-        (lambda lines: lines[:5] + ["cells 16 7"] + lines[6:], 6),
-        (lambda lines: [ln + " 5" if ln == "face_nodes" else ln for ln in lines], None),
+        (lambda lines: lines[:6] + ["x"] + lines[7:], 7),
+        (lambda lines: lines[:5] + ["lattice 9 7"] + lines[6:], 6),
+        (lambda lines: [ln + " 5" if ln.startswith("faces ") else ln for ln in lines], None),
         (lambda lines: lines[:3] + ["subdomain 0 dmi 2 knid matrix faults -"] + lines[4:], 4),
         (lambda lines: lines[:3] + ["subdomain 0 dim 2 kind matirx faults -"] + lines[4:], 4),
     ],
-    ids=["empty", "truncated", "header", "domain-tag", "non-numeric", "cells-extra",
-         "face-nodes-extra", "subdomain-keywords", "subdomain-kind"],
+    ids=["empty", "truncated", "header", "version-1", "domain-tag", "non-numeric",
+         "lattice-extra", "faces-extra", "subdomain-keywords", "subdomain-kind"],
 )
 def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
     cfg = builtin_case("case1")
@@ -408,12 +434,12 @@ def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
     path = tmp_path / "mesh.txt"
     export_mesh(mesh, str(path))
     lines = path.read_text().splitlines()
-    # Line 4 is the matrix's subdomain line, lines 6 and 7 its cell block
-    # header and first row.
+    # Line 4 is the matrix's subdomain line, lines 6 and 7 its first
+    # lattice block's header and first row.
     assert lines[3] == "subdomain 0 dim 2 kind matrix faults -"
-    assert lines[5] == "cells 16" and lines[6].startswith("0.0625 0.125 0.125 ")
-    if line is None:  # the first face_nodes tag line
-        line = lines.index("face_nodes") + 1
+    assert lines[5] == "lattice 9" and lines[6] == "0"
+    if line is None:  # the first faces tag line
+        line = next(i for i, ln in enumerate(lines, 1) if ln.startswith("faces "))
     path.write_text("".join(ln + "\n" for ln in edit(lines)))
     with pytest.raises(MeshError, match=rf"^{re.escape(str(path))}: line {line}: "):
         import_mesh(str(path))
@@ -439,7 +465,7 @@ def test_mesh_does_not_depend_on_units_or_origin(case, s, offset):
     ref = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, res, cfg.fault_specs())
     mesh = build_cartesian_md_mesh(at(cfg.domain_lo), at(cfg.domain_hi), res, specs)
     for a, b in zip(ref.subdomains, mesh.subdomains):
-        for name in ("face_cells", "face_bnd", "face_cut", "face_side", "face_nodes"):
+        for name in ("face_index", "face_cells", "face_bnd", "face_cut", "face_side"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.allclose(
             b.cell_centers_global(), s * (a.cell_centers_global() + offset), rtol=1e-12, atol=0.0
@@ -466,9 +492,48 @@ def test_mortar_measures_checked_in_a_tiny_box(doubled):
         itf.measures = 2.0 * itf.measures
     else:
         lower = mesh.subdomains[itf.lower]
-        lower.cell_volumes = 2.0 * lower.cell_volumes
+        mesh.subdomains[itf.lower] = dataclasses.replace(
+            lower, widths=tuple(2.0 * w for w in lower.widths)
+        )
     with pytest.raises(MeshError, match="measures"):
         mesh.validate()
+
+
+def _defect(grid, name):
+    """A copy of the grid's face data with one defect."""
+    f = int(np.flatnonzero(~grid.is_boundary() & (grid.face_axis == 0))[0])
+    names = ("face_index", "face_cells", "face_bnd", "face_cut", "face_side")
+    faces = {k: getattr(grid, k).copy() for k in names}
+    if name == "off-lattice":
+        faces["face_index"][f, 1] += 1  # even along both axes
+    elif name == "beyond":
+        faces["face_index"][f, 0] = 2 * grid.shape[0] + 2
+    elif name == "shifted":
+        faces["face_index"][f, 0] += 2  # one node further along its axis
+    elif name == "swapped":
+        g = int(np.flatnonzero(~grid.is_boundary() & (grid.face_axis == 1))[-1])
+        faces["face_cells"][[f, g]] = faces["face_cells"][[g, f]]
+    elif name == "no-cell":
+        faces["face_cells"][f, 1] = grid.n_cells
+    elif name == "same-cell":
+        faces["face_cells"][f, 1] = faces["face_cells"][f, 0]
+    else:  # one face dropped or one doubled: a cell is not closed
+        keep = np.r_[0:f, f + 1 : grid.n_faces] if name == "dropped" else np.r_[0 : grid.n_faces, f]
+        faces = {k: v[keep] for k, v in faces.items()}
+    return faces
+
+
+@pytest.mark.parametrize(
+    "defect",
+    ["off-lattice", "beyond", "shifted", "swapped", "no-cell", "same-cell", "dropped", "doubled"],
+)
+def test_grid_with_a_face_off_its_cells_is_rejected(defect):
+    # A grid checks its faces against its lattice when it is made, so a
+    # grid with any of these defects cannot exist.
+    fault = one_fault(p0=(0.0, 2 / 3), p1=(0.5, 2 / 3))  # a slit with a tip
+    grid = build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (4, 3), [fault]).subdomains[0]
+    with pytest.raises(MeshError):
+        dataclasses.replace(grid, **_defect(grid, defect))
 
 
 def test_off_grid_fault_rejected():
