@@ -98,7 +98,7 @@ def cmd_run(args) -> int:
     xyz, coords = ",".join("xyz"[:dim]), ",".join(["%.10g"] * dim)
     lines = [f"interface,cell,{xyz},flux"]
     for j, itf in enumerate(mesh.interfaces):
-        centers = mesh.subdomains[itf.lower].cell_centers_global()[itf.lower_cells]
+        centers = mesh.subdomains[itf.lower].cell_centers_global()
         cells = np.arange(itf.n_mortar)
         table = np.column_stack([np.full(cells.size, j), cells, centers, sol.lambdas[j]])
         lines += format_rows(f"%d,%d,{coords},%.10g", table)

@@ -198,32 +198,33 @@ class CellGrid:
 
 @dataclass
 class MortarInterface:
-    """Interface between a lower-dimensional subdomain and a higher one.
+    """Interface between a lower-dimensional subdomain and a higher one,
+    on one side of the lower one (1 or 2, as for :class:`FaultSpec`).
 
-    One mortar cell per coupled pair: ``higher_faces[m]`` is a boundary face
-    of the higher grid and ``lower_cells[m]`` a cell of the lower grid, with
-    equal measure. ``side_sign`` is the permutation sign of the coupling: +1
-    when the higher domain's outward normal at the interface coincides with
-    the stored cut normal (the side the cut normal points away from), −1 on
-    the side the cut normal points into.
+    Mortar cell ``m`` pairs the boundary face ``higher_faces[m]`` of the
+    higher grid with cell ``m`` of the lower grid, whose volume is its
+    measure; the mesh checks that the face's area equals it.
     """
 
     lower: int
     higher: int
     side: int
-    side_sign: int
     higher_faces: np.ndarray
-    lower_cells: np.ndarray
-    measures: np.ndarray
-    #: id of the fault whose material governs this coupling (for couplings
-    #: between intersection objects the governing values are inherited and
-    #: resolved by the material layer; ``fault_id`` is then −1).
-    fault_id: int = -1
-    kind: str = "fault"
+
+    def __post_init__(self):
+        if self.side not in (1, 2):
+            raise MeshError(f"interface side must be 1 or 2, got {self.side}")
 
     @property
     def n_mortar(self) -> int:
         return self.higher_faces.shape[0]
+
+    @property
+    def side_sign(self) -> int:
+        """The permutation sign of the coupling: +1 on side 2, where the
+        higher domain's outward normal is the cut normal, −1 on side 1,
+        the side the cut normal points into."""
+        return 1 if self.side == 2 else -1
 
 
 @dataclass
@@ -302,19 +303,27 @@ class MixedDimMesh:
         return mask
 
     def validate(self) -> None:
-        for itf in self.interfaces:
+        """Check that every interface pairs each cell of an existing lower
+        grid with a distinct face of an existing grid one dimension higher,
+        of equal measure: both are products of the same widths in the same
+        order, so they are compared exactly."""
+        for j, itf in enumerate(self.interfaces):
+            if not (0 <= itf.lower < self.n_subdomains and 0 <= itf.higher < self.n_subdomains):
+                raise MeshError(f"interface {j} names a subdomain that does not exist")
             gl = self.subdomains[itf.lower]
             gh = self.subdomains[itf.higher]
             if gh.dim - gl.dim != 1:
                 raise MeshError("interface must connect dimensions differing by 1")
+            if np.any((itf.higher_faces < 0) | (itf.higher_faces >= gh.n_faces)):
+                raise MeshError(f"interface {j} names a face that does not exist")
+            if itf.n_mortar != gl.n_cells:
+                raise MeshError(
+                    f"interface {j} has {itf.n_mortar} mortar cells for {gl.n_cells} lower cells"
+                )
             if np.unique(itf.higher_faces).size != itf.n_mortar:
                 raise MeshError("mortar cells must map to distinct higher faces")
-            areas = gh.face_areas[itf.higher_faces]
-            vols = gl.cell_volumes[itf.lower_cells]
-            if not np.allclose(areas, vols, rtol=1e-10, atol=0.0):
+            if not np.array_equal(gh.face_areas[itf.higher_faces], gl.cell_volumes):
                 raise MeshError("mortar cell measures do not match across sides")
-            if not np.allclose(itf.measures, vols, rtol=1e-10, atol=0.0):
-                raise MeshError("stored mortar measures inconsistent")
 
 
 # ---------------------------------------------------------------------------
@@ -597,26 +606,7 @@ def build_cartesian_md_mesh(
                 faces = np.flatnonzero(at)
                 sides = [2 if higher.face_sign[f] > 0 else 1 for f in faces]
                 groups = [faces[i : i + 1] for i in range(faces.size)]
-            if p == 0:
-                fault_id = c - 1
-            else:
-                fault_id = p - 1 if p <= len(faults) else -1
-            for side, faces in zip(sides, groups):
-                if faces.size != grid.n_cells:
-                    raise MeshError("interface face/cell count mismatch")
-                interfaces.append(
-                    MortarInterface(
-                        lower=c,
-                        higher=p,
-                        side=side,
-                        side_sign=1 if side == 2 else -1,
-                        higher_faces=faces,
-                        lower_cells=np.arange(grid.n_cells),
-                        measures=grid.cell_volumes.copy(),
-                        fault_id=fault_id,
-                        kind="fault" if p == 0 else "intersection",
-                    )
-                )
+            interfaces += [MortarInterface(c, p, side, faces) for side, faces in zip(sides, groups)]
 
     mesh = MixedDimMesh(
         dim=dim,
@@ -643,7 +633,7 @@ _FACES = (
     ("face_index", "d", int), ("face_cells", 2, int), ("face_bnd", 1, int),
     ("face_cut", 1, int), ("face_side", 1, int),
 )
-_PAIRS = (("higher_faces", 1, int), ("lower_cells", 1, int), ("measures", 1, float))
+_HIGHER_FACES = (("higher_faces", 1, int),)
 
 
 def _widths(columns, d: int) -> list:
@@ -677,22 +667,23 @@ def _block(tag: str, values: dict, columns, d: int = 0) -> list:
 def export_mesh(mesh: MixedDimMesh, path: str) -> None:
     """Write the mesh in the whitespace-separated text format.
 
-    Lines ``mdmesh 2 <ambient dim>``, ``domain <lo...> <hi...>`` and
+    Lines ``mdmesh 3 <ambient dim>``, ``domain <lo...> <hi...>`` and
     ``subdomains <n>``; per subdomain ``subdomain <id> dim <d> kind <kind>
     faults <ids|->`` and ``frame <origin...> <row-major axes...>``, per
     local axis a ``lattice`` block of its 2 n + 1 coordinates and a
     ``widths`` block of its n cell widths, and a ``faces`` block of face
     lattice indices and topology; ``interfaces <n>``, and per interface
-    ``interface <lower> <higher> <side> <sign> <fault> <kind>`` and a
-    ``pairs`` block. A block is its tag and row count and one row per
-    entity with the columns of its table above.
+    ``interface <lower> <higher> <side>`` and a ``higher_faces`` block, the
+    higher face paired with each lower cell in cell order. A block is its
+    tag and row count and one row per entity with the columns of its table
+    above.
     """
 
     def fmt(vals):
         return " ".join(f"{v:.17g}" for v in np.atleast_1d(vals))
 
     out = []
-    out.append(f"mdmesh 2 {mesh.dim}")
+    out.append(f"mdmesh 3 {mesh.dim}")
     out.append(f"domain {fmt(mesh.domain_lo)} {fmt(mesh.domain_hi)}")
     out.append(f"subdomains {mesh.n_subdomains}")
     for sid, (g, inf) in enumerate(zip(mesh.subdomains, mesh.info)):
@@ -705,11 +696,8 @@ def export_mesh(mesh: MixedDimMesh, path: str) -> None:
         out += _block("faces", vars(g), _FACES, g.dim)
     out.append(f"interfaces {len(mesh.interfaces)}")
     for itf in mesh.interfaces:
-        out.append(
-            f"interface {itf.lower} {itf.higher} {itf.side} {itf.side_sign} "
-            f"{itf.fault_id} {itf.kind}"
-        )
-        out += _block("pairs", vars(itf), _PAIRS)
+        out.append(f"interface {itf.lower} {itf.higher} {itf.side}")
+        out += _block("higher_faces", vars(itf), _HIGHER_FACES)
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
 
@@ -760,13 +748,14 @@ class _MeshFile:
 def import_mesh(path: str) -> MixedDimMesh:
     """Read a mesh written by :func:`export_mesh`.
 
-    A malformed file raises :class:`MeshError` naming the file and the line.
+    A malformed file raises :class:`MeshError` naming the file and the line;
+    an interface that does not fit its grids raises one naming the file.
     """
     src = _MeshFile(path)
     try:
         version, dim = src.take("mdmesh", 2)
-        if version != "2":
-            raise ValueError("not a mdmesh version-2 file")
+        if version != "3":
+            raise ValueError("not a mdmesh version-3 file")
         dim = int(dim)
         dom = np.array(src.take("domain", 2 * dim), dtype=float)
         subdomains, info = [], []
@@ -793,13 +782,13 @@ def import_mesh(path: str) -> MixedDimMesh:
             info.append(SubdomainInfo(kind, fids))
         interfaces = []
         for _ in range(int(src.take("interfaces", 1)[0])):
-            hdr = src.take("interface", 6)
-            pairs = src.block("pairs", _PAIRS)
-            interfaces.append(
-                MortarInterface(*map(int, hdr[:4]), **pairs, fault_id=int(hdr[4]), kind=hdr[5])
-            )
-    except (ValueError, IndexError) as exc:
+            ids = map(int, src.take("interface", 3))
+            interfaces.append(MortarInterface(*ids, **src.block("higher_faces", _HIGHER_FACES)))
+    except (ValueError, IndexError, MeshError) as exc:
         raise MeshError(f"{path}: line {src.at + 1}: {exc}") from None
     mesh = MixedDimMesh(dim, subdomains, info, interfaces, dom[:dim], dom[dim:])
-    mesh.validate()
+    try:
+        mesh.validate()
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from None
     return mesh

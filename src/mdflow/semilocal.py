@@ -134,16 +134,21 @@ def check_wellposed(law: MixedDimLaw) -> tuple:
     """Well-posedness margin of the averaged fault law.
 
     The eliminated normal-flux block stays positive definite iff, on each
-    side, ``kappa_perp * det(kappa_parallel)`` dominates the squared
-    normal-tangential coupling. Returns ``(ok, margin)`` where the margin is
-    the minimum over sides; nonpositive margins make the mixed-dimensional
-    operator lose coercivity and the configuration is rejected.
+    side, ``kappa_perp`` exceeds ``kappa_t^T kappa_parallel^-1 kappa_t``:
+    the Schur complement of ``kappa_parallel`` in the side's local
+    permeability block. The margin of a side is that difference times
+    ``det(kappa_parallel)``, written with the adjugate as ``kappa_perp
+    det(kappa_parallel) - kappa_t^T adj(kappa_parallel) kappa_t`` so that
+    it needs no inverse; its sign does not depend on the units of length
+    or permeability. Returns ``(ok, margin)`` with the minimum over sides;
+    nonpositive margins make the mixed-dimensional operator lose
+    coercivity.
     """
-    detp = float(np.linalg.det(law.kappa_parallel)) if law.kappa_parallel.size else 1.0
-    margins = [
-        kp * detp - float(np.dot(kt, kt))
-        for kp, kt in zip(law.kappa_perp, law.kappa_t)
-    ]
+    k = law.kappa_parallel
+    detp = float(np.linalg.det(k)) if k.size else 1.0
+    # The adjugate of an in-plane tensor, at most 2 x 2.
+    adj = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]]) if len(k) == 2 else np.eye(len(k))
+    margins = [kp * detp - float(kt @ adj @ kt) for kp, kt in zip(law.kappa_perp, law.kappa_t)]
     margin = min(margins)
     return margin > 0.0, margin
 
@@ -170,21 +175,19 @@ def schur_effective_tensor(law: MixedDimLaw) -> EffectiveTensor:
 
 
 def assemble_interface_blocks(
-    itf: MortarInterface, law: MixedDimLaw, higher_grid: CellGrid
+    itf: MortarInterface, law: MixedDimLaw, lower_grid: CellGrid, higher_grid: CellGrid
 ) -> InterfaceBlocks:
     """Coefficient arrays of one interface under the given law.
 
     The side of ``itf`` selects the transfer coefficient and coupling
     vector; the interface's permutation sign orients the tangential terms.
+    Mortar cell ``m`` is cell ``m`` of the lower grid and has its volume.
     """
-    s = itf.side - 1
-    if s not in (0, 1):
-        raise InterfaceLawError(f"interface side must be 1 or 2, got {itf.side}")
-    kp = law.kappa_perp[s]
-    kt = np.asarray(law.kappa_t[s], dtype=float)
+    kp = law.kappa_perp[itf.side - 1]
+    kt = np.asarray(law.kappa_t[itf.side - 1], dtype=float)
     if kp <= 0:
         raise InterfaceLawError("kappa_perp must be positive")
-    m = itf.measures
+    m = lower_grid.cell_volumes
     eps = float(itf.side_sign)
     d_inv = np.full(itf.n_mortar, 1.0 / kp)
     grad_coeff = -np.outer(m, eps * kt / kp)

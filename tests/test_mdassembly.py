@@ -33,6 +33,7 @@ from mdflow.equidim import EquiDimCase, solve_equidim
 from mdflow.mdassembly import (
     AssemblyError,
     MaterialSet,
+    SolverError,
     _krylov_solve,
     _static_pivot_solve,
     assemble_from_problems,
@@ -247,9 +248,7 @@ def test_mirror_symmetry():
     def lam_by_side(mesh, sol):
         out = {}
         for itf, lam in zip(mesh.interfaces, sol.lambdas):
-            xs = mesh.subdomains[itf.lower].cell_centers_global()[
-                itf.lower_cells, 0
-            ]
+            xs = mesh.subdomains[itf.lower].cell_centers_global()[:, 0]
             out[itf.side] = lam[np.argsort(xs)]
         return out
 
@@ -288,11 +287,17 @@ def scaled(cfg, s, offset=0.0):
     )
 
 
+def _small(case):
+    cfg = builtin_case(case)
+    return replace(cfg, resolution=(16, 16) if len(cfg.resolution) == 2 else (8, 8, 8))
+
+
 #: (s, offset) pairs per built-in case at which the pressures hold to 1e-10.
 #: Outside 1e-6 <= s <= 1e7 network2d drifts (1.7e-8 at s = 1e-8, 2.5e-8
 #: at 1e9), and so does cube3d above 1e6 (4.6e-8 at 1e7): the mortar rows
 #: scale with s against the pressure rows, and neither LU is invariant
-#: under row scaling. Below s = 1e-2 cube3d fails the well-posedness screen.
+#: under row scaling. Below s = 1e-2 cube3d drifts as well (6.7e-9 at
+#: s = 1e-5) and at 1e-9 raises SolverError.
 SCALES = {
     "case1": [(s, o) for s in (1e-9, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e9) for o in (0.0, 1e3)]
     + [(1.0, 1e6)],
@@ -304,13 +309,66 @@ SCALES["case2"] = SCALES["case1"]
 
 @pytest.mark.parametrize("case", sorted(SCALES))
 def test_pressures_do_not_depend_on_units_or_origin(case):
-    cfg = builtin_case(case)
-    cfg = replace(cfg, resolution=(16, 16) if len(cfg.resolution) == 2 else (8, 8, 8))
+    cfg = _small(case)
     ref = np.concatenate(solve_config(cfg)[2].pressures)
     for s, offset in SCALES[case]:
         p = np.concatenate(solve_config(scaled(cfg, s, offset))[2].pressures)
         err = np.abs(p - ref).max() / np.abs(ref).max()
         assert err <= 1e-10, (s, offset, err)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6])
+def test_pressures_scale_with_the_boundary_data(c):
+    # The pressures are linear in the boundary data. Each solve is judged
+    # relative to the right-hand side, so data far below 1 is solved as
+    # accurately as data of order 1.
+    for case in ("case1", "case2", "network2d", "cube3d"):
+        cfg = _small(case)
+        ref = np.concatenate(solve_config(cfg)[2].pressures)
+        data = replace(cfg, bcs=[replace(b, value=c * b.value) for b in cfg.bcs])
+        p = np.concatenate(solve_config(data)[2].pressures)
+        assert np.abs(p - c * ref).max() <= 1e-10 * c * np.abs(ref).max(), case
+
+
+def k_scaled(cfg, c):
+    """``cfg`` with every permeability and every Neumann value scaled by
+    ``c``: the same pressures in another permeability unit."""
+    return replace(
+        cfg,
+        matrix_k=c * cfg.matrix_k,
+        matrix_regions=[(lo, hi, c * k) for lo, hi, k in cfg.matrix_regions],
+        faults=[
+            replace(f, k_parallel=c * f.k_parallel, k_perp=tuple(c * k for k in f.k_perp),
+                    k_t=tuple(c * k for k in f.k_t))
+            for f in cfg.faults
+        ],
+        bcs=[replace(b, value=c * b.value if b.kind == "neumann" else b.value) for b in cfg.bcs],
+    )
+
+
+@pytest.mark.parametrize("units", ["aperture-1e-7", "k-1e-5"])
+def test_fault_planes_in_other_units_are_accepted_and_solve(units):
+    # The per-side screen kappa_perp det(kappa_parallel) > |kappa_t|^2 of a
+    # fault plane changed sign with the units and rejected both.
+    cfg = _small("cube3d")
+    if units == "k-1e-5":
+        other = k_scaled(cfg, 1e-5)
+    else:
+        other = replace(cfg, faults=[replace(f, aperture=1e-7) for f in cfg.faults])
+    sol = solve_config(other)[2]
+    rep = mass_balance_report(sol)
+    assert rep["max_cell_residual"] <= 1e-10 * rep["scale"]
+    if units == "k-1e-5":
+        ref = np.concatenate(solve_config(cfg)[2].pressures)
+        p = np.concatenate(sol.pressures)
+        assert np.abs(p - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_fault_planes_the_solver_cannot_resolve_raise():
+    # With every permeability 1e-13 the system is too ill-scaled for every
+    # solver; the residual relative to the right-hand side says so.
+    with pytest.raises(SolverError, match="residual too large"):
+        solve_config(k_scaled(_small("cube3d"), 1e-13))
 
 
 @pytest.mark.parametrize(
@@ -320,7 +378,9 @@ def test_pressures_do_not_depend_on_units_or_origin(case):
         # shares 0.72 + 0.72 exceed kappa_parallel = 1.
         (120.0, "fault 'main': the effective in-plane tensor is not positive definite "
                 "(smallest eigenvalue -0.44; the sides' shares |k_t|^2/k_perp are 0.72 and 0.72)"),
-        (1500.0, "fault 'main' violates the well-posedness condition (margin -2.23e+06)"),
+        # Each side fails alone: its share exceeds kappa_parallel = 1.
+        (1500.0, "fault 'main': the effective in-plane tensor is not positive definite "
+                 "(smallest eigenvalue -224; the sides' shares |k_t|^2/k_perp are 112.5 and 112.5)"),
     ],
 )
 def test_a_fault_the_law_cannot_solve_is_named(k_t, message):
@@ -790,14 +850,14 @@ def test_stacked_maps_match_per_entity_operators(cfg, seed):
     blocks = []
     for j, ip in enumerate(iproblems):
         itf = ip.itf
-        b = assemble_interface_blocks(itf, ip.law, problems[itf.higher].grid)
+        lower = problems[itf.lower].grid
+        b = assemble_interface_blocks(itf, ip.law, lower, problems[itf.higher].grid)
         blocks.append(b)
-        for m in range(itf.n_mortar):
-            c = itf.lower_cells[m]
+        for m in range(itf.n_mortar):  # mortar cell m is lower cell m
             lam_m = lam[lo[j] + m]
             g[itf.higher][itf.higher_faces[m]] += b.mg_coeff[m] * lam_m
-            chi[itf.lower][c] += np.linalg.solve(
-                problems[itf.lower].perm[c], b.chi_coeff[m] * lam_m
+            chi[itf.lower][m] += np.linalg.solve(
+                problems[itf.lower].perm[m], b.chi_coeff[m] * lam_m
             )
     flux, trace, grad = [], [], []
     for op, pr, pi, gi, ci in zip(ops, problems, p, g, chi):
@@ -810,11 +870,11 @@ def test_stacked_maps_match_per_entity_operators(cfg, seed):
     # Mortar rows are the interface law of each mortar cell.
     for j, (ip, b) in enumerate(zip(iproblems, blocks)):
         itf = ip.itf
-        cells = itf.lower_cells
+        measures = problems[itf.lower].grid.cell_volumes
         law = (
             b.d_inv * lam[lo[j] : lo[j + 1]]
-            + itf.measures * (trace[itf.higher][itf.higher_faces] - p[itf.lower][cells])
-            + np.sum(b.grad_coeff * grad[itf.lower][cells], axis=1)
+            + measures * (trace[itf.higher][itf.higher_faces] - p[itf.lower])
+            + np.sum(b.grad_coeff * grad[itf.lower], axis=1)
         )
         assert np.abs(residual[n_p + lo[j] : n_p + lo[j + 1]] - law).max() <= tol
 

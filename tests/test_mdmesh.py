@@ -53,9 +53,7 @@ def test_one_fault_entity_counts():
     assert [i.side_sign for i in mesh.interfaces] == [-1, 1]
     for itf in mesh.interfaces:
         assert itf.n_mortar == 4
-        assert np.allclose(itf.measures, 0.25)
         assert itf.lower == 1 and itf.higher == 0
-        assert itf.kind == "fault"
     mesh.validate()
 
 
@@ -92,17 +90,15 @@ def test_t_junction_counts():
     assert dims == [(2, 64, 156), (1, 8, 10), (1, 4, 5), (0, 1, 0)]
     kinds = [info.kind for info in mesh.info]
     assert kinds == ["matrix", "fault", "fault", "intersection"]
-    table = sorted(
-        (i.lower, i.higher, i.kind, i.n_mortar) for i in mesh.interfaces
-    )
+    table = sorted((i.lower, i.higher, i.n_mortar) for i in mesh.interfaces)
     assert table == [
-        (1, 0, "fault", 8),
-        (1, 0, "fault", 8),
-        (2, 0, "fault", 4),
-        (2, 0, "fault", 4),
-        (3, 1, "intersection", 1),
-        (3, 1, "intersection", 1),
-        (3, 2, "intersection", 1),
+        (1, 0, 8),
+        (1, 0, 8),
+        (2, 0, 4),
+        (2, 0, 4),
+        (3, 1, 1),
+        (3, 1, 1),
+        (3, 2, 1),
     ]
     mesh.validate()
 
@@ -122,11 +118,11 @@ def test_three_plane_cube_counts():
     assert len(mesh.interfaces) == 24
     by_kind = {}
     for itf in mesh.interfaces:
-        key = (itf.kind, mesh.subdomains[itf.lower].dim, itf.n_mortar)
+        key = (mesh.info[itf.higher].kind, mesh.subdomains[itf.lower].dim, itf.n_mortar)
         by_kind[key] = by_kind.get(key, 0) + 1
     assert by_kind == {
-        ("fault", 2, 4): 6,
-        ("intersection", 1, 2): 12,
+        ("matrix", 2, 4): 6,
+        ("fault", 1, 2): 12,
         ("intersection", 0, 1): 6,
     }
     mesh.validate()
@@ -144,19 +140,12 @@ def test_hierarchy_order_is_pinned():
                 (0, "intersection", (0, 1)), (0, "intersection", (1, 2)),
             ],
             [
-                (1, 0, 1, 0, "fault"), (1, 0, 2, 0, "fault"),
-                (2, 0, 1, 1, "fault"), (2, 0, 2, 1, "fault"),
-                (3, 0, 1, 2, "fault"), (3, 0, 2, 2, "fault"),
-                (4, 0, 1, 3, "fault"), (4, 0, 2, 3, "fault"),
-                (5, 0, 1, 4, "fault"), (5, 0, 2, 4, "fault"),
-                (6, 4, 2, 3, "intersection"), (6, 4, 1, 3, "intersection"),
-                (6, 5, 1, 4, "intersection"),
-                (7, 1, 2, 0, "intersection"), (7, 1, 1, 0, "intersection"),
-                (7, 4, 2, 3, "intersection"),
-                (8, 1, 2, 0, "intersection"), (8, 1, 1, 0, "intersection"),
-                (8, 2, 1, 1, "intersection"),
-                (9, 2, 2, 1, "intersection"), (9, 2, 1, 1, "intersection"),
-                (9, 3, 2, 2, "intersection"), (9, 3, 1, 2, "intersection"),
+                (1, 0, 1), (1, 0, 2), (2, 0, 1), (2, 0, 2), (3, 0, 1), (3, 0, 2),
+                (4, 0, 1), (4, 0, 2), (5, 0, 1), (5, 0, 2),
+                (6, 4, 2), (6, 4, 1), (6, 5, 1),
+                (7, 1, 2), (7, 1, 1), (7, 4, 2),
+                (8, 1, 2), (8, 1, 1), (8, 2, 1),
+                (9, 2, 2), (9, 2, 1), (9, 3, 2), (9, 3, 1),
             ],
         ),
         "cube3d": (
@@ -167,18 +156,11 @@ def test_hierarchy_order_is_pinned():
                 (0, "intersection", (0, 1, 2)),
             ],
             [
-                (1, 0, 1, 0, "fault"), (1, 0, 2, 0, "fault"),
-                (2, 0, 1, 1, "fault"), (2, 0, 2, 1, "fault"),
-                (3, 0, 1, 2, "fault"), (3, 0, 2, 2, "fault"),
-                (4, 2, 1, 1, "intersection"), (4, 2, 2, 1, "intersection"),
-                (4, 3, 1, 2, "intersection"), (4, 3, 2, 2, "intersection"),
-                (5, 1, 1, 0, "intersection"), (5, 1, 2, 0, "intersection"),
-                (5, 3, 1, 2, "intersection"), (5, 3, 2, 2, "intersection"),
-                (6, 1, 1, 0, "intersection"), (6, 1, 2, 0, "intersection"),
-                (6, 2, 1, 1, "intersection"), (6, 2, 2, 1, "intersection"),
-                (7, 4, 2, -1, "intersection"), (7, 4, 1, -1, "intersection"),
-                (7, 5, 2, -1, "intersection"), (7, 5, 1, -1, "intersection"),
-                (7, 6, 2, -1, "intersection"), (7, 6, 1, -1, "intersection"),
+                (1, 0, 1), (1, 0, 2), (2, 0, 1), (2, 0, 2), (3, 0, 1), (3, 0, 2),
+                (4, 2, 1), (4, 2, 2), (4, 3, 1), (4, 3, 2),
+                (5, 1, 1), (5, 1, 2), (5, 3, 1), (5, 3, 2),
+                (6, 1, 1), (6, 1, 2), (6, 2, 1), (6, 2, 2),
+                (7, 4, 2), (7, 4, 1), (7, 5, 2), (7, 5, 1), (7, 6, 2), (7, 6, 1),
             ],
         ),
     }
@@ -189,9 +171,7 @@ def test_hierarchy_order_is_pinned():
         assert [
             (g.dim, info.kind, info.fault_ids) for g, info in zip(mesh.subdomains, mesh.info)
         ] == subdomains
-        assert [
-            (i.lower, i.higher, i.side, i.fault_id, i.kind) for i in mesh.interfaces
-        ] == interfaces
+        assert [(i.lower, i.higher, i.side) for i in mesh.interfaces] == interfaces
 
 
 def test_3d_t_junction_rejected():
@@ -303,16 +283,13 @@ def test_hierarchy_properties(tmp_path_factory, box):
             assert np.array_equal(ends, g.face_index[:, None] + [[-1], [1]] * across)
     for itf in mesh.interfaces:
         gl, gh = mesh.subdomains[itf.lower], mesh.subdomains[itf.higher]
-        # Each lower cell is paired exactly once per side, with the higher
-        # face at the same place.
-        assert sorted(itf.lower_cells.tolist()) == list(range(gl.n_cells))
+        # Mortar cell m pairs lower cell m with the higher face at the same
+        # place.
         assert np.allclose(
-            gh.face_centers_global()[itf.higher_faces],
-            gl.cell_centers_global()[itf.lower_cells],
-            atol=1e-12,
+            gh.face_centers_global()[itf.higher_faces], gl.cell_centers_global(), atol=1e-12
         )
         fids = mesh.info[itf.lower].fault_ids
-        if itf.kind == "fault":
+        if mesh.info[itf.higher].kind == "matrix":
             axes = specs[fids[0]].inplane_axes
             measure = np.prod([_extent(specs, fids, a) for a in axes])
         elif gl.dim == 1:
@@ -320,13 +297,13 @@ def test_hierarchy_properties(tmp_path_factory, box):
             measure = _extent(specs, fids, along)
         else:
             measure = 1.0
-        assert np.isclose(itf.measures.sum(), measure, rtol=1e-12)
+        assert np.isclose(gl.cell_volumes.sum(), measure, rtol=1e-12)
 
     fine, _ = _build(box, 2)
     assert [(g.dim, i.kind, i.fault_ids) for g, i in zip(fine.subdomains, fine.info)] == [
         (g.dim, i.kind, i.fault_ids) for g, i in zip(mesh.subdomains, mesh.info)
     ]
-    table = lambda msh: [(i.lower, i.higher, i.side, i.fault_id) for i in msh.interfaces]
+    table = lambda msh: [(i.lower, i.higher, i.side) for i in msh.interfaces]
     assert table(fine) == table(mesh)
     for g, gf in zip(mesh.subdomains, fine.subdomains):
         assert gf.n_cells == 2**g.dim * g.n_cells
@@ -355,7 +332,6 @@ def test_deterministic_rebuild():
         assert np.array_equal(ga.face_cells, gb.face_cells)
     for ia, ib in zip(a.interfaces, b.interfaces):
         assert np.array_equal(ia.higher_faces, ib.higher_faces)
-        assert np.array_equal(ia.lower_cells, ib.lower_cells)
 
 
 def _assert_same(a, b):
@@ -416,7 +392,7 @@ def test_format_rows_matches_row_by_row(n):
     [
         (lambda lines: [], 1),
         (lambda lines: lines[:10], 11),
-        (lambda lines: ["mdmesh 3 2"] + lines[1:], 1),
+        (lambda lines: ["mdmesh 2 2"] + lines[1:], 1),
         (lambda lines: ["mdmesh 1 2"] + lines[1:], 1),
         (lambda lines: lines[:1] + ["domian" + lines[1][6:]] + lines[2:], 2),
         (lambda lines: lines[:6] + ["x"] + lines[7:], 7),
@@ -442,6 +418,39 @@ def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
         line = next(i for i, ln in enumerate(lines, 1) if ln.startswith("faces "))
     path.write_text("".join(ln + "\n" for ln in edit(lines)))
     with pytest.raises(MeshError, match=rf"^{re.escape(str(path))}: line {line}: "):
+        import_mesh(str(path))
+
+
+_NO_SUBDOMAIN = "interface 0 names a subdomain that does not exist"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda itf: ["interface 1 0 3"] + itf[1:],
+         "line {end}: interface side must be 1 or 2, got 3"),
+        (lambda itf: ["interface 7 0 1"] + itf[1:], _NO_SUBDOMAIN),
+        (lambda itf: ["interface 1 -1 1"] + itf[1:], _NO_SUBDOMAIN),
+        (lambda itf: itf[:2] + ["44"] + itf[3:], "interface 0 names a face that does not exist"),
+        (lambda itf: itf[:1] + ["higher_faces 3"] + itf[2:5],
+         "interface 0 has 3 mortar cells for 4 lower cells"),
+    ],
+    ids=["side", "subdomain", "negative-subdomain", "face", "count"],
+)
+def test_mesh_file_with_a_bad_interface_raises_mesh_error(tmp_path, edit, message):
+    cfg = builtin_case("case1")
+    mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, (4, 4), cfg.fault_specs())
+    path = tmp_path / "mesh.txt"
+    export_mesh(mesh, str(path))
+    lines = path.read_text().splitlines()
+    # The first interface: its line, its block's tag and its 4 faces of the
+    # 44 of the matrix.
+    at = lines.index("interface 1 0 1")
+    assert lines[at + 1] == "higher_faces 4" and mesh.subdomains[0].n_faces == 44
+    edited = lines[:at] + edit(lines[at : at + 6]) + lines[at + 6 :]
+    path.write_text("".join(ln + "\n" for ln in edited))
+    expected = f"{path}: " + message.format(end=at + 6)
+    with pytest.raises(MeshError, match=f"^{re.escape(expected)}$"):
         import_mesh(str(path))
 
 
@@ -478,8 +487,7 @@ def test_mesh_does_not_depend_on_units_or_origin(case, s, offset):
         assert np.array_equal(a.higher_faces, b.higher_faces)
 
 
-@pytest.mark.parametrize("doubled", ["measures", "lower-cells"])
-def test_mortar_measures_checked_in_a_tiny_box(doubled):
+def test_mortar_measures_checked_in_a_tiny_box():
     # Mortar cells 2.5e-9 long: numpy's default absolute tolerance of 1e-8
     # would accept any measure.
     s = 1e-8
@@ -487,14 +495,8 @@ def test_mortar_measures_checked_in_a_tiny_box(doubled):
         (0.0, 0.0), (s, s), (4, 4), [one_fault(p0=(0.0, s / 2), p1=(s, s / 2))]
     )
     mesh.validate()
-    itf = mesh.interfaces[0]
-    if doubled == "measures":
-        itf.measures = 2.0 * itf.measures
-    else:
-        lower = mesh.subdomains[itf.lower]
-        mesh.subdomains[itf.lower] = dataclasses.replace(
-            lower, widths=tuple(2.0 * w for w in lower.widths)
-        )
+    lower = mesh.subdomains[1]
+    mesh.subdomains[1] = dataclasses.replace(lower, widths=tuple(2.0 * w for w in lower.widths))
     with pytest.raises(MeshError, match="measures"):
         mesh.validate()
 

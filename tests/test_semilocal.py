@@ -8,11 +8,13 @@ flux form. Hand values for Table-style data follow from
 A = kappa_par - sum_j kappa_t_j^2 / kappa_perp_j.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mdflow.config import builtin_case
-from mdflow.mdmesh import build_cartesian_md_mesh
+from mdflow.mdmesh import MeshError, build_cartesian_md_mesh
 from mdflow.semilocal import (
     EquiDimFaultPerm,
     InterfaceLawError,
@@ -132,6 +134,23 @@ def test_wellposed_margin_scaling():
         assert margin_s == pytest.approx(s**2 * margin, rel=1e-12)
 
 
+def test_wellposed_verdict_does_not_depend_on_units():
+    # cube3d's fault plane and one whose cross term is too strong, in other
+    # length units (aperture x s) and permeability units (every k x c).
+    base = builtin_case("cube3d").faults[0]
+    for k_t, verdict in ((base.k_t, True), ((4e5, 4e5), False)):
+        fault = dataclasses.replace(base, k_t=k_t)
+        for s in (1e-9, 1e-3, 1.0, 1e3, 1e9):
+            for c in (1e-13, 1e-5, 1.0, 1e5):
+                perm = fault.equi_perm()
+                perm = EquiDimFaultPerm(
+                    c * perm.k_parallel, tuple(c * k for k in perm.k_perp),
+                    tuple(c * k for k in perm.k_t),
+                )
+                ok, _ = check_wellposed(scale_to_mixed_dim(perm, s * fault.aperture, 1))
+                assert ok == verdict, (k_t, s, c)
+
+
 def test_effective_tensor_case1():
     eff = schur_effective_tensor(case1_law())
     assert eff.tensor == pytest.approx(np.array([[0.36]]))
@@ -227,7 +246,9 @@ def test_interface_block_coefficients():
     by_side = {i.side: i for i in mesh.interfaces}
     for side, eps in ((1, -1.0), (2, 1.0)):
         itf = by_side[side]
-        blocks = assemble_interface_blocks(itf, law, mesh.subdomains[itf.higher])
+        blocks = assemble_interface_blocks(
+            itf, law, mesh.subdomains[itf.lower], mesh.subdomains[itf.higher]
+        )
         assert np.allclose(blocks.d_inv, 1.0 / 20000.0)
         # mortar measure 0.25, coupling kt/kperp = 0.004
         assert np.allclose(blocks.grad_coeff, -0.25 * eps * 0.004)
@@ -241,10 +262,5 @@ def test_interface_blocks_reject_bad_side():
     mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, (4, 4),
                                    cfg.fault_specs())
     itf = mesh.interfaces[0]
-    bad = type(itf)(
-        lower=itf.lower, higher=itf.higher, side=3, side_sign=itf.side_sign,
-        higher_faces=itf.higher_faces, lower_cells=itf.lower_cells,
-        measures=itf.measures, fault_id=itf.fault_id, kind=itf.kind,
-    )
-    with pytest.raises(InterfaceLawError):
-        assemble_interface_blocks(bad, case1_law(), mesh.subdomains[0])
+    with pytest.raises(MeshError, match="side must be 1 or 2, got 3"):
+        type(itf)(lower=itf.lower, higher=itf.higher, side=3, higher_faces=itf.higher_faces)
