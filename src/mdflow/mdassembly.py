@@ -33,6 +33,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sps
@@ -475,11 +476,11 @@ _COARSEST = 500
 _POWER_STEPS = 15
 _MAX_ITERATIONS = 50
 #: Smallest pivot, relative to the largest entry left in its column, that
-#: the 2D LU keeps on the diagonal. Only a pivot that elimination cancels to
-#: roundoff falls below it: on the benchmark's network2d seeds even 1e-4
-#: keeps every diagonal pivot, while 0.0 accepted a pivot of 2.2e-16 on a
-#: 3x5 box whose middle cells are closed by mortar and no-flow faces.
+#: the 2D LU keeps on the diagonal (only pivots cancelled to roundoff fall
+#: below; 0.0 kept one on a 4x4 box with a full tensor and faults at x = 2,
+#: x = 3 and y = 2), and the most unknowns of an undivided dissection block.
 _PIVOT_THRESHOLD = 1e-8
+_ND_LEAF = 8
 #: Relative residual that the fast solvers must reach before the COLAMD LU
 #: takes over.
 _RESIDUAL_TOL = 1e-10
@@ -621,31 +622,90 @@ def _krylov_solve(system: GlobalSystem):
     return x, residual, None if residual <= _RESIDUAL_TOL else f"residual {residual:.1e}"
 
 
-def _static_pivot_solve(A: sps.csc_matrix, b: np.ndarray):
-    """Sparse LU with a minimum-degree ordering of A + A^T and pivots kept
-    on the diagonal; returns the solution, its relative residual and the
-    reason to fall back, None if it met :data:`_RESIDUAL_TOL`.
+def _nested_dissection(system: GlobalSystem, zero: np.ndarray) -> tuple:
+    """The unknowns in nested-dissection order (George 1973) of their cells'
+    lattice points (a mortar flux takes its lower cell's), given those with
+    a zero diagonal; then the unknowns by code, their codes, and the shifts
+    that cut each code to the block of its leaf or separator. Splits halve
+    the longest axis's intervals; a block orders its left part, its right
+    part, then its separator: the left unknowns with a neighbour on the
+    right, read from their rows as A's pattern is symmetric. Blocks of at
+    most :data:`_ND_LEAF` unknowns are leaves. Mortar fluxes lead each leaf
+    or separator; a zero-diagonal unknown follows all it couples to."""
+    A, grids, n = system.matrix, system.mesh.subdomains, system.n_unknowns
+    nearest = [(x[1:] + x[:-1]) / 2 for x in grids[0].lattice]
+    bits = [m.size.bit_length() for m in nearest]
+    paths = [(np.arange(m.size + 1) << b) // (m.size + 1) for m, b in zip(nearest, bits)]
+    splits = sorted((-p.size / 2**k, a, k) for a, p in enumerate(paths) for k in range(bits[a]))
+    depth = len(splits)
+    tables = [np.zeros(p.size, np.int32 if depth < 31 else np.int64) for p in paths]
+    for level, (_, a, k) in enumerate(splits):
+        tables[a] |= (paths[a] >> (bits[a] - 1 - k) & 1) << (depth - 1 - level)
+    code = []
+    for grid in grids:
+        at = [t[np.searchsorted(m, x)] for t, m, x in zip(tables, nearest, grid.frame_origin)]
+        for x, g in zip(grid.lattice, grid.frame_axes.argmax(axis=1)):
+            at[g] = tables[g][np.searchsorted(nearest[g], x[1::2])]
+        code.append(np.ravel(reduce(np.bitwise_or.outer, at[::-1])))
+    code = np.concatenate(code + [code[itf.lower] for itf in system.mesh.interfaces])
+    # A code holds the sides, first split highest. An unknown separates where its largest-coded
+    # neighbour goes right; its leaf is below the deepest block of _ND_LEAF + 1 codes around it.
+    far = np.maximum.reduceat(code[A.indices], A.indptr[:-1])
+    split = depth - np.frexp(np.where(far > code, far ^ code, 0))[1]
+    by_code = np.argsort(code)
+    code, split = code[by_code], split[by_code]
+    full = np.pad(depth - np.frexp(code[_ND_LEAF:] ^ code[:-_ND_LEAF])[1], _ND_LEAF, constant_values=-1)
+    leaf = np.minimum(np.lib.stride_tricks.sliding_window_view(full, n).max(axis=0) + 1, depth)
+    # Post order: by the end of the unknown's block, leaves first, then
+    # separators from the deepest out; mortar fluxes first within each.
+    shift = depth - np.minimum(split, leaf)
+    key = np.empty(n, np.int64)
+    key[by_code] = (((code >> shift) + 1).astype(np.int64) << shift) * (depth + 2)
+    key[by_code] += np.where(split < leaf, depth + 1 - split, 0)
+    key = ((2 * key + (np.arange(n) < system.n_pressure)) * n + np.arange(n)) * 2
+    for z in zero:  # eliminating what z couples to fills its pivot
+        key[z] = key[np.setdiff1d(A.indices[A.indptr[z]:A.indptr[z + 1]], z)].max() + 1
+    return np.argsort(key), by_code, code, shift
+
+
+def _static_pivot_solve(system: GlobalSystem):
+    """Sparse LU in nested-dissection order with pivots kept on the
+    diagonal; returns the solution, its relative residual and the reason to
+    fall back, None if it met :data:`_RESIDUAL_TOL`.
 
     The 2D system is close to symmetric quasi-definite: a symmetric pressure
     block, mortar rows that are negative multiples of their pressure
     columns, and a positive mortar diagonal. Such matrices factor stably in
     any symmetric order (Vanderbei 1995), so the pivots stay where the
     ordering puts them and the residual check stands in for pivoting, as in
-    SuperLU_DIST. Rows still swap where a diagonal is zero or cancels below
-    :data:`_PIVOT_THRESHOLD`: at cells whose every face carries an imposed
-    flux, such as intersection points, which have no faces.
+    SuperLU_DIST (Li & Demmel 1998). SuperLU factors the transpose (its CSC
+    arrays are A's permuted rows) with row i scaled by a power of two near
+    1/sqrt|a_ii| (max |a_ij| if a_ii = 0): its pivot test compares entries of
+    a column, so it holds in any units, as under two-sided scaling.
     """
+    A, b = system.matrix, system.rhs
     t0 = time.perf_counter()
+    size = np.abs(A.diagonal())
+    zero = np.flatnonzero(size == 0)
+    size[zero] = [np.abs(A.data[A.indptr[z]:A.indptr[z + 1]]).max() for z in zero]
+    perm = _nested_dissection(system, zero)[0]
+    scale = -(np.frexp(size[perm])[1] >> 1)  # |a_ii| 4^scale lies in [1/2, 2)
+    B, inv = A[perm], np.empty(perm.size, A.indices.dtype)
+    inv[perm] = np.arange(perm.size)
+    M = sps.csc_matrix((B.data, inv[B.indices], B.indptr), shape=B.shape)
+    np.ldexp(M.data, scale[M.indices], out=M.data)
+    M.sort_indices()
+    t1 = time.perf_counter()
     lu = spla.splu(
-        A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=_PIVOT_THRESHOLD,
+        M, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESHOLD,
         options=dict(SymmetricMode=True),
     )
     logger.info(
-        "direct solve: ordering mmd(A+A^T), static pivots, %d off-diagonal, "
-        "factor %.3f s, LU nnz %d",
-        int((lu.perm_r != lu.perm_c).sum()), time.perf_counter() - t0, lu.nnz,
+        "direct solve: ordering nested-dissection, static pivots, %d off-diagonal, "
+        "order %.3f s, factor %.3f s, LU nnz %d",
+        int((lu.perm_r != lu.perm_c).sum()), t1 - t0, time.perf_counter() - t1, lu.nnz,
     )
-    x = lu.solve(b)
+    x = np.ldexp(lu.solve(b[perm], trans="T"), scale)[inv]
     residual = _relative_residual(A, b, x)
     return x, residual, None if residual <= _RESIDUAL_TOL else f"residual {residual:.1e}"
 
@@ -659,8 +719,7 @@ def _solve_linear(system: GlobalSystem):
     if system.mesh.dim == 3:
         method, fast = "krylov solve", lambda: _krylov_solve(system)
     else:
-        A = A.tocsc()
-        method, fast = "static-pivot LU", lambda: _static_pivot_solve(A, b)
+        method, fast = "static-pivot LU", lambda: _static_pivot_solve(system)
     try:
         x, residual, fallback = fast()
     except RuntimeError as exc:
@@ -685,11 +744,11 @@ def solve(system: GlobalSystem) -> MdSolution:
 
     3D systems are solved by GMRES, preconditioned by smoothed-aggregation
     AMG on the pressures once the mortar fluxes are eliminated. 2D systems
-    are factored by sparse LU with a minimum-degree ordering of A + A^T and
-    static diagonal pivots. Where either fails or its relative residual
-    exceeds :data:`_RESIDUAL_TOL`, a partially pivoted LU with SuperLU's
-    COLAMD ordering solves instead. A final residual above 1e-6 raises
-    :class:`SolverError`.
+    are factored by sparse LU in a nested-dissection order of the mesh
+    lattice with static diagonal pivots. Where either fails or its relative
+    residual exceeds :data:`_RESIDUAL_TOL`, a partially pivoted LU with
+    SuperLU's COLAMD ordering solves instead. A final residual above 1e-6
+    raises :class:`SolverError`.
     """
     x, residual = _solve_linear(system)
     if not residual <= 1e-6:

@@ -35,6 +35,7 @@ from mdflow.mdassembly import (
     MaterialSet,
     SolverError,
     _krylov_solve,
+    _nested_dissection,
     _static_pivot_solve,
     assemble_from_problems,
     assemble_global,
@@ -293,15 +294,16 @@ def _small(case):
 
 
 #: (s, offset) pairs per built-in case at which the pressures hold to 1e-10.
-#: Outside 1e-6 <= s <= 1e7 network2d drifts (1.7e-8 at s = 1e-8, 2.5e-8
-#: at 1e9), and so does cube3d above 1e6 (4.6e-8 at 1e7): the mortar rows
-#: scale with s against the pressure rows, and neither LU is invariant
-#: under row scaling. Below s = 1e-2 cube3d drifts as well (6.7e-9 at
-#: s = 1e-5) and at 1e-9 raises SolverError.
+#: The mortar rows scale with s against the pressure rows. The 2D LU scales
+#: its rows by powers of two, so its pivots and order do not depend on s,
+#: and network2d drifts at most 2.6e-13 over s = 1e-9 ... 1e9 (before, with
+#: unscaled rows, 1.7e-8 at s = 1e-8 and 2.5e-8 at 1e9). The 3D solvers do
+#: not scale: cube3d drifts above 1e6 (4.6e-8 at 1e7) and below s = 1e-2
+#: (6.7e-9 at s = 1e-5), and at 1e-9 raises SolverError.
+_UNITS_2D = [(s, o) for s in (1e-9, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e9) for o in (0.0, 1e3)]
 SCALES = {
-    "case1": [(s, o) for s in (1e-9, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e9) for o in (0.0, 1e3)]
-    + [(1.0, 1e6)],
-    "network2d": [(s, o) for s in (1e-6, 1e-3, 1e3, 1e6) for o in (0.0, 1e3)] + [(1.0, 1e6)],
+    "case1": _UNITS_2D + [(1.0, 1e6)],
+    "network2d": _UNITS_2D + [(1.0, 1e6)],
     "cube3d": [(s, o) for s in (1e-2, 1e3, 1e6) for o in (0.0, 1e3)] + [(1.0, 1e6)],
 }
 SCALES["case2"] = SCALES["case1"]
@@ -578,8 +580,8 @@ def test_krylov_solve_is_deterministic():
 
 
 STATIC_LINE = re.compile(
-    r"direct solve: ordering mmd\(A\+A\^T\), static pivots, (\d+) off-diagonal, "
-    r"factor \S+ s, LU nnz (\d+)"
+    r"direct solve: ordering nested-dissection, static pivots, (\d+) off-diagonal, "
+    r"order \S+ s, factor \S+ s, LU nnz (\d+)"
 )
 
 
@@ -588,7 +590,7 @@ def static_pivot_facts(system, caplog):
     solution with its relative residual and fallback reason."""
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
-        x, residual, fallback = _static_pivot_solve(system.matrix.tocsc(), system.rhs)
+        x, residual, fallback = _static_pivot_solve(system)
     off = int(STATIC_LINE.search(caplog.text).group(1))
     return off, x, residual, fallback
 
@@ -599,13 +601,24 @@ def zero_diagonals(system):
     return int((system.matrix.diagonal() == 0).sum())
 
 
+def static_order(system, caplog):
+    """The 2D order, and the off-diagonal pivots and LU size that the
+    static-pivot solve logs."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        _static_pivot_solve(system)
+    off, nnz = map(int, STATIC_LINE.search(caplog.text).groups())
+    zero = np.flatnonzero(system.matrix.diagonal() == 0)
+    return _nested_dissection(system, zero)[0], off, nnz
+
+
 def test_two_dimensional_solve_uses_static_pivots(caplog):
     system = assembled(replace(builtin_case("network2d"), resolution=(32, 32)))
     with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
         sol = solve(system)
     assert "krylov" not in caplog.text and "fallback" not in caplog.text
     off, nnz = map(int, STATIC_LINE.search(caplog.text).groups())
-    assert zero_diagonals(system) == 4 and 0 < off <= 4 * 4
+    assert zero_diagonals(system) == 4 and off == 0
     assert nnz < spla.splu(system.matrix.tocsc()).nnz
     ref = colamd(system)
     assert np.linalg.norm(unknowns(sol) - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -618,7 +631,7 @@ class WrongSolve:
     def __init__(self, lu):
         self.perm_r, self.perm_c, self.nnz = lu.perm_r, lu.perm_c, lu.nnz
 
-    def solve(self, b):
+    def solve(self, b, trans="N"):
         return np.zeros_like(b)
 
 
@@ -629,7 +642,7 @@ def fake_static_splu(failure):
 
     def fake(A, permc_spec=None, **kwargs):
         lu = splu(A, permc_spec=permc_spec, **kwargs)
-        if permc_spec != "MMD_AT_PLUS_A":
+        if permc_spec != "NATURAL":
             return lu
         if failure == "raise":
             raise RuntimeError("Factor is exactly singular")
@@ -929,10 +942,10 @@ def crossing_boxes(draw, largest=12):
 )
 @given(system=crossing_boxes())
 def test_static_pivots_match_colamd_on_boxes(caplog, system):
-    """Static pivots agree with the partially pivoted COLAMD LU and leave
-    the diagonal only around zero diagonals. On 2300 random boxes there were
-    at most 2.5 times as many off-diagonal pivots as zero diagonals, and at
-    most three where none is zero (a pivot that elimination cancels)."""
+    """Static pivots agree with the partially pivoted COLAMD LU and rarely
+    leave the diagonal. On 2300 random boxes three did: two with at most a
+    third as many off-diagonal pivots as zero diagonals, and a 12x3 box
+    without zero diagonals with two (a pivot that elimination cancels)."""
     off, x, residual, fallback = static_pivot_facts(system, caplog)
     assert fallback is None and residual <= 1e-10
     assert off <= 4 * max(zero_diagonals(system), 1)
@@ -942,9 +955,75 @@ def test_static_pivots_match_colamd_on_boxes(caplog, system):
 
 def test_static_pivots_pass_over_cancelled_pivots(caplog):
     """The middle cells of this box are closed by mortar and no-flow faces.
-    Elimination leaves one of their pivots at 2.2e-16, which a zero pivot
-    threshold would keep (residual 0.43)."""
+    In a minimum-degree order elimination left one of their pivots at
+    2.2e-16, which a zero pivot threshold kept (residual 0.43); the
+    nested-dissection order fills all 12 zero diagonals before their turn."""
     system = crossing_box((3, 5), [(0, 1), (0, 2), (1, 1), (1, 4)], full_tensor=True)
     off, x, residual, fallback = static_pivot_facts(system, caplog)
     assert fallback is None and residual <= 1e-10
     assert zero_diagonals(system) == 12 and off <= 4 * 12
+
+
+def test_the_pivot_threshold_passes_over_a_cancelled_pivot(caplog, monkeypatch):
+    """Between the faults at x = 2 and x = 3 a fault cell and two
+    intersection points have zero diagonals, and elimination cancels the
+    pivot of a cell of the fault at x = 3 to 1.3e-15. The threshold takes
+    two pivots off the diagonal; a zero threshold keeps that one and misses
+    the residual."""
+    system = crossing_box((4, 4), [(0, 2), (0, 3), (1, 2)], full_tensor=True)
+    off, x, residual, fallback = static_pivot_facts(system, caplog)
+    assert fallback is None and residual <= 1e-10 and zero_diagonals(system) == 3 and off == 2
+    monkeypatch.setattr("mdflow.mdassembly._PIVOT_THRESHOLD", 0.0)
+    off, x, residual, fallback = static_pivot_facts(system, caplog)
+    assert off == 0 and residual > 1e-3 and fallback == f"residual {residual:.1e}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=crossing_boxes())
+def test_nested_dissection_keeps_sibling_blocks_apart(system):
+    """The 2D order is a permutation. A zero-diagonal unknown follows every
+    unknown it couples to, mortar fluxes lead the rest of their leaf or
+    separator, and no entry couples two sibling blocks: the later of two
+    coupled unknowns lies in a block that holds the earlier."""
+    A, n = system.matrix, system.n_unknowns
+    zero = np.flatnonzero(A.diagonal() == 0)
+    perm, by_code, code, shift = _nested_dissection(system, zero)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    at = np.empty(n, int)
+    at[perm] = np.arange(n)
+    rows, cols = A.nonzero()
+    for z in zero:
+        coupled = np.setdiff1d(np.concatenate([cols[rows == z], rows[cols == z]]), z)
+        assert at[z] > at[coupled].max()
+    codes, step = np.empty(n, np.int64), np.empty(n, np.int64)
+    codes[by_code], step[by_code] = code, shift
+    block = codes >> step
+    start = np.array([at[codes >> step[u] == block[u]].min() for u in range(n)])
+    first, later = np.minimum(at[rows], at[cols]), np.where(at[rows] > at[cols], rows, cols)
+    assert np.all(start[later] <= first)
+    pressure, rest = np.arange(n) < system.n_pressure, ~np.isin(np.arange(n), zero)
+    for group in {(b, k) for b, k in zip(block, step)}:
+        members = (block == group[0]) & (step == group[1]) & rest
+        assert at[members & ~pressure].max(initial=-1) < at[members & pressure].min(initial=n)
+
+
+def test_last_bit_changes_keep_the_fill(caplog):
+    """Entries a few units in the last place apart keep the order, every
+    pivot on the diagonal and so the fill. Under partial pivoting, sums the
+    assembly regrouped moved the fill of network2d-256 by 822 entries."""
+    system = assembled(replace(builtin_case("network2d"), resolution=(64, 64)))
+    perm, off, nnz = static_order(system, caplog)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        A = system.matrix.copy()
+        A.data *= 1 + 4e-16 * rng.uniform(-1, 1, A.nnz)
+        assert static_order(replace(system, matrix=A), caplog)[1:] == (0, nnz)
+    assert off == 0
+
+
+def test_static_order_does_not_depend_on_units(caplog):
+    cfg = _small("network2d")
+    perm, off, nnz = static_order(assembled(cfg), caplog)
+    for s in (1e-9, 1e9):
+        other = static_order(assembled(scaled(cfg, s)), caplog)
+        assert np.array_equal(other[0], perm) and other[1:] == (off, nnz)
