@@ -38,9 +38,10 @@ unit suffixes are written. ``k_t`` and ``k_perp`` take one value for both
 fault sides or two values (side 1, the side the fault normal points into,
 first). ``mdflow run`` solves the semi-local law; the paper's local law is
 the same fault with ``k_t = 0``. ``box`` lists the low corner then the high
-corner; no low coordinate may exceed its high one, and a boundary clause's
-box is flat on its side and must select at least one boundary face of the
-mesh. Boundary sides are named x-, x+, y-, y+, z-, z+.
+corner; no low coordinate may exceed its high one. A region's box must
+hold at least one matrix cell center; a boundary clause's box is flat on
+its side and must select at least one boundary face of the mesh. Boundary
+sides are named x-, x+, y-, y+, z-, z+.
 """
 
 from __future__ import annotations

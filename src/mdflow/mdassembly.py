@@ -100,12 +100,16 @@ class MaterialSet:
 
     def matrix_perm(self, grid: CellGrid) -> np.ndarray:
         """Per-cell tensors of the matrix grid: a region holds the cells
-        whose centers lie in its box."""
+        whose centers lie in its box, and a box that holds none raises
+        :class:`AssemblyError`."""
         base = np.atleast_2d(np.asarray(self.matrix_base, dtype=float))
         perm = np.tile(base, (grid.n_cells, 1, 1))
         centers = grid.cell_centers_global()
         for lo, hi, tensor in self.matrix_regions:
-            perm[_in_box(grid, centers, lo, hi)] = np.atleast_2d(np.asarray(tensor, dtype=float))
+            inside = _in_box(grid, centers, lo, hi)
+            if not inside.any():
+                raise AssemblyError(f"region box {lo} {hi} holds no cell center")
+            perm[inside] = np.atleast_2d(np.asarray(tensor, dtype=float))
         return perm
 
 
@@ -385,38 +389,37 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
     n_multipoint = sum(op.multipoint_faces for op in ops)
     del ops  # the stacked copies replace them
 
-    blocks = [
-        assemble_interface_blocks(itf, ip.law, grids[itf.lower], grids[itf.higher])
-        for itf, ip in zip(itfs, iproblems)
-    ]
-    # Mortar cell m of an interface is cell m of its lower grid. E and X
-    # share their entries: mortar cell m against component k of the vector
-    # source in that cell.
-    e_rows, e_cols, x_dat = [], [], []
-    for itf, b, off in zip(itfs, blocks, lam_off):
-        t = grids[itf.lower].dim
+    laws = [assemble_interface_blocks(itf, ip.law) for itf, ip in zip(itfs, iproblems)]
+    # Mortar cell m of an interface is cell m of its lower grid, whose volume
+    # |m| is also the area of its higher face. E and X share their entries:
+    # mortar cell m against component k of the vector source in that cell.
+    e_rows, e_cols, e_dat, x_dat, d_dat = [], [], [], [], []
+    for itf, (r, c), off in zip(itfs, laws, lam_off):
+        m, t = grids[itf.lower].cell_volumes, grids[itf.lower].dim
+        d_dat.append(np.full(itf.n_mortar, r))
         e_rows.append(np.repeat(off + np.arange(itf.n_mortar), t))
         e_cols.append(x_off[itf.lower] + np.arange(itf.n_mortar * t))
+        e_dat.append(-np.outer(m, c).ravel())
         eff_inv = np.linalg.inv(problems[itf.lower].perm)
-        x_dat.append(np.einsum("mij,mj->mi", eff_inv, b.chi_coeff).ravel())
+        x_dat.append(np.einsum("mij,mj->mi", eff_inv, np.outer(1.0 / m, c)).ravel())
     e_rows, e_cols = _cat(e_rows, int), _cat(e_cols, int)
     lam = np.arange(n_lam)
     face = _cat([f_off[itf.higher] + itf.higher_faces for itf in itfs], int)
     cell = _cat([p_off[itf.lower] + np.arange(itf.n_mortar) for itf in itfs], int)
+    measures = _cat([grids[itf.lower].cell_volumes for itf in itfs])
     ones = np.ones(n_lam)
     S = sps.csr_matrix((ones, (lam, face)), shape=(n_lam, n_f))
     C = sps.csr_matrix((ones, (lam, cell)), shape=(n_lam, n_p))
-    W = sps.diags(_cat([grids[itf.lower].cell_volumes for itf in itfs]), format="csr")
-    Mg = sps.csr_matrix((_cat([b.mg_coeff for b in blocks]), (face, lam)), shape=(n_f, n_lam))
+    W = sps.diags(measures, format="csr")
+    Mg = sps.csr_matrix((-1.0 / measures, (face, lam)), shape=(n_f, n_lam))
     X = sps.csr_matrix((_cat(x_dat), (e_cols, e_rows)), shape=(n_x, n_lam))
-    E = sps.csr_matrix(
-        (_cat([b.grad_coeff.ravel() for b in blocks]), (e_rows, e_cols)), shape=(n_lam, n_x)
-    )
-    d_inv = sps.diags(_cat([b.d_inv for b in blocks]), format="csr")
+    E = sps.csr_matrix((_cat(e_dat), (e_rows, e_cols)), shape=(n_lam, n_x))
+    d_inv = sps.diags(_cat(d_dat), format="csr")
 
-    # Qm and Tm enter expanded, one product per term. Regrouped sums round
-    # semi-local entries differently in the last bit, and the 2D
-    # factorization can then swap other rows at its zero diagonals.
+    # Qm and Tm enter expanded, one product per term. Regrouped sums keep
+    # every sparsity pattern and the LU fill but round semi-local entries
+    # otherwise: cube3d's pressures then move 7.1e-10 under a change of units
+    # (s = 1e6), past the 1e-10 that test_pressures_do_not_depend_on_units_or_origin allows.
     FgMg, FxX = Fg @ Mg, Fx @ X
     WS = W @ S
     ER = E @ R

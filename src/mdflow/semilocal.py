@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdmesh import CellGrid, MortarInterface
+from .mdmesh import MortarInterface
 
 
 class InterfaceLawError(Exception):
@@ -73,6 +73,10 @@ class MixedDimLaw:
     codim: int
     aperture: float
 
+    def __post_init__(self):
+        if min(self.kappa_perp) <= 0:
+            raise InterfaceLawError("kappa_perp must be positive")
+
 
 @dataclass
 class EffectiveTensor:
@@ -80,26 +84,6 @@ class EffectiveTensor:
 
     tensor: np.ndarray  # (t, t)
     coupling: tuple  # per side, kappa_t / kappa_perp
-
-
-@dataclass
-class InterfaceBlocks:
-    """Per-mortar-cell coefficient arrays of one interface's flux law.
-
-    With the integrated mortar flux ``lam`` (positive from the lower to the
-    higher subdomain), the law reads per mortar cell
-
-        d_inv * lam + |m| * (trace_h - p_l) + grad_coeff . grad p_l = 0
-
-    and the eliminated normal fluxes induce the vector source
-    ``chi_c = sum_m K_eff(c)^-1 @ chi_coeff_m * lam_m`` in each lower cell
-    ``c``, summed over the mortar cells ``m`` on it.
-    """
-
-    d_inv: np.ndarray  # (n_m,)
-    grad_coeff: np.ndarray  # (n_m, t)
-    chi_coeff: np.ndarray  # (n_m, t)
-    mg_coeff: np.ndarray  # (n_m,) imposed-density weights on higher faces
 
 
 def scale_to_mixed_dim(perm: EquiDimFaultPerm, aperture: float, codim: int) -> MixedDimLaw:
@@ -163,41 +147,22 @@ def schur_effective_tensor(law: MixedDimLaw) -> EffectiveTensor:
     coupling vectors kappa_t / kappa_perp reappear both in the vector source
     induced by the interface fluxes and in the gradient term of the law.
     """
-    t = law.kappa_parallel.shape[0]
     tensor = law.kappa_parallel.copy()
     coupling = []
     for kp, kt in zip(law.kappa_perp, law.kappa_t):
-        if kp <= 0:
-            raise InterfaceLawError("kappa_perp must be positive")
         tensor -= np.outer(kt, kt) / kp
         coupling.append(np.asarray(kt, dtype=float) / kp)
     return EffectiveTensor(tensor=tensor, coupling=tuple(coupling))
 
 
-def assemble_interface_blocks(
-    itf: MortarInterface, law: MixedDimLaw, lower_grid: CellGrid, higher_grid: CellGrid
-) -> InterfaceBlocks:
-    """Coefficient arrays of one interface under the given law.
-
-    The side of ``itf`` selects the transfer coefficient and coupling
-    vector; the interface's permutation sign orients the tangential terms.
-    Mortar cell ``m`` is cell ``m`` of the lower grid and has its volume.
+def assemble_interface_blocks(itf: MortarInterface, law: MixedDimLaw) -> tuple:
+    """Transfer resistance ``r = 1/kappa_perp`` and oriented coupling vector
+    ``c = side_sign * kappa_t / kappa_perp`` of the side of ``itf``: a mortar
+    cell of measure ``|m|`` and flux ``lam`` (positive from the lower to the
+    higher subdomain) obeys ``r lam + |m| (trace_h - p_l) - |m| c . grad p_l
+    = 0``, imposes the flux density ``-lam / |m|`` on its higher face and
+    induces the vector source ``K_eff^-1 c lam / |m|`` in its lower cell.
     """
     kp = law.kappa_perp[itf.side - 1]
     kt = np.asarray(law.kappa_t[itf.side - 1], dtype=float)
-    if kp <= 0:
-        raise InterfaceLawError("kappa_perp must be positive")
-    m = lower_grid.cell_volumes
-    eps = float(itf.side_sign)
-    d_inv = np.full(itf.n_mortar, 1.0 / kp)
-    grad_coeff = -np.outer(m, eps * kt / kp)
-    chi_coeff = np.outer(1.0 / m, eps * kt / kp)
-    areas = higher_grid.face_areas[itf.higher_faces]
-    mg_coeff = -1.0 / areas
-    return InterfaceBlocks(
-        d_inv=d_inv,
-        grad_coeff=grad_coeff,
-        chi_coeff=chi_coeff,
-        mg_coeff=mg_coeff,
-    )
-
+    return 1.0 / kp, float(itf.side_sign) * kt / kp

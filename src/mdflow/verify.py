@@ -234,10 +234,13 @@ def equidim_oracle(cfg: CaseConfig, resolution: int = 200):
 
     Each profile is solved once per process and keyed by exactly the values
     it reads: the domain, ``matrix_k``, the fault, the boundary clauses and
-    the resolution. The returned arrays are read-only.
+    the resolution. The returned arrays are read-only. The reference's matrix
+    is homogeneous: a configuration with regions raises ConfigError.
     """
     if len(cfg.faults) != 1:
         raise ConfigError("the resolved reference supports exactly one fault")
+    if cfg.matrix_regions:
+        raise ConfigError("the resolved reference models a homogeneous matrix only")
     f = cfg.faults[0]
     key = (
         tuple(cfg.domain_lo), tuple(cfg.domain_hi), cfg.matrix_k,

@@ -171,6 +171,17 @@ def test_bc_box_off_its_side_exits_2_at_its_line(tmp_path, capsys):
     )
 
 
+def test_region_box_without_a_cell_center_exits_2(tmp_path, capsys):
+    # Cell centers of the 8 x 8 demo lie at odd multiples of 1/16; none is
+    # in the box, so the region would set no cell's k.
+    region = "\n[region]\nbox = 0.07 0.07 0.1 0.1\nk = 0.01\n"
+    cfg = write_demo(tmp_path, text=DEMO + region)
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "mdflow: error: region box (0.07, 0.07) (0.1, 0.1) holds no cell center\n"
+    )
+
+
 def test_unknown_case_exits_2(capsys):
     assert main(["converge", "case99"]) == 2
     assert "mdflow: error:" in capsys.readouterr().err

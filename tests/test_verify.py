@@ -277,6 +277,16 @@ def test_equidim_oracle_rejects_multiple_faults():
         equidim_oracle(cfg, resolution=64)
 
 
+def test_equidim_oracle_rejects_matrix_regions():
+    # The resolved reference has a homogeneous matrix; a region would be
+    # dropped from it while the reduced model keeps it.
+    cfg = builtin_case("case1")
+    fault = replace(cfg.faults[0], aperture=0.05)  # two cell rows at 40 x 40
+    cfg = replace(cfg, faults=[fault], matrix_regions=[((0.0, 0.0), (1.0, 0.25), 0.01)])
+    with pytest.raises(ConfigError, match="homogeneous matrix"):
+        equidim_oracle(cfg, resolution=40)
+
+
 def test_local_equals_semilocal_without_coupling():
     """With no tangential coupling anywhere the two formulations are the
     same model, so their errors against one resolved reference agree."""
