@@ -19,6 +19,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -233,6 +234,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The program entry point: parse ``argv`` (default ``sys.argv[1:]``),
+    run the command and return its exit code.
+
+    Objects alive when it starts are no longer traversed by the cycle
+    collector. The tests and the benchmark op call it in-process.
+    """
+    # Importing numpy and scipy leaves tens of thousands of objects tracked
+    # by the garbage collector, and interpreter finalization runs several
+    # full collections over them: about 0.1 s at every exit. Frozen objects
+    # are skipped, so the exit takes about 0.02 s.
+    gc.freeze()
     args = make_parser().parse_args(argv)
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")

@@ -41,12 +41,15 @@ the same fault with ``k_t = 0``. ``box`` lists the low corner then the high
 corner; no low coordinate may exceed its high one. A region's box must
 hold at least one matrix cell center; a boundary clause's box is flat on
 its side and must select at least one boundary face of the mesh. Boundary
-sides are named x-, x+, y-, y+, z-, z+.
+sides are named x-, x+, y-, y+, z-, z+. The ``[domain]`` ``name`` starts
+the name of every output file, so it may be neither empty nor hold a path
+separator; ``output`` may not be empty.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -229,6 +232,20 @@ def _text(text, line, key, dim):
     return text
 
 
+def _nonempty(text, line, key, dim):
+    if not text:
+        raise ConfigError(f"line {line}: {key!r} needs a value")
+    return text
+
+
+def _file_stem(text, line, key, dim):
+    """The case name, which starts the name of every output file."""
+    text = _nonempty(text, line, key, dim)
+    if any(sep and sep in text for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"line {line}: {key!r} must not hold a path separator, got {text!r}")
+    return text
+
+
 #: Default of a key that every section of its kind must set.
 REQUIRED = object()
 
@@ -240,8 +257,8 @@ SECTIONS = {
         "hi": (_floats, REQUIRED),
         "resolution": (_resolution, REQUIRED),
         "matrix_k": (_number(positive=True), 1.0),
-        "output": (_text, "."),
-        "name": (_text, "case"),
+        "output": (_nonempty, "."),
+        "name": (_file_stem, "case"),
     },
     "region": {
         "box": (_box, REQUIRED),

@@ -1,5 +1,6 @@
 """Command-line front end tests: exit codes, output files, determinism."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -180,6 +181,32 @@ def test_region_box_without_a_cell_center_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "mdflow: error: region box (0.07, 0.07) (0.1, 0.1) holds no cell center\n"
     )
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["name = a/b", "name =", "output ="],
+    ids=["name-with-separator", "empty-name", "empty-output"],
+)
+def test_bad_output_names_exit_2_before_meshing(line, tmp_path, monkeypatch, capsys):
+    # The case name starts every output file name and ``output`` names
+    # their directory, so a bad one stops the run before anything is written.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_demo(tmp_path, text=DEMO.replace("name = demo", line))
+    argv = ["run", cfg] if line.startswith("output") else ["run", cfg, "--output", "out"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("mdflow: error: line 6:")
+    assert os.listdir(tmp_path) == ["demo.cfg"]
+
+
+def test_main_freezes_the_heap_it_starts_with(tmp_path):
+    # Interpreter finalization collects every object the cycle collector
+    # tracks; frozen ones, such as numpy's and scipy's, are skipped. Lists
+    # made before the call are tracked and not frozen yet.
+    held = [[] for _ in range(100)]
+    before = gc.get_freeze_count()
+    assert main(["mesh", write_demo(tmp_path), "--export", str(tmp_path / "demo.mesh")]) == 0
+    assert gc.get_freeze_count() >= before + len(held)
 
 
 def test_unknown_case_exits_2(capsys):

@@ -195,6 +195,10 @@ def test_two_value_pairs_kept():
         (_set(FAULT, "k_parallel", "-1"), 11, "'k_parallel' must be positive"),
         (_set(FAULT, "p0", "0 0.5 0"), 8, "'p0' needs 2 numbers"),
         (_set(FAULT, "p1", "1"), 9, "'p1' needs 2 numbers"),
+        # The case name starts every output file name.
+        (BASE + "name = a/b\n", 6, "'name' must not hold a path separator, got 'a/b'"),
+        (BASE + "name =\n", 6, "'name' needs a value"),
+        (BASE + "output =\n", 6, "'output' needs a value"),
     ]
     + [(_set(text, key, value), line, f"{key!r} must be finite")
        for text, key, value, line in NON_FINITE],
@@ -205,6 +209,13 @@ def test_parse_errors_carry_line_numbers(text, line, needle):
     msg = str(err.value)
     assert msg.startswith(f"line {line}:")
     assert needle in msg
+
+
+def test_name_rejects_the_alternative_separator(monkeypatch):
+    monkeypatch.setattr("mdflow.config.os.altsep", "\\")
+    with pytest.raises(ConfigError, match=r"^line 6: 'name' must not hold a path separator"):
+        parse_config(BASE + "name = a\\b\n")
+    assert parse_config(BASE + "output = a\\b\n").output == "a\\b"
 
 
 @pytest.mark.parametrize(

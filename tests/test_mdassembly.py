@@ -332,6 +332,45 @@ def test_pressures_scale_with_the_boundary_data(c):
         assert np.abs(p - c * ref).max() <= 1e-10 * c * np.abs(ref).max(), case
 
 
+def extruded(cfg, layers, z):
+    """The 2D ``cfg`` extruded along z over ``z = (z0, z1)`` in ``layers``
+    cells: each fault becomes a plane whose first in-plane axis is the 2D
+    fault's, each boundary box is widened over z, and the z faces keep the
+    default no-flow condition."""
+    low = lambda p: (*p, z[0])
+    high = lambda p: (*p, z[1])
+    return replace(
+        cfg,
+        domain_lo=low(cfg.domain_lo), domain_hi=high(cfg.domain_hi),
+        resolution=(*cfg.resolution, layers),
+        matrix_regions=[(low(lo), high(hi), k) for lo, hi, k in cfg.matrix_regions],
+        faults=[replace(f, p0=low(f.p0), p1=high(f.p1)) for f in cfg.faults],
+        bcs=[replace(c, box=c.box and (low(c.box[0]), high(c.box[1]))) for c in cfg.bcs],
+    )
+
+
+@pytest.mark.parametrize("formulation", ["local", "semilocal"])
+@pytest.mark.parametrize("layers, z", [(1, (0.0, 1.0)), (3, (0.0, 1.0)), (1, (-0.5, 2.0)), (3, (-0.5, 2.0))])
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_an_extruded_case_gives_the_2d_solution_in_every_layer(case, layers, z, formulation):
+    # The 2D path is checked against the resolved reference; with no flow
+    # across the z faces, every layer of the 3D path must reproduce it.
+    cfg = _small(case)
+    mesh2, _, sol2 = solve_config(cfg, formulation)
+    mesh3, _, sol3 = solve_config(extruded(cfg, layers, z), formulation)
+    assert [g.dim for g in mesh3.subdomains] == [g.dim + 1 for g in mesh2.subdomains]
+    for g2, g3, p2, p3 in zip(mesh2.subdomains, mesh3.subdomains, sol2.pressures, sol3.pressures):
+        # The grid's own axes come first, so the cross term of a fault acts
+        # along the same axis in both.
+        frame = np.zeros((g2.dim + 1, 3))
+        frame[:-1, :2], frame[-1, 2] = g2.frame_axes, 1.0
+        assert np.array_equal(g3.frame_axes, frame)
+        assert g3.n_cells == layers * g2.n_cells
+        at = {tuple(c): k for k, c in enumerate(g2.cell_centers_global())}
+        ref = p2[[at[tuple(c[:2])] for c in g3.cell_centers_global()]]
+        assert np.abs(p3 - ref).max() <= 1e-9 * np.abs(p2).max()
+
+
 def k_scaled(cfg, c):
     """``cfg`` with every permeability and every Neumann value scaled by
     ``c``: the same pressures in another permeability unit."""
