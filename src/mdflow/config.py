@@ -43,7 +43,8 @@ hold at least one matrix cell center; a boundary clause's box is flat on
 its side and must select at least one boundary face of the mesh. Boundary
 sides are named x-, x+, y-, y+, z-, z+. The ``[domain]`` ``name`` starts
 the name of every output file, so it may be neither empty nor hold a path
-separator; ``output`` may not be empty.
+separator; ``output`` may not be empty. A ``[fault]`` ``name`` may not be
+empty, and no two faults may share a name, whether given or defaulted.
 """
 
 from __future__ import annotations
@@ -228,10 +229,6 @@ def _kind(text, line, key, dim):
     return text.lower()
 
 
-def _text(text, line, key, dim):
-    return text
-
-
 def _nonempty(text, line, key, dim):
     if not text:
         raise ConfigError(f"line {line}: {key!r} needs a value")
@@ -271,7 +268,7 @@ SECTIONS = {
         "k_parallel": (_number(positive=True), REQUIRED),
         "k_perp": (_number(positive=True, sides=True), REQUIRED),
         "k_t": (_number(sides=True), (0.0, 0.0)),
-        "name": (_text, None),
+        "name": (_nonempty, None),
     },
     "bc": {
         "side": (_side, REQUIRED),
@@ -351,6 +348,9 @@ def parse_config(text: str) -> CaseConfig:
         elif name == "fault":
             if values["name"] is None:
                 values["name"] = f"F{len(cfg.faults) + 1}"
+            if values["name"] in [f.name for f in cfg.faults]:
+                line = entries["name"][1] if "name" in entries else start
+                raise ConfigError(f"line {line}: fault name {values['name']!r} is taken")
             cfg.faults.append(FaultConfig(**values))
         else:
             cfg.bcs.append(BcClause(**values, line=entries["box"][1] if "box" in entries else None))

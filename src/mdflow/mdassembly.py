@@ -479,11 +479,20 @@ _COARSEST = 500
 _POWER_STEPS = 15
 _MAX_ITERATIONS = 50
 #: Smallest pivot, relative to the largest entry left in its column, that
-#: the 2D LU keeps on the diagonal (only pivots cancelled to roundoff fall
-#: below; 0.0 kept one on a 4x4 box with a full tensor and faults at x = 2,
-#: x = 3 and y = 2), and the most unknowns of an undivided dissection block.
-_PIVOT_THRESHOLD = 1e-8
+#: the float32 2D LU keeps on the diagonal. Elimination leaves a cancelled
+#: pivot at a float32 unit of the sums it came from, 1.8e-7 of its column
+#: on an 8x8 box with faults at x = 2, x = 4 and y = 6, which 1e-8 kept and
+#: refinement could not cure. Pivots that are not cancelled fall to 1e-5 of
+#: their column when the units change by 1e-9 (network2d), so the threshold
+#: cannot go higher. Then the most unknowns of an undivided dissection
+#: block.
+_PIVOT_THRESHOLD = 1e-6
 _ND_LEAF = 8
+#: Most refinement steps of a 2D solve: refinement that halves the residual
+#: each step takes 29 steps from float32 to float64 accuracy. A cancelled
+#: pivot kept at 1.9e-6 of its column (8x8 boxes with faults at x = 4,
+#: x = 6 and y = 4) slows it to 18-22 steps.
+_REFINEMENT_STEPS = 30
 #: Relative residual that the fast solvers must reach before the COLAMD LU
 #: takes over.
 _RESIDUAL_TOL = 1e-10
@@ -673,8 +682,9 @@ def _nested_dissection(system: GlobalSystem, zero: np.ndarray) -> tuple:
 
 def _static_pivot_solve(system: GlobalSystem):
     """Sparse LU in nested-dissection order with pivots kept on the
-    diagonal; returns the solution, its relative residual and the reason to
-    fall back, None if it met :data:`_RESIDUAL_TOL`.
+    diagonal, factored in single precision and refined in double; returns
+    the solution, its relative residual and the reason to fall back, None if
+    it met :data:`_RESIDUAL_TOL`.
 
     The 2D system is close to symmetric quasi-definite: a symmetric pressure
     block, mortar rows that are negative multiples of their pressure
@@ -684,7 +694,19 @@ def _static_pivot_solve(system: GlobalSystem):
     SuperLU_DIST (Li & Demmel 1998). SuperLU factors the transpose (its CSC
     arrays are A's permuted rows) with row i scaled by a power of two near
     1/sqrt|a_ii| (max |a_ij| if a_ii = 0): its pivot test compares entries of
-    a column, so it holds in any units, as under two-sided scaling.
+    a column, which are then a_ij / sqrt|a_ii a_jj| as under two-sided
+    scaling. Those of the pressure block do not depend on units; those that
+    couple pressures and mortar fluxes do, as the two kinds of rows scale
+    with different powers of the units.
+
+    The factor is float32, which nearly halves its memory. Iterative
+    refinement (Buttari et al. 2008) gives back double accuracy:
+    x += LU^-1 (b - A x), with the residual in float64, for as long as a
+    step at least halves it and at most :data:`_REFINEMENT_STEPS` times,
+    keeping the best iterate.
+    Each right-hand side is divided by a power of two near its largest entry
+    before it is rounded to float32, and each correction is widened to
+    float64 before it is scaled back, so the solve does not depend on units.
     """
     A, b = system.matrix, system.rhs
     t0 = time.perf_counter()
@@ -695,21 +717,46 @@ def _static_pivot_solve(system: GlobalSystem):
     scale = -(np.frexp(size[perm])[1] >> 1)  # |a_ii| 4^scale lies in [1/2, 2)
     B, inv = A[perm], np.empty(perm.size, A.indices.dtype)
     inv[perm] = np.arange(perm.size)
-    M = sps.csc_matrix((B.data, inv[B.indices], B.indptr), shape=B.shape)
-    np.ldexp(M.data, scale[M.indices], out=M.data)
+    rows = inv[B.indices]
+    M = sps.csc_matrix(
+        (np.ldexp(B.data, scale[rows]).astype(np.float32), rows, B.indptr), shape=B.shape
+    )
+    del B
     M.sort_indices()
     t1 = time.perf_counter()
     lu = spla.splu(
         M, permc_spec="NATURAL", diag_pivot_thresh=_PIVOT_THRESHOLD,
         options=dict(SymmetricMode=True),
     )
+    t2 = time.perf_counter()
+
+    def lu_solve(r):
+        top = np.frexp(np.abs(r).max(initial=0.0))[1]
+        y = lu.solve(np.ldexp(r[perm], -top).astype(np.float32), trans="T")
+        return np.ldexp(y.astype(np.float64), scale + top)[inv]
+
+    x = lu_solve(b)
+    r = b - A @ x
+    norm = float(np.linalg.norm(r))
+    steps = 0
+    while steps < _REFINEMENT_STEPS and norm > 0:
+        steps += 1
+        y = x + lu_solve(r)
+        s = b - A @ y
+        new = float(np.linalg.norm(s))
+        if new < norm:
+            x, r = y, s
+        if not new <= norm / 2:
+            break
+        norm = new
+    residual = _relative_residual(A, b, x)
     logger.info(
         "direct solve: ordering nested-dissection, static pivots, %d off-diagonal, "
-        "order %.3f s, factor %.3f s, LU nnz %d",
-        int((lu.perm_r != lu.perm_c).sum()), t1 - t0, time.perf_counter() - t1, lu.nnz,
+        "float32 factor, order %.3f s, factor %.3f s, LU nnz %d, "
+        "%d refinement steps to residual %.3e in %.3f s",
+        int((lu.perm_r != lu.perm_c).sum()), t1 - t0, t2 - t1, lu.nnz,
+        steps, residual, time.perf_counter() - t2,
     )
-    x = np.ldexp(lu.solve(b[perm], trans="T"), scale)[inv]
-    residual = _relative_residual(A, b, x)
     return x, residual, None if residual <= _RESIDUAL_TOL else f"residual {residual:.1e}"
 
 
@@ -748,7 +795,8 @@ def solve(system: GlobalSystem) -> MdSolution:
     3D systems are solved by GMRES, preconditioned by smoothed-aggregation
     AMG on the pressures once the mortar fluxes are eliminated. 2D systems
     are factored by sparse LU in a nested-dissection order of the mesh
-    lattice with static diagonal pivots. Where either fails or its relative
+    lattice with static diagonal pivots, in float32, and refined in float64
+    to double accuracy. Where either fails or its relative
     residual exceeds :data:`_RESIDUAL_TOL`, a partially pivoted LU with
     SuperLU's COLAMD ordering solves instead. A final residual above 1e-6
     raises :class:`SolverError`.

@@ -103,9 +103,10 @@ def test_run_far_from_the_origin_writes_all_outputs(tmp_path):
 
 def test_run_in_a_tiny_box_writes_all_outputs(tmp_path):
     # The demo in a box of side 1e-8: cells 3.125e-10 wide, below any
-    # absolute tolerance of 1e-9. Only Dirichlet data, so the same heads,
-    # up to the solve's known drift under row scaling (1.6e-6 relative
-    # here, with a dense LU 7e-15; ROADMAP item 4).
+    # absolute tolerance of 1e-9. Only Dirichlet data, so the same heads.
+    # The 2D LU scales by powers of two and refines every right-hand side
+    # scaled to its largest entry, so the printed heads (12 digits) agree
+    # exactly.
     ref, out = tmp_path / "ref", tmp_path / "out"
     text = DEMO.replace("resolution = 8 8", "resolution = 32 32")
     assert main(["run", write_demo(tmp_path, text=text), "--output", str(ref)]) == 0
@@ -116,7 +117,7 @@ def test_run_in_a_tiny_box_writes_all_outputs(tmp_path):
     assert "DIMENSIONS 33 1 1" in (out / "demo_sub01.vtk").read_text()
     for sub in ("demo_sub00.vtk", "demo_sub01.vtk"):
         p, p_ref = read_vtk_cell_scalars(out / sub), read_vtk_cell_scalars(ref / sub)
-        assert np.abs(p - p_ref).max() <= 1e-5 * np.abs(p_ref).max()
+        assert np.abs(p - p_ref).max() <= 1e-10 * np.abs(p_ref).max()
     for name in ("demo_mortar.csv", "demo_fault.csv", "demo_balance.txt"):
         assert (out / name).exists()
 

@@ -199,6 +199,12 @@ def test_two_value_pairs_kept():
         (BASE + "name = a/b\n", 6, "'name' must not hold a path separator, got 'a/b'"),
         (BASE + "name =\n", 6, "'name' needs a value"),
         (BASE + "output =\n", 6, "'output' needs a value"),
+        # A fault's name labels it in the screen's and the mesher's messages.
+        (FAULT + "name =\n", 13, "'name' needs a value"),
+        (FAULT + "name = A\n" + FAULT[len(BASE):] + "name = A\n", 21,
+         "fault name 'A' is taken"),
+        # The second fault would be named F2 by its position.
+        (FAULT + "name = F2\n" + FAULT[len(BASE):], 15, "fault name 'F2' is taken"),
     ]
     + [(_set(text, key, value), line, f"{key!r} must be finite")
        for text, key, value, line in NON_FINITE],
