@@ -31,6 +31,7 @@ couple directly.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -469,11 +470,10 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
     )
 
 
-#: Strength threshold of the finest aggregation graph, halved on each
-#: coarser level as in Vanek, Mandel & Brezina (1996), and the size below
-#: which the AMG hierarchy stops coarsening and factors its last level.
-_STRENGTH = 0.08
-_COARSEST = 500
+#: Size at or below which the AMG hierarchy stops coarsening and factors
+#: its last level. At 500, cube3d at 24^3 stopped at 343 unknowns, whose LU
+#: is half dense, and its run peaked 1.3 MB higher; at 100 it goes on to 64.
+_COARSEST = 100
 #: Power-iteration steps of the spectral-radius estimate, and GMRES
 #: iterations (without restart) before the solve counts as stalled.
 _POWER_STEPS = 15
@@ -506,59 +506,38 @@ def _relative_residual(A, b, x) -> float:
 
 def _scrambled(n: int) -> np.ndarray:
     """Distinct, well-spread integers for 0..n-1 (multiplicative hashing):
-    the deterministic stand-in for random priorities and start vectors."""
+    the deterministic start vector of the power iteration."""
     return np.arange(n, dtype=np.int64) * 2654435761 % 2**32
 
 
-def _neighbour_max(G: sps.csr_matrix, v: np.ndarray) -> np.ndarray:
-    """Largest ``v`` over each node and its neighbours in ``G``, whose rows
-    all hold their diagonal."""
-    return np.maximum.reduceat(v[G.indices], G.indptr[:-1])
+def _amg_hierarchy(A: sps.csr_matrix, boxes):
+    """Smoothed-aggregation hierarchy of ``A``, whose unknowns are the cells
+    of the lattice boxes of shapes ``boxes`` (x-fastest, box after box):
+    per level the matrix, the prolongator, the restriction and the damped
+    Jacobi weights, then the LU of the coarsest matrix.
 
-
-def _aggregates(A: sps.csr_matrix, theta: float) -> np.ndarray:
-    """Aggregate index of every unknown of ``A``.
-
-    Unknowns i and j are coupled where |a_ij| >= theta sqrt(|a_ii a_jj|). The
-    roots are a maximal set at pairwise graph distance three or more, chosen
-    in rounds: an undecided unknown becomes a root when its priority beats
-    every undecided one within distance two. Every unknown then joins the
-    one root it is coupled to, or else the aggregate of a coupled unknown.
-    """
-    n = A.shape[0]
-    C = A.tocoo()
-    d = np.sqrt(np.abs(A.diagonal()))
-    keep = np.abs(C.data) >= theta * d[C.row] * d[C.col]
-    G = sps.csr_matrix((np.ones(keep.sum()), (C.row[keep], C.col[keep])), shape=(n, n))
-    G = (G + G.T + sps.identity(n, format="csr")).tocsr()
-    priority = _scrambled(n)
-    state = np.zeros(n, dtype=np.int8)  # 0 undecided, 1 root, -1 covered
-    while not state.all():
-        w = np.where(state == 0, priority, -1)
-        root = (state == 0) & (_neighbour_max(G, _neighbour_max(G, w)) == w)
-        near = _neighbour_max(G, _neighbour_max(G, root.astype(np.int8))) > 0
-        state[near & (state == 0)] = -1
-        state[root] = 1
-    agg = np.where(state == 1, np.cumsum(state == 1) - 1, -1)
-    agg = _neighbour_max(G, agg)
-    return np.where(agg >= 0, agg, _neighbour_max(G, agg))
-
-
-def _amg_hierarchy(A: sps.csr_matrix):
-    """Smoothed-aggregation hierarchy of ``A``: per level the matrix, the
-    prolongator, the restriction and the damped Jacobi weights, then the LU
-    of the coarsest matrix.
-
-    Each prolongator is the piecewise-constant one of :func:`_aggregates`
-    smoothed by one Jacobi step of weight 4/(3 rho), rho the spectral radius
-    of D^-1 A estimated by power iteration; the smoother uses that weight.
+    An aggregate is a 2^d block of cells of one box (a box of odd size ends
+    in a thinner block), so each coarser level is again a list of boxes,
+    each halved and rounded up. Each prolongator is that piecewise-constant
+    one smoothed by one Jacobi step of weight 4/(3 rho), rho the spectral
+    radius of D^-1 A estimated by power iteration; the smoother uses that
+    weight.
     """
     levels = []
     while A.shape[0] > _COARSEST:
         n = A.shape[0]
-        agg = _aggregates(A, _STRENGTH / 2 ** len(levels))
-        n_agg = int(agg.max()) + 1
-        if 2 * n_agg > n:
+        halved = [tuple((k + 1) // 2 for k in box) for box in boxes]
+        starts = _offsets([math.prod(h) for h in halved])
+        # Cell (i, j, k) of a box joins cell (i // 2, j // 2, k // 2) of its halved box.
+        agg = np.concatenate([
+            start + np.ravel(
+                np.arange(math.prod(h)).reshape(h, order="F")[np.ix_(*(np.arange(k) // 2 for k in box))],
+                order="F",
+            )
+            for box, h, start in zip(boxes, halved, starts)
+        ])
+        n_agg = int(starts[-1])
+        if 2 * n_agg > n:  # mostly one-cell boxes, which no longer shrink
             break
         d_inv = 1.0 / A.diagonal()
         v = _scrambled(n) - 2.0**31
@@ -569,7 +548,7 @@ def _amg_hierarchy(A: sps.csr_matrix):
         P = (T - sps.diags(weight) @ (A @ T)).tocsr()
         R = P.T.tocsr()
         levels.append((A, P, R, weight))
-        A = (R @ A @ P).tocsr()
+        A, boxes = (R @ A @ P).tocsr(), halved
     return levels, spla.splu(A.tocsc())
 
 
@@ -592,14 +571,19 @@ def _krylov_solve(system: GlobalSystem):
     The mortar fluxes are eliminated with the diagonal of their block,
     ``S = App - Apl diag(All)^-1 Alp``, and the block-lower-triangular
     preconditioner solves the pressures by one AMG V-cycle on ``S``, then
-    the mortar fluxes by that diagonal. It acts from the right, so GMRES
-    minimizes the true residual. GMRES runs to 1/100 of that tolerance
-    times max(‖b‖, 1): the pressure rows are the cell balances, and
-    stopping at a tenth of it left the worst cell of a 40^3 cube3d at
-    1.1e-10 of the flux scale. Without the floor at 1, seeds of the
-    24^3 cube3d benchmark, whose ‖b‖ is about 0.05, stall at 19-20
+    the mortar fluxes by that diagonal. The hierarchy aggregates 2^d blocks
+    of each subdomain's cells (:func:`_amg_hierarchy`). The preconditioner
+    acts from the right, so GMRES minimizes the true residual. GMRES runs to
+    1/100 of that tolerance times max(‖b‖, 1): the pressure rows are the
+    cell balances, and stopping at a tenth of it left the worst cell of a
+    40^3 cube3d at 1.1e-10 of the flux scale. Without the floor at 1, seeds
+    of the 24^3 cube3d benchmark, whose ‖b‖ is about 0.05, stall at 19-20
     iterations into the fallback; a system with ‖b‖ far below 1 misses the
     tolerance here and the fallback solves it.
+
+    The answer is judged by its true residual, whatever GMRES's ``info``:
+    GMRES reports no convergence where its own residual estimate and the
+    true residual disagree, and the true one may still meet the tolerance.
     """
     A, b = system.matrix, system.rhs
     n_p = system.n_pressure
@@ -607,7 +591,7 @@ def _krylov_solve(system: GlobalSystem):
     A_lp = A[n_p:, :n_p]
     dl_inv = 1.0 / A.diagonal()[n_p:]
     S = (A[:n_p, :n_p] - A[:n_p, n_p:] @ sps.diags(dl_inv) @ A_lp).tocsr()
-    levels, coarse = _amg_hierarchy(S)
+    levels, coarse = _amg_hierarchy(S, [g.shape for g in system.mesh.subdomains])
 
     def precondition(r):
         p = _v_cycle(levels, coarse, r[:n_p])
@@ -616,7 +600,7 @@ def _krylov_solve(system: GlobalSystem):
     t1 = time.perf_counter()
     its = []
     y, info = spla.gmres(
-        spla.LinearOperator(A.shape, lambda v: A @ precondition(v)), b,
+        spla.LinearOperator(A.shape, lambda v: A @ precondition(v), dtype=A.dtype), b,
         rtol=0.0, atol=0.01 * _RESIDUAL_TOL * max(float(np.linalg.norm(b)), 1.0),
         restart=_MAX_ITERATIONS, maxiter=1, callback=its.append, callback_type="pr_norm",
     )
@@ -629,9 +613,11 @@ def _krylov_solve(system: GlobalSystem):
         "/".join(map(str, sizes)),
         len(its), residual, t1 - t0, time.perf_counter() - t1,
     )
+    if residual <= _RESIDUAL_TOL:
+        return x, residual, None
     if info != 0:
         return x, residual, f"no convergence in {len(its)} GMRES iterations"
-    return x, residual, None if residual <= _RESIDUAL_TOL else f"residual {residual:.1e}"
+    return x, residual, f"residual {residual:.1e}"
 
 
 def _nested_dissection(system: GlobalSystem, zero: np.ndarray) -> tuple:
@@ -763,7 +749,8 @@ def _static_pivot_solve(system: GlobalSystem):
 def _solve_linear(system: GlobalSystem):
     """AMG-preconditioned GMRES in 3D and the static-pivot LU in 2D; sparse
     LU with SuperLU's COLAMD ordering and partial pivoting whenever either
-    fails or misses :data:`_RESIDUAL_TOL`. Returns the solution and its
+    fails or misses :data:`_RESIDUAL_TOL`, keeping whichever of the two
+    answers has the smaller relative residual. Returns the solution and its
     relative residual."""
     A, b = system.matrix, system.rhs
     if system.mesh.dim == 3:
@@ -773,7 +760,7 @@ def _solve_linear(system: GlobalSystem):
     try:
         x, residual, fallback = fast()
     except RuntimeError as exc:
-        fallback = f"{method} failed: {exc}"
+        x, residual, fallback = None, np.inf, f"{method} failed: {exc}"
     if fallback is None:
         return x, residual
     t0 = time.perf_counter()
@@ -781,12 +768,16 @@ def _solve_linear(system: GlobalSystem):
         lu = spla.splu(A.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
+    y = lu.solve(b)
+    lu_residual = _relative_residual(A, b, y)
+    keep = residual < lu_residual
     logger.info(
-        "direct solve: ordering colamd (fallback: %s), factor %.3f s, LU nnz %d",
-        fallback, time.perf_counter() - t0, lu.nnz,
+        "direct solve: ordering colamd (fallback: %s), factor %.3f s, LU nnz %d, "
+        "residual %.3e against %.3e of the %s; keeping the %s answer",
+        fallback, time.perf_counter() - t0, lu.nnz, lu_residual, residual, method,
+        method if keep else "colamd",
     )
-    x = lu.solve(b)
-    return x, _relative_residual(A, b, x)
+    return (x, residual) if keep else (y, lu_residual)
 
 
 def solve(system: GlobalSystem) -> MdSolution:
@@ -798,8 +789,9 @@ def solve(system: GlobalSystem) -> MdSolution:
     lattice with static diagonal pivots, in float32, and refined in float64
     to double accuracy. Where either fails or its relative
     residual exceeds :data:`_RESIDUAL_TOL`, a partially pivoted LU with
-    SuperLU's COLAMD ordering solves instead. A final residual above 1e-6
-    raises :class:`SolverError`.
+    SuperLU's COLAMD ordering solves as well, and the answer with the
+    smaller residual is kept. A final residual above 1e-6 raises
+    :class:`SolverError`.
     """
     x, residual = _solve_linear(system)
     if not residual <= 1e-6:

@@ -31,6 +31,7 @@ from mdflow.discretize import (
 )
 from mdflow.equidim import EquiDimCase, solve_equidim
 from mdflow.mdassembly import (
+    _COARSEST,
     AssemblyError,
     MaterialSet,
     SolverError,
@@ -564,6 +565,13 @@ KRYLOV_LINE = re.compile(
 )
 
 
+def lattice_level_sizes(system, levels):
+    """Unknowns of the first ``levels`` AMG levels when each level halves
+    every subdomain's cell box, rounding up."""
+    boxes = np.array([g.shape + (1,) * (3 - g.dim) for g in system.mesh.subdomains])
+    return [int(np.prod(-(-boxes // 2**k), axis=1).sum()) for k in range(levels)]
+
+
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("make", [cube3d, signed_cube3d])
 def test_krylov_matches_colamd(make, n, caplog):
@@ -572,11 +580,35 @@ def test_krylov_matches_colamd(make, n, caplog):
         sol = solve(system)
     assert "fallback" not in caplog.text and "direct solve" not in caplog.text
     levels, iterations, residual = KRYLOV_LINE.search(caplog.text).groups()
-    assert int(levels.split("/")[0]) == system.n_pressure
-    assert int(iterations) <= 40
+    sizes = [int(k) for k in levels.split("/")]
+    assert sizes == lattice_level_sizes(system, len(sizes))
+    assert sizes[0] == system.n_pressure and sizes[-1] <= _COARSEST < min(sizes[:-1])
+    assert int(iterations) <= 20
     assert float(residual) == pytest.approx(sol.residual, rel=1e-3) and sol.residual <= 1e-10
     ref = colamd(system)
     assert np.linalg.norm(unknowns(sol) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def uniform_faults(cfg, k):
+    """``cfg`` with every fault's conductivities set to ``k`` and no cross
+    term: blocking faults for k < 1, conducting ones for k > 1."""
+    faults = [replace(f, k_parallel=k, k_perp=(k, k), k_t=(0.0, 0.0)) for f in cfg.faults]
+    return replace(cfg, faults=faults)
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-4, 1e4])
+@pytest.mark.parametrize("n", [16, 24])
+def test_krylov_solves_blocking_and_conducting_faults(n, k, caplog):
+    """Faults far less (blocking) or far more (conducting) conductive than
+    the matrix solve by AMG-GMRES with no COLAMD fallback, and every cell
+    balances."""
+    system = assembled(uniform_faults(cube3d(n), k))
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        sol = solve(system)
+    assert "fallback" not in caplog.text and KRYLOV_LINE.search(caplog.text)
+    assert sol.residual <= 1e-10
+    report = mass_balance_report(sol)
+    assert report["max_cell_residual"] <= 1e-10 * report["scale"]
 
 
 def fake_gmres(failure):
@@ -608,6 +640,74 @@ def test_krylov_falls_back_to_colamd(failure, reason, monkeypatch, caplog):
     assert f"direct solve: ordering colamd (fallback: {reason}" in caplog.text
     assert (KRYLOV_LINE.search(caplog.text) is None) == (failure == "raise")
     np.testing.assert_array_equal(unknowns(sol), ref)
+
+
+def unconverged_gmres(error):
+    """A stand-in for ``spla.gmres`` that runs the real one, then scales its
+    answer by 1 + ``error`` and reports no convergence."""
+    gmres = spla.gmres
+
+    def fake(A, b, **kwargs):
+        y, info = gmres(A, b, **kwargs)
+        return y * (1.0 + error), 1
+
+    return fake
+
+
+def test_krylov_answer_is_judged_by_its_residual(monkeypatch, caplog):
+    """GMRES's ``info`` alone does not send a good answer to COLAMD."""
+    system = assembled(signed_cube3d())
+    x = unknowns(solve(system))
+    monkeypatch.setattr(spla, "gmres", unconverged_gmres(0.0))
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        sol = solve(system)
+    assert "fallback" not in caplog.text and "direct solve" not in caplog.text
+    np.testing.assert_array_equal(unknowns(sol), x)
+
+
+def inexact_splu(error):
+    """A stand-in for ``spla.splu`` whose factor of the full system solves
+    with a relative error ``error``; the smaller AMG coarse factors are left
+    as they are."""
+    splu = spla.splu
+
+    class Inexact:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, b):
+            return self.lu.solve(b) * (1.0 + error)
+
+    def fake(A, **kwargs):
+        lu = splu(A, **kwargs)
+        return Inexact(lu) if A.shape[0] > 1000 else lu
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "krylov_error,colamd_error,kept",
+    [(1e-8, 1e-7, "krylov solve"), (1e-7, 1e-8, "colamd"), (1e-5, 1e-5, None)],
+)
+def test_fallback_keeps_the_better_answer(krylov_error, colamd_error, kept, monkeypatch, caplog):
+    """Where COLAMD runs, the answer with the smaller residual is kept, and
+    only a kept residual above 1e-6 raises."""
+    system = assembled(cube3d(12))
+    assert system.n_unknowns > 1000 >= _COARSEST  # the stand-in tells the two LUs apart
+    ref = unknowns(solve(system))
+    monkeypatch.setattr(spla, "gmres", unconverged_gmres(krylov_error))
+    monkeypatch.setattr(spla, "splu", inexact_splu(colamd_error))
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        if kept is None:
+            with pytest.raises(SolverError, match="solution residual too large"):
+                solve(system)
+            return
+        sol = solve(system)
+    assert "(fallback: no convergence in" in caplog.text
+    error = krylov_error if kept == "krylov solve" else colamd_error
+    assert sol.residual == pytest.approx(error, rel=0.1)
+    assert np.abs(unknowns(sol) - ref).max() <= 2 * error * np.abs(ref).max()
+    assert f"keeping the {kept} answer" in caplog.text
 
 
 def test_krylov_solve_is_deterministic():
@@ -871,8 +971,9 @@ def cartesian_boxes(draw, dims=(2, 3), largest=7):
 @settings(max_examples=25, deadline=None)
 @given(cartesian_boxes(dims=(3,), largest=12))
 def test_krylov_matches_colamd_on_boxes(cfg):
-    """Boxes up to 12^3 cells: those above 500 pressures coarsen once
-    before the coarsest LU, the others factor the pressure matrix itself."""
+    """Boxes up to 12^3 cells: those above 100 pressures coarsen by 2^3
+    blocks of cells (a 12^3 box 1728 -> 216 -> 27) before the coarsest LU,
+    the others factor the pressure matrix itself."""
     system = assembled(cfg)
     x, residual, fallback = _krylov_solve(system)
     assert fallback is None and residual <= 1e-10
