@@ -471,9 +471,14 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
 
 
 #: Size at or below which the AMG hierarchy stops coarsening and factors
-#: its last level. At 500, cube3d at 24^3 stopped at 343 unknowns, whose LU
-#: is half dense, and its run peaked 1.3 MB higher; at 100 it goes on to 64.
+#: its last level: cube3d at 24^3 coarsens to 27 unknowns. With 2^3 blocks
+#: on every level, a limit of 500 stopped it at 343 unknowns, whose LU is
+#: half dense, and its run peaked 1.3 MB higher.
 _COARSEST = 100
+#: Cells per axis of an AMG aggregate on the first coarsening, and after
+#: it. With 2 throughout, cube3d at 24^3 kept a level of 164 entries per
+#: row; 3 throughout took 21 GMRES iterations instead of 15, 4 after it 17.
+_FIRST_BLOCK, _BLOCK = 2, 3
 #: Power-iteration steps of the spectral-radius estimate, and GMRES
 #: iterations (without restart) before the solve counts as stalled.
 _POWER_STEPS = 15
@@ -510,15 +515,48 @@ def _scrambled(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64) * 2654435761 % 2**32
 
 
+def _runs(grid: CellGrid) -> tuple:
+    """Per local axis, the lengths of the runs of cells between the lattice
+    planes that hold the grid's slit faces."""
+    slit, runs = grid.face_cut >= 0, []
+    for a, n in enumerate(grid.shape):
+        ends = np.zeros(n + 1, dtype=bool)
+        ends[[0, n]] = ends[grid.face_index[slit & (grid.face_axis == a), a] // 2] = True
+        runs.append(tuple(np.diff(np.flatnonzero(ends)).tolist()))
+    return tuple(runs)
+
+
+def _blocks(boxes, b: int) -> tuple:
+    """Aggregates of ``b`` cells per axis in each run of each box, whose
+    cells are numbered x-fastest, box after box; a run's last block may be
+    thinner. Returns each cell's aggregate and the coarse boxes, which keep
+    one run of ceil(len / b) per fine run."""
+    coarse = [tuple(tuple(-(-k // b) for k in runs) for runs in box) for box in boxes]
+    shapes = [tuple(sum(runs) for runs in box) for box in coarse]
+    starts = _offsets([math.prod(shape) for shape in shapes])
+    agg = []
+    for box, cbox, shape, start in zip(boxes, coarse, shapes, starts):
+        # Along each axis, a cell's block is its run's first coarse cell plus
+        # its place in the run // b.
+        axes = [
+            np.concatenate([c + np.arange(k) // b for k, c in zip(runs, _offsets(cruns))])
+            for runs, cruns in zip(box, cbox)
+        ]
+        cells = np.arange(math.prod(shape)).reshape(shape, order="F")[np.ix_(*axes)]
+        agg.append(start + np.ravel(cells, order="F"))
+    return np.concatenate(agg), coarse
+
+
 def _amg_hierarchy(A: sps.csr_matrix, boxes):
     """Smoothed-aggregation hierarchy of ``A``, whose unknowns are the cells
-    of the lattice boxes of shapes ``boxes`` (x-fastest, box after box):
-    per level the matrix, the prolongator, the restriction and the damped
-    Jacobi weights, then the LU of the coarsest matrix.
+    of lattice boxes given as runs per axis (:func:`_runs`; x-fastest, box
+    after box): per level the matrix, the prolongator, the restriction and
+    the damped Jacobi weights, then the LU of the coarsest matrix.
 
-    An aggregate is a 2^d block of cells of one box (a box of odd size ends
-    in a thinner block), so each coarser level is again a list of boxes,
-    each halved and rounded up. Each prolongator is that piecewise-constant
+    An aggregate is a block of one run per axis, :data:`_FIRST_BLOCK` cells
+    wide on the first coarsening and :data:`_BLOCK` after it, so none
+    crosses a fault, and each coarser level is again a list of boxes whose
+    runs follow the faults down. Each prolongator is that piecewise-constant
     one smoothed by one Jacobi step of weight 4/(3 rho), rho the spectral
     radius of D^-1 A estimated by power iteration; the smoother uses that
     weight.
@@ -526,17 +564,8 @@ def _amg_hierarchy(A: sps.csr_matrix, boxes):
     levels = []
     while A.shape[0] > _COARSEST:
         n = A.shape[0]
-        halved = [tuple((k + 1) // 2 for k in box) for box in boxes]
-        starts = _offsets([math.prod(h) for h in halved])
-        # Cell (i, j, k) of a box joins cell (i // 2, j // 2, k // 2) of its halved box.
-        agg = np.concatenate([
-            start + np.ravel(
-                np.arange(math.prod(h)).reshape(h, order="F")[np.ix_(*(np.arange(k) // 2 for k in box))],
-                order="F",
-            )
-            for box, h, start in zip(boxes, halved, starts)
-        ])
-        n_agg = int(starts[-1])
+        agg, coarse = _blocks(boxes, _BLOCK if levels else _FIRST_BLOCK)
+        n_agg = int(agg.max()) + 1
         if 2 * n_agg > n:  # mostly one-cell boxes, which no longer shrink
             break
         d_inv = 1.0 / A.diagonal()
@@ -548,7 +577,7 @@ def _amg_hierarchy(A: sps.csr_matrix, boxes):
         P = (T - sps.diags(weight) @ (A @ T)).tocsr()
         R = P.T.tocsr()
         levels.append((A, P, R, weight))
-        A, boxes = (R @ A @ P).tocsr(), halved
+        A, boxes = (R @ A @ P).tocsr(), coarse
     return levels, spla.splu(A.tocsc())
 
 
@@ -571,8 +600,9 @@ def _krylov_solve(system: GlobalSystem):
     The mortar fluxes are eliminated with the diagonal of their block,
     ``S = App - Apl diag(All)^-1 Alp``, and the block-lower-triangular
     preconditioner solves the pressures by one AMG V-cycle on ``S``, then
-    the mortar fluxes by that diagonal. The hierarchy aggregates 2^d blocks
-    of each subdomain's cells (:func:`_amg_hierarchy`). The preconditioner
+    the mortar fluxes by that diagonal. The hierarchy's aggregates are
+    blocks of each subdomain's cells that stop at the planes of its slit
+    faces (:func:`_amg_hierarchy`). The preconditioner
     acts from the right, so GMRES minimizes the true residual. GMRES runs to
     1/100 of that tolerance times max(‖b‖, 1): the pressure rows are the
     cell balances, and stopping at a tenth of it left the worst cell of a
@@ -580,6 +610,12 @@ def _krylov_solve(system: GlobalSystem):
     of the 24^3 cube3d benchmark, whose ‖b‖ is about 0.05, stall at 19-20
     iterations into the fallback; a system with ‖b‖ far below 1 misses the
     tolerance here and the fallback solves it.
+
+    The answer then takes one defect correction, ``x += M (b - A x)``: the
+    residual norm cannot see rows with tiny diagonals, such as the point
+    where blocking faults meet (2e-12 at k = 1e-6), and the V-cycle sets
+    them from their own rows (cube3d at 16^3, faults at 5/16: 2.2e-9 of
+    COLAMD's answer without it, 5e-13 with it).
 
     The answer is judged by its true residual, whatever GMRES's ``info``:
     GMRES reports no convergence where its own residual estimate and the
@@ -591,7 +627,7 @@ def _krylov_solve(system: GlobalSystem):
     A_lp = A[n_p:, :n_p]
     dl_inv = 1.0 / A.diagonal()[n_p:]
     S = (A[:n_p, :n_p] - A[:n_p, n_p:] @ sps.diags(dl_inv) @ A_lp).tocsr()
-    levels, coarse = _amg_hierarchy(S, [g.shape for g in system.mesh.subdomains])
+    levels, coarse = _amg_hierarchy(S, [_runs(g) for g in system.mesh.subdomains])
 
     def precondition(r):
         p = _v_cycle(levels, coarse, r[:n_p])
@@ -605,6 +641,7 @@ def _krylov_solve(system: GlobalSystem):
         restart=_MAX_ITERATIONS, maxiter=1, callback=its.append, callback_type="pr_norm",
     )
     x = precondition(y)
+    x += precondition(b - A @ x)
     residual = _relative_residual(A, b, x)
     sizes = [lv[0].shape[0] for lv in levels] + [coarse.shape[0]]
     logger.info(

@@ -12,6 +12,7 @@ hence reproduced to machine precision.
 
 import importlib
 import logging
+import math
 import re
 
 import numpy as np
@@ -35,8 +36,10 @@ from mdflow.mdassembly import (
     AssemblyError,
     MaterialSet,
     SolverError,
+    _blocks,
     _krylov_solve,
     _nested_dissection,
+    _runs,
     _static_pivot_solve,
     assemble_from_problems,
     assemble_global,
@@ -544,6 +547,20 @@ def cube3d(n=8):
     return replace(builtin_case("cube3d"), resolution=(n, n, n))
 
 
+def moved_cube3d(n, at):
+    """The built-in cube3d at ``n`` cells per axis with each fault plane
+    moved from the mid-plane to ``at``."""
+    cfg = cube3d(n)
+    faults = []
+    for f in cfg.faults:
+        p0, p1 = list(f.p0), list(f.p1)
+        for a in range(3):
+            if p0[a] == p1[a]:
+                p0[a] = p1[a] = at
+        faults.append(replace(f, p0=tuple(p0), p1=tuple(p1)))
+    return replace(cfg, faults=faults)
+
+
 def assembled(cfg):
     mesh = build_cartesian_md_mesh(
         cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
@@ -565,11 +582,27 @@ KRYLOV_LINE = re.compile(
 )
 
 
+def slit_planes(grid, axis):
+    """The lattice planes normal to ``axis`` that hold slit faces of ``grid``."""
+    at = (grid.face_cut >= 0) & (grid.face_axis == axis)
+    return np.unique(grid.face_index[at, axis] // 2)
+
+
 def lattice_level_sizes(system, levels):
-    """Unknowns of the first ``levels`` AMG levels when each level halves
-    every subdomain's cell box, rounding up."""
-    boxes = np.array([g.shape + (1,) * (3 - g.dim) for g in system.mesh.subdomains])
-    return [int(np.prod(-(-boxes // 2**k), axis=1).sum()) for k in range(levels)]
+    """Unknowns of the first ``levels`` AMG levels when each subdomain's cell
+    box is split per axis into runs at its slit planes, and each run of
+    length k shrinks to ceil(k / 2) on the first coarsening and to
+    ceil(k / 3) on every later one."""
+    boxes = [
+        [np.diff(np.unique(np.r_[0, slit_planes(g, a), n])) for a, n in enumerate(g.shape)]
+        for g in system.mesh.subdomains
+    ]
+    sizes = []
+    for level in range(levels):
+        sizes.append(sum(math.prod(int(runs.sum()) for runs in box) for box in boxes))
+        b = 2 if level == 0 else 3
+        boxes = [[-(-runs // b) for runs in box] for box in boxes]
+    return sizes
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -605,10 +638,60 @@ def test_krylov_solves_blocking_and_conducting_faults(n, k, caplog):
     system = assembled(uniform_faults(cube3d(n), k))
     with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
         sol = solve(system)
-    assert "fallback" not in caplog.text and KRYLOV_LINE.search(caplog.text)
+    assert "fallback" not in caplog.text
+    assert int(KRYLOV_LINE.search(caplog.text).group(2)) <= 20
     assert sol.residual <= 1e-10
     report = mass_balance_report(sol)
     assert report["max_cell_residual"] <= 1e-10 * report["scale"]
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e-4])
+def test_krylov_solves_blocking_faults_off_the_mid_planes(k, caplog):
+    """Blocking faults on an odd lattice plane (5/16) stay on the fast path:
+    no aggregate straddles them on any level."""
+    system = assembled(uniform_faults(moved_cube3d(16, 5 / 16), k))
+    with caplog.at_level(logging.INFO, logger="mdflow.mdassembly"):
+        sol = solve(system)
+    assert "fallback" not in caplog.text
+    levels, iterations, _ = KRYLOV_LINE.search(caplog.text).groups()
+    sizes = [int(m) for m in levels.split("/")]
+    assert sizes == lattice_level_sizes(system, len(sizes))
+    assert int(iterations) <= 20
+    ref = colamd(system)
+    assert np.linalg.norm(unknowns(sol) - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+def run_keys(boxes):
+    """Each cell's box and its run along each axis, as one integer."""
+    keys = []
+    for i, box in enumerate(boxes):
+        runs = np.meshgrid(*(np.repeat(np.arange(len(r)), r) for r in box), indexing="ij")
+        key = i * 10**6 + sum(np.ravel(r, order="F") * 100**a for a, r in enumerate(runs))
+        keys.append(np.broadcast_to(key, math.prod(sum(r) for r in box)))
+    return np.concatenate(keys)
+
+
+@pytest.mark.parametrize("at", [0.5, 5 / 16, 7 / 16])
+def test_aggregates_stop_at_slit_planes(at):
+    """The runs split each axis at exactly the slit planes, and on every
+    level each aggregate lies in one run per axis of one box: no aggregate
+    holds cells on both sides of a fault."""
+    cfg = moved_cube3d(16, at)
+    mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs())
+    boxes = [_runs(g) for g in mesh.subdomains]
+    for g, box in zip(mesh.subdomains, boxes):
+        assert [sum(runs) for runs in box] == list(g.shape)
+        for a, runs in enumerate(box):
+            np.testing.assert_array_equal(np.cumsum(runs)[:-1], slit_planes(g, a))
+    for b in (2, 3, 3):
+        agg, coarse = _blocks(boxes, b)
+        assert coarse == [tuple(tuple(-(-k // b) for k in runs) for runs in box) for box in boxes]
+        # One (aggregate, box and runs) pair per aggregate.
+        pairs = np.unique(np.c_[agg, run_keys(boxes)], axis=0)
+        assert np.array_equal(pairs[:, 0], np.arange(agg.max() + 1))
+        assert agg.max() + 1 == sum(math.prod(sum(runs) for runs in box) for box in coarse)
+        assert np.bincount(agg).max() <= b**3
+        boxes = coarse
 
 
 def fake_gmres(failure):
@@ -644,7 +727,8 @@ def test_krylov_falls_back_to_colamd(failure, reason, monkeypatch, caplog):
 
 def unconverged_gmres(error):
     """A stand-in for ``spla.gmres`` that runs the real one, then scales its
-    answer by 1 + ``error`` and reports no convergence."""
+    answer by 1 + ``error`` and reports no convergence. The defect
+    correction after GMRES then cuts that error by a factor of about 3."""
     gmres = spla.gmres
 
     def fake(A, b, **kwargs):
@@ -704,8 +788,12 @@ def test_fallback_keeps_the_better_answer(krylov_error, colamd_error, kept, monk
             return
         sol = solve(system)
     assert "(fallback: no convergence in" in caplog.text
+    logged = re.search(r"residual (\S+) against (\S+) of the krylov solve", caplog.text)
+    colamd_residual, krylov_residual = (float(r) for r in logged.groups())
+    assert colamd_residual == pytest.approx(colamd_error, rel=0.1)
+    assert krylov_error / 10 < krylov_residual < krylov_error
+    assert sol.residual == pytest.approx(min(colamd_residual, krylov_residual), rel=1e-3)
     error = krylov_error if kept == "krylov solve" else colamd_error
-    assert sol.residual == pytest.approx(error, rel=0.1)
     assert np.abs(unknowns(sol) - ref).max() <= 2 * error * np.abs(ref).max()
     assert f"keeping the {kept} answer" in caplog.text
 
@@ -972,8 +1060,8 @@ def cartesian_boxes(draw, dims=(2, 3), largest=7):
 @given(cartesian_boxes(dims=(3,), largest=12))
 def test_krylov_matches_colamd_on_boxes(cfg):
     """Boxes up to 12^3 cells: those above 100 pressures coarsen by 2^3
-    blocks of cells (a 12^3 box 1728 -> 216 -> 27) before the coarsest LU,
-    the others factor the pressure matrix itself."""
+    blocks of cells, then 3^3 blocks (a 12^3 box 1728 -> 216 -> 8), before
+    the coarsest LU, the others factor the pressure matrix itself."""
     system = assembled(cfg)
     x, residual, fallback = _krylov_solve(system)
     assert fallback is None and residual <= 1e-10
