@@ -471,13 +471,13 @@ def assemble_from_problems(mesh, problems, iproblems) -> GlobalSystem:
 
 
 #: Size at or below which the AMG hierarchy stops coarsening and factors
-#: its last level: cube3d at 24^3 coarsens to 27 unknowns. With 2^3 blocks
-#: on every level, a limit of 500 stopped it at 343 unknowns, whose LU is
-#: half dense, and its run peaked 1.3 MB higher.
+#: its last level: cube3d at 24^3 coarsens to 27 unknowns.
 _COARSEST = 100
-#: Cells per axis of an AMG aggregate on the first coarsening, and after
-#: it. With 2 throughout, cube3d at 24^3 kept a level of 164 entries per
-#: row; 3 throughout took 21 GMRES iterations instead of 15, 4 after it 17.
+#: Most cells per axis of an AMG aggregate on the first coarsening, and
+#: after it. With 2 throughout, cube3d at 24^3 kept a level of 164 entries
+#: per row; 3 throughout took 21 GMRES iterations instead of 15, 4 after it
+#: 17. With its faults at k = 1e-6, cube3d at 32^3 takes 19 (runs of 8 cut
+#: into 3 + 3 + 2), near the tests' bound of 20.
 _FIRST_BLOCK, _BLOCK = 2, 3
 #: Power-iteration steps of the spectral-radius estimate, and GMRES
 #: iterations (without restart) before the solve counts as stalled.
@@ -527,19 +527,19 @@ def _runs(grid: CellGrid) -> tuple:
 
 
 def _blocks(boxes, b: int) -> tuple:
-    """Aggregates of ``b`` cells per axis in each run of each box, whose
-    cells are numbered x-fastest, box after box; a run's last block may be
-    thinner. Returns each cell's aggregate and the coarse boxes, which keep
-    one run of ceil(len / b) per fine run."""
+    """Aggregates of at most ``b`` cells per axis in each run of each box,
+    whose cells are numbered x-fastest, box after box; a run's blocks differ
+    in width by one at most. Returns each cell's aggregate and the coarse
+    boxes, which keep one run of ceil(len / b) per fine run."""
     coarse = [tuple(tuple(-(-k // b) for k in runs) for runs in box) for box in boxes]
     shapes = [tuple(sum(runs) for runs in box) for box in coarse]
     starts = _offsets([math.prod(shape) for shape in shapes])
     agg = []
     for box, cbox, shape, start in zip(boxes, coarse, shapes, starts):
-        # Along each axis, a cell's block is its run's first coarse cell plus
-        # its place in the run // b.
+        # Along each axis, cell i of a run of k cells joins block i * m // k
+        # of the run's m coarse cells.
         axes = [
-            np.concatenate([c + np.arange(k) // b for k, c in zip(runs, _offsets(cruns))])
+            np.concatenate([c + np.arange(k) * m // k for k, m, c in zip(runs, cruns, _offsets(cruns))])
             for runs, cruns in zip(box, cbox)
         ]
         cells = np.arange(math.prod(shape)).reshape(shape, order="F")[np.ix_(*axes)]
@@ -553,8 +553,8 @@ def _amg_hierarchy(A: sps.csr_matrix, boxes):
     after box): per level the matrix, the prolongator, the restriction and
     the damped Jacobi weights, then the LU of the coarsest matrix.
 
-    An aggregate is a block of one run per axis, :data:`_FIRST_BLOCK` cells
-    wide on the first coarsening and :data:`_BLOCK` after it, so none
+    An aggregate is a block of one run per axis, at most :data:`_FIRST_BLOCK`
+    cells wide on the first coarsening and :data:`_BLOCK` after it, so none
     crosses a fault, and each coarser level is again a list of boxes whose
     runs follow the faults down. Each prolongator is that piecewise-constant
     one smoothed by one Jacobi step of weight 4/(3 rho), rho the spectral
@@ -602,20 +602,14 @@ def _krylov_solve(system: GlobalSystem):
     preconditioner solves the pressures by one AMG V-cycle on ``S``, then
     the mortar fluxes by that diagonal. The hierarchy's aggregates are
     blocks of each subdomain's cells that stop at the planes of its slit
-    faces (:func:`_amg_hierarchy`). The preconditioner
-    acts from the right, so GMRES minimizes the true residual. GMRES runs to
+    faces (:func:`_amg_hierarchy`). The preconditioner acts from the
+    right, so GMRES minimizes the true residual. GMRES runs to
     1/100 of that tolerance times max(‖b‖, 1): the pressure rows are the
     cell balances, and stopping at a tenth of it left the worst cell of a
     40^3 cube3d at 1.1e-10 of the flux scale. Without the floor at 1, seeds
     of the 24^3 cube3d benchmark, whose ‖b‖ is about 0.05, stall at 19-20
     iterations into the fallback; a system with ‖b‖ far below 1 misses the
     tolerance here and the fallback solves it.
-
-    The answer then takes one defect correction, ``x += M (b - A x)``: the
-    residual norm cannot see rows with tiny diagonals, such as the point
-    where blocking faults meet (2e-12 at k = 1e-6), and the V-cycle sets
-    them from their own rows (cube3d at 16^3, faults at 5/16: 2.2e-9 of
-    COLAMD's answer without it, 5e-13 with it).
 
     The answer is judged by its true residual, whatever GMRES's ``info``:
     GMRES reports no convergence where its own residual estimate and the
@@ -641,7 +635,6 @@ def _krylov_solve(system: GlobalSystem):
         restart=_MAX_ITERATIONS, maxiter=1, callback=its.append, callback_type="pr_norm",
     )
     x = precondition(y)
-    x += precondition(b - A @ x)
     residual = _relative_residual(A, b, x)
     sizes = [lv[0].shape[0] for lv in levels] + [coarse.shape[0]]
     logger.info(
