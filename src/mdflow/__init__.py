@@ -40,8 +40,6 @@ from .mdmesh import (
     MixedDimMesh,
     MortarInterface,
     build_cartesian_md_mesh,
-    export_mesh,
-    import_mesh,
 )
 from .semilocal import (
     EquiDimFaultPerm,
@@ -85,8 +83,6 @@ __all__ = [
     "discretize",
     "eoc",
     "eoc_fit",
-    "export_mesh",
-    "import_mesh",
     "l2_fault_error",
     "mass_balance_report",
     "mpfa_discretize",

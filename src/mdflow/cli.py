@@ -1,4 +1,4 @@
-"""Batch front end: solves, convergence studies, and mesh export.
+"""Batch front end: solves and convergence studies.
 
 Commands:
 
@@ -9,8 +9,6 @@ Commands:
   built-in convergence study and write its CSV table.
 - ``mdflow compare <case> [--levels N]``: run both formulations of a case
   and write a side-by-side error table.
-- ``mdflow mesh <cfg> --export <path>``: build the mesh and export it in
-  the plain-text mesh format.
 
 Exit codes: 0 on success, 1 on solver failure, 2 on usage or configuration
 errors.
@@ -35,10 +33,10 @@ from .mdassembly import (
     mass_balance_report,
     solve,
 )
-from .mdmesh import MeshError, build_cartesian_md_mesh, export_mesh, format_rows
+from .mdmesh import MeshError, build_cartesian_md_mesh
 from .semilocal import InterfaceLawError
 from .verify import VerifyError, _error_eoc, run_case
-from .vtkio import write_vtk
+from .vtkio import format_rows, write_vtk
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +73,6 @@ def _load_config(path: str):
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    outdir = args.output if args.output is not None else cfg.output
-    os.makedirs(outdir, exist_ok=True)
     mesh = build_cartesian_md_mesh(
         cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
     )
@@ -84,6 +80,9 @@ def cmd_run(args) -> int:
     sol = solve(system)
     report = mass_balance_report(sol)
     dim = mesh.dim
+    # Made only now, so a run that fails leaves no directory behind.
+    outdir = args.output if args.output is not None else cfg.output
+    os.makedirs(outdir, exist_ok=True)
 
     for i, grid in enumerate(mesh.subdomains):
         path = os.path.join(outdir, f"{cfg.name}_sub{i:02d}.vtk")
@@ -173,20 +172,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_mesh(args) -> int:
-    cfg = _load_config(args.config)
-    mesh = build_cartesian_md_mesh(
-        cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
-    )
-    export_mesh(mesh, args.export)
-    cells = sum(g.n_cells for g in mesh.subdomains)
-    print(
-        f"wrote {args.export}: {mesh.n_subdomains} subdomains, "
-        f"{cells} cells, {len(mesh.interfaces)} interfaces"
-    )
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdflow",
@@ -225,11 +210,6 @@ def make_parser() -> argparse.ArgumentParser:
     comp.add_argument("--levels", type=int, default=None, help="number of levels")
     comp.add_argument("--output", default=".", help="output directory")
     comp.set_defaults(func=cmd_compare)
-
-    mesh = sub.add_parser("mesh", help="build and export the mesh of a configuration")
-    mesh.add_argument("config", help="configuration file")
-    mesh.add_argument("--export", required=True, metavar="PATH", help="output mesh file")
-    mesh.set_defaults(func=cmd_mesh)
     return parser
 
 

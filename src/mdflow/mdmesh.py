@@ -287,8 +287,6 @@ class MixedDimMesh:
     subdomains: list
     info: list
     interfaces: list
-    domain_lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    domain_hi: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def n_subdomains(self) -> int:
@@ -608,187 +606,7 @@ def build_cartesian_md_mesh(
                 groups = [faces[i : i + 1] for i in range(faces.size)]
             interfaces += [MortarInterface(c, p, side, faces) for side, faces in zip(sides, groups)]
 
-    mesh = MixedDimMesh(
-        dim=dim,
-        subdomains=subdomains,
-        info=info,
-        interfaces=interfaces,
-        domain_lo=lo,
-        domain_hi=hi,
-    )
+    mesh = MixedDimMesh(dim=dim, subdomains=subdomains, info=info, interfaces=interfaces)
     mesh.validate()
     return mesh
 
-
-# ---------------------------------------------------------------------------
-# Plain-text mesh import/export.
-# ---------------------------------------------------------------------------
-
-#: Columns of each table block of the mesh file, in file order: the
-#: attribute they hold, its width (1, 2, or "d" for the grid dimension) and
-#: its type. An attribute of width 1 is a 1-D array.
-_LATTICE = (("lattice", 1, float),)
-_WIDTHS = (("widths", 1, float),)
-_FACES = (
-    ("face_index", "d", int), ("face_cells", 2, int), ("face_bnd", 1, int),
-    ("face_cut", 1, int), ("face_side", 1, int),
-)
-_HIGHER_FACES = (("higher_faces", 1, int),)
-
-
-def _widths(columns, d: int) -> list:
-    return [d if w == "d" else w for _, w, _ in columns]
-
-
-#: Rows per %-format call of :func:`format_rows`. Each call turns its rows
-#: into Python floats, about 40 bytes per value, so no call holds a whole
-#: table.
-_FORMAT_ROWS = 4096
-
-
-def format_rows(fmt: str, table: np.ndarray) -> list:
-    """The %-format of a table, one line per row, as one string per
-    :data:`_FORMAT_ROWS` rows (none if the table is empty)."""
-    return [
-        "\n".join([fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
-        for chunk in (table[i : i + _FORMAT_ROWS] for i in range(0, len(table), _FORMAT_ROWS))
-    ]
-
-
-def _block(tag: str, values: dict, columns, d: int = 0) -> list:
-    """The tag line with the row count, then the rows of a block."""
-    # 17 significant digits read back as the same float.
-    types = [typ for (_, _, typ), w in zip(columns, _widths(columns, d)) for _ in range(w)]
-    fmt = " ".join(["%d" if typ is int else "%.17g" for typ in types])
-    table = np.column_stack([values[name] for name, _, _ in columns])
-    return [f"{tag} {table.shape[0]}"] + format_rows(fmt, table)
-
-
-def export_mesh(mesh: MixedDimMesh, path: str) -> None:
-    """Write the mesh in the whitespace-separated text format.
-
-    Lines ``mdmesh 3 <ambient dim>``, ``domain <lo...> <hi...>`` and
-    ``subdomains <n>``; per subdomain ``subdomain <id> dim <d> kind <kind>
-    faults <ids|->`` and ``frame <origin...> <row-major axes...>``, per
-    local axis a ``lattice`` block of its 2 n + 1 coordinates and a
-    ``widths`` block of its n cell widths, and a ``faces`` block of face
-    lattice indices and topology; ``interfaces <n>``, and per interface
-    ``interface <lower> <higher> <side>`` and a ``higher_faces`` block, the
-    higher face paired with each lower cell in cell order. A block is its
-    tag and row count and one row per entity with the columns of its table
-    above.
-    """
-
-    def fmt(vals):
-        return " ".join(f"{v:.17g}" for v in np.atleast_1d(vals))
-
-    out = []
-    out.append(f"mdmesh 3 {mesh.dim}")
-    out.append(f"domain {fmt(mesh.domain_lo)} {fmt(mesh.domain_hi)}")
-    out.append(f"subdomains {mesh.n_subdomains}")
-    for sid, (g, inf) in enumerate(zip(mesh.subdomains, mesh.info)):
-        fids = ",".join(str(i) for i in inf.fault_ids) if inf.fault_ids else "-"
-        out.append(f"subdomain {sid} dim {g.dim} kind {inf.kind} faults {fids}")
-        out.append(f"frame {fmt(g.frame_origin)} {fmt(g.frame_axes.ravel())}")
-        for x, w in zip(g.lattice, g.widths):
-            out += _block("lattice", {"lattice": x}, _LATTICE)
-            out += _block("widths", {"widths": w}, _WIDTHS)
-        out += _block("faces", vars(g), _FACES, g.dim)
-    out.append(f"interfaces {len(mesh.interfaces)}")
-    for itf in mesh.interfaces:
-        out.append(f"interface {itf.lower} {itf.higher} {itf.side}")
-        out += _block("higher_faces", vars(itf), _HIGHER_FACES)
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
-
-
-class _MeshFile:
-    """The lines of a mesh file and the index of the one read last."""
-
-    def __init__(self, path: str):
-        with open(path) as fh:
-            self.lines = fh.read().splitlines()
-        self.at = -1
-
-    def take(self, tag: str, count: int) -> list:
-        """The ``count`` fields after ``tag`` on the next line, which must
-        start with it."""
-        self.at += 1
-        fields = self.lines[self.at].split() if self.at < len(self.lines) else []
-        if fields[:1] != [tag]:
-            raise ValueError(f"expected {tag!r}")
-        if len(fields) != count + 1:
-            raise ValueError(f"expected {count} fields after {tag!r}, found {len(fields) - 1}")
-        return fields[1:]
-
-    def block(self, tag: str, columns, d: int = 0) -> dict:
-        """The next block's attributes."""
-        n = int(self.take(tag, 1)[0])
-        widths = _widths(columns, d)
-        width = sum(widths)
-        rows = self.lines[self.at + 1 : self.at + 1 + n]
-        try:
-            table = np.loadtxt(rows, comments=None, ndmin=2) if n else np.zeros((0, width))
-        except ValueError:
-            table = None
-        if table is None or table.shape != (n, width):
-            for row in rows:  # parse row by row: the bad row raises
-                self.at += 1
-                np.array(row.split(), dtype=float).reshape(width)
-            self.at += 1
-            raise ValueError(f"expected {n} rows of {width} numbers")
-        self.at += n
-        parts = np.split(table, np.cumsum(widths)[:-1], axis=1)
-        return {
-            name: (part[:, 0] if w == 1 else part).astype(typ)
-            for (name, w, typ), part in zip(columns, parts)
-        }
-
-
-def import_mesh(path: str) -> MixedDimMesh:
-    """Read a mesh written by :func:`export_mesh`.
-
-    A malformed file raises :class:`MeshError` naming the file and the line;
-    an interface that does not fit its grids raises one naming the file.
-    """
-    src = _MeshFile(path)
-    try:
-        version, dim = src.take("mdmesh", 2)
-        if version != "3":
-            raise ValueError("not a mdmesh version-3 file")
-        dim = int(dim)
-        dom = np.array(src.take("domain", 2 * dim), dtype=float)
-        subdomains, info = [], []
-        for _ in range(int(src.take("subdomains", 1)[0])):
-            _, dim_tag, d, kind_tag, kind, faults_tag, fids = src.take("subdomain", 7)
-            if (dim_tag, kind_tag, faults_tag) != ("dim", "kind", "faults"):
-                raise ValueError("expected 'subdomain <id> dim <d> kind <kind> faults <ids>'")
-            if kind not in ("matrix", "fault", "intersection"):
-                raise ValueError(f"unknown subdomain kind {kind!r}")
-            d = int(d)
-            frame = np.array(src.take("frame", dim + d * dim), dtype=float)
-            lattice, widths = [], []
-            for _ in range(d):
-                lattice.append(src.block("lattice", _LATTICE)["lattice"])
-                widths.append(src.block("widths", _WIDTHS)["widths"])
-                if lattice[-1].size != 2 * widths[-1].size + 1:
-                    raise ValueError("expected 2 n + 1 lattice coordinates for n widths")
-            grid = src.block("faces", _FACES, d)
-            subdomains.append(CellGrid(
-                d, tuple(lattice), tuple(widths),
-                frame_origin=frame[:dim], frame_axes=frame[dim:].reshape(d, dim), **grid,
-            ))
-            fids = () if fids == "-" else tuple(int(i) for i in fids.split(","))
-            info.append(SubdomainInfo(kind, fids))
-        interfaces = []
-        for _ in range(int(src.take("interfaces", 1)[0])):
-            ids = map(int, src.take("interface", 3))
-            interfaces.append(MortarInterface(*ids, **src.block("higher_faces", _HIGHER_FACES)))
-    except (ValueError, IndexError, MeshError) as exc:
-        raise MeshError(f"{path}: line {src.at + 1}: {exc}") from None
-    mesh = MixedDimMesh(dim, subdomains, info, interfaces, dom[:dim], dom[dim:])
-    try:
-        mesh.validate()
-    except MeshError as exc:
-        raise MeshError(f"{path}: {exc}") from None
-    return mesh

@@ -15,9 +15,23 @@ import logging
 
 import numpy as np
 
-from .mdmesh import CellGrid, format_rows
+from .mdmesh import CellGrid
 
 logger = logging.getLogger(__name__)
+
+#: Rows per %-format call of :func:`format_rows`. Each call turns its rows
+#: into Python floats, about 40 bytes per value, so no call holds a whole
+#: table.
+_FORMAT_ROWS = 4096
+
+
+def format_rows(fmt: str, table: np.ndarray) -> list:
+    """The %-format of a table, one line per row, as one string per
+    :data:`_FORMAT_ROWS` rows (none if the table is empty)."""
+    return [
+        "\n".join([fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
+        for chunk in (table[i : i + _FORMAT_ROWS] for i in range(0, len(table), _FORMAT_ROWS))
+    ]
 
 
 def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow field") -> None:
@@ -28,10 +42,10 @@ def write_vtk(path: str, grid: CellGrid, cell_data=None, title: str = "mdflow fi
     path : str
         Output file path.
     grid : CellGrid
-        Any grid built by the mesher or read by ``import_mesh``, of
-        topological dimension 0 to 3. Its nodes along each axis it extends
-        in are the even entries of that axis's lattice, and its cells are
-        in lattice order, x-fastest, as VTK numbers them.
+        Any grid built by the mesher, of topological dimension 0 to 3. Its
+        nodes along each axis it extends in are the even entries of that
+        axis's lattice, and its cells are in lattice order, x-fastest, as
+        VTK numbers them.
     cell_data : dict, optional
         Scalar arrays of length ``n_cells`` keyed by their field name.
     title : str, optional

@@ -171,6 +171,7 @@ def test_bc_box_off_its_side_exits_2_at_its_line(tmp_path, capsys):
         "mdflow: error: line 25: [bc] box ((0.0, 0.0), (1.0, 0.5)) selects no boundary "
         "face on side y+\n"
     )
+    assert not (tmp_path / "out").exists()
 
 
 def test_region_box_without_a_cell_center_exits_2(tmp_path, capsys):
@@ -182,6 +183,7 @@ def test_region_box_without_a_cell_center_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "mdflow: error: region box (0.07, 0.07) (0.1, 0.1) holds no cell center\n"
     )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -206,7 +208,7 @@ def test_main_freezes_the_heap_it_starts_with(tmp_path):
     # made before the call are tracked and not frozen yet.
     held = [[] for _ in range(100)]
     before = gc.get_freeze_count()
-    assert main(["mesh", write_demo(tmp_path), "--export", str(tmp_path / "demo.mesh")]) == 0
+    assert main(["run", write_demo(tmp_path), "--output", str(tmp_path / "out")]) == 0
     assert gc.get_freeze_count() >= before + len(held)
 
 
@@ -333,24 +335,14 @@ k_perp = 1
 """
 
 
-def test_mesh_3d_t_junction_exits_2(tmp_path, capsys):
+def test_run_3d_t_junction_exits_2(tmp_path, capsys):
     cfg = write_demo(tmp_path, text=T_JUNCTION_3D)
-    assert main(["mesh", cfg, "--export", str(tmp_path / "t.mesh")]) == 2
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "fault 'F2' ends on fault 'F1'" in err
     assert "T-junctions along a line are not supported in 3D" in err
-
-
-def test_mesh_export(tmp_path, capsys):
-    cfg = write_demo(tmp_path)
-    target = tmp_path / "demo.mesh"
-    assert main(["mesh", cfg, "--export", str(target)]) == 0
-    assert "2 subdomains" in capsys.readouterr().out
-    from mdflow.mdmesh import import_mesh
-
-    mesh = import_mesh(str(target))
-    assert mesh.n_subdomains == 2
-    assert len(mesh.interfaces) == 2
+    # A failed run leaves no output directory behind.
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_skips_scipy_spatial():

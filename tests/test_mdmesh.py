@@ -14,15 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdflow.config import FaultConfig, builtin_case
-from mdflow.mdmesh import (
-    _FORMAT_ROWS,
-    FaultSpec,
-    MeshError,
-    build_cartesian_md_mesh,
-    export_mesh,
-    format_rows,
-    import_mesh,
-)
+from mdflow.mdmesh import FaultSpec, MeshError, build_cartesian_md_mesh
 
 
 def one_fault(aperture=0.01, k_t=(80.0, 80.0), p0=(0.0, 0.5), p1=(1.0, 0.5)):
@@ -259,14 +251,9 @@ def _extent(specs, fault_ids, axis):
 # Two planes whose spans along their common axis only touch: no line.
 @example(([0.0] * 3, [1.0] * 3, [2] * 3, [(0, 1, {1: (0, 2), 2: (0, 1)}),
                                          (1, 1, {0: (0, 2), 2: (1, 2)})]))
-def test_hierarchy_properties(tmp_path_factory, box):
+def test_hierarchy_properties(box):
     mesh, specs = _build(box, 1)
     mesh.validate()
-    path = tmp_path_factory.getbasetemp() / "hierarchy.mesh"
-    export_mesh(mesh, str(path))
-    written = path.read_bytes()
-    export_mesh(import_mesh(str(path)), str(path))
-    assert path.read_bytes() == written
     for g in mesh.subdomains:
         # An interior face's center lies strictly between its cells'
         # centers along its axis and level with both on every other axis.
@@ -334,124 +321,37 @@ def test_deterministic_rebuild():
         assert np.array_equal(ia.higher_faces, ib.higher_faces)
 
 
-def _assert_same(a, b):
-    """Every dataclass field equal: arrays exactly, with the same dtype kind,
-    also inside tuples."""
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, tuple):
-            assert isinstance(y, tuple) and len(x) == len(y), f.name
-        else:
-            x, y = (x,), (y,)
-        for u, v in zip(x, y):
-            if isinstance(u, np.ndarray):
-                assert isinstance(v, np.ndarray) and u.dtype.kind == v.dtype.kind, f.name
-                assert np.array_equal(u, v), f.name
-            else:
-                assert u == v, f.name
-
-
-@pytest.mark.parametrize("case", ["network2d", "cube3d"])
-def test_export_import_roundtrip(tmp_path, case):
-    # network2d has tips, a T and an X; cube3d has lines and a 0-d point.
-    cfg = builtin_case(case)
-    mesh = build_cartesian_md_mesh(
-        cfg.domain_lo, cfg.domain_hi, (8,) * len(cfg.domain_lo), cfg.fault_specs()
-    )
-    path = tmp_path / "mesh.txt"
-    export_mesh(mesh, str(path))
-    back = import_mesh(str(path))
-    assert back.dim == mesh.dim
-    assert np.array_equal(back.domain_lo, mesh.domain_lo)
-    assert np.array_equal(back.domain_hi, mesh.domain_hi)
-    assert len(back.subdomains) == len(mesh.subdomains)
-    assert len(back.interfaces) == len(mesh.interfaces)
-    for ga, gb in zip(mesh.subdomains, back.subdomains):
-        _assert_same(ga, gb)
-    for ia, ib in zip(mesh.info, back.info):
-        _assert_same(ia, ib)
-    for ia, ib in zip(mesh.interfaces, back.interfaces):
-        _assert_same(ia, ib)
-    again = tmp_path / "again.txt"
-    export_mesh(back, str(again))
-    assert again.read_bytes() == path.read_bytes()
-
-
-@pytest.mark.parametrize("n", [0, 1, _FORMAT_ROWS, 2 * _FORMAT_ROWS + 3])
-def test_format_rows_matches_row_by_row(n):
-    table = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-5, 10, 5)
-    table[:, 0] = np.arange(n)
-    fmt = "%d %.17g %.12g"
-    chunks = format_rows(fmt, table)
-    assert len(chunks) == -(-n // _FORMAT_ROWS)
-    assert "\n".join(chunks) == "\n".join(fmt % tuple(row) for row in table)
-
-
-@pytest.mark.parametrize(
-    "edit, line",
-    [
-        (lambda lines: [], 1),
-        (lambda lines: lines[:10], 11),
-        (lambda lines: ["mdmesh 2 2"] + lines[1:], 1),
-        (lambda lines: ["mdmesh 1 2"] + lines[1:], 1),
-        (lambda lines: lines[:1] + ["domian" + lines[1][6:]] + lines[2:], 2),
-        (lambda lines: lines[:6] + ["x"] + lines[7:], 7),
-        (lambda lines: lines[:5] + ["lattice 9 7"] + lines[6:], 6),
-        (lambda lines: [ln + " 5" if ln.startswith("faces ") else ln for ln in lines], None),
-        (lambda lines: lines[:3] + ["subdomain 0 dmi 2 knid matrix faults -"] + lines[4:], 4),
-        (lambda lines: lines[:3] + ["subdomain 0 dim 2 kind matirx faults -"] + lines[4:], 4),
-    ],
-    ids=["empty", "truncated", "header", "version-1", "domain-tag", "non-numeric",
-         "lattice-extra", "faces-extra", "subdomain-keywords", "subdomain-kind"],
-)
-def test_malformed_mesh_file_raises_mesh_error(tmp_path, edit, line):
-    cfg = builtin_case("case1")
-    mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, (4, 4), cfg.fault_specs())
-    path = tmp_path / "mesh.txt"
-    export_mesh(mesh, str(path))
-    lines = path.read_text().splitlines()
-    # Line 4 is the matrix's subdomain line, lines 6 and 7 its first
-    # lattice block's header and first row.
-    assert lines[3] == "subdomain 0 dim 2 kind matrix faults -"
-    assert lines[5] == "lattice 9" and lines[6] == "0"
-    if line is None:  # the first faces tag line
-        line = next(i for i, ln in enumerate(lines, 1) if ln.startswith("faces "))
-    path.write_text("".join(ln + "\n" for ln in edit(lines)))
-    with pytest.raises(MeshError, match=rf"^{re.escape(str(path))}: line {line}: "):
-        import_mesh(str(path))
-
-
 _NO_SUBDOMAIN = "interface 0 names a subdomain that does not exist"
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda itf: ["interface 1 0 3"] + itf[1:],
-         "line {end}: interface side must be 1 or 2, got 3"),
-        (lambda itf: ["interface 7 0 1"] + itf[1:], _NO_SUBDOMAIN),
-        (lambda itf: ["interface 1 -1 1"] + itf[1:], _NO_SUBDOMAIN),
-        (lambda itf: itf[:2] + ["44"] + itf[3:], "interface 0 names a face that does not exist"),
-        (lambda itf: itf[:1] + ["higher_faces 3"] + itf[2:5],
+        (lambda itf: {"side": 3}, "interface side must be 1 or 2, got 3"),
+        (lambda itf: {"lower": 7}, _NO_SUBDOMAIN),
+        (lambda itf: {"higher": -1}, _NO_SUBDOMAIN),
+        (lambda itf: {"higher_faces": np.r_[44, itf.higher_faces[1:]]},
+         "interface 0 names a face that does not exist"),
+        (lambda itf: {"higher_faces": itf.higher_faces[:3]},
          "interface 0 has 3 mortar cells for 4 lower cells"),
+        (lambda itf: {"lower": 0}, "interface must connect dimensions differing by 1"),
+        (lambda itf: {"higher_faces": np.full(4, itf.higher_faces[0])},
+         "mortar cells must map to distinct higher faces"),
     ],
-    ids=["side", "subdomain", "negative-subdomain", "face", "count"],
+    ids=["side", "subdomain", "negative-subdomain", "face", "count", "dimension", "distinct"],
 )
-def test_mesh_file_with_a_bad_interface_raises_mesh_error(tmp_path, edit, message):
+def test_mesh_with_a_bad_interface_raises_mesh_error(edit, message):
     cfg = builtin_case("case1")
     mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, (4, 4), cfg.fault_specs())
-    path = tmp_path / "mesh.txt"
-    export_mesh(mesh, str(path))
-    lines = path.read_text().splitlines()
-    # The first interface: its line, its block's tag and its 4 faces of the
-    # 44 of the matrix.
-    at = lines.index("interface 1 0 1")
-    assert lines[at + 1] == "higher_faces 4" and mesh.subdomains[0].n_faces == 44
-    edited = lines[:at] + edit(lines[at : at + 6]) + lines[at + 6 :]
-    path.write_text("".join(ln + "\n" for ln in edited))
-    expected = f"{path}: " + message.format(end=at + 6)
-    with pytest.raises(MeshError, match=f"^{re.escape(expected)}$"):
-        import_mesh(str(path))
+    # The first interface pairs the fault's 4 cells with 4 of the 44 faces
+    # of the matrix.
+    itf = mesh.interfaces[0]
+    assert (itf.lower, itf.higher, itf.side, itf.n_mortar) == (1, 0, 1, 4)
+    assert mesh.subdomains[0].n_faces == 44
+    # The side is checked by the constructor, everything else by the mesh.
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        mesh.interfaces[0] = dataclasses.replace(itf, **edit(itf))
+        mesh.validate()
 
 
 @pytest.mark.parametrize("s, offset", [(1e-9, 0.0), (1e-9, 1e3), (1.0, 1e6), (1e9, 0.0)])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdflow.config import FaultConfig, builtin_case
 from mdflow.mdmesh import build_cartesian_md_mesh
-from mdflow.vtkio import write_vtk
+from mdflow.vtkio import _FORMAT_ROWS, format_rows, write_vtk
 from test_mdmesh import _build, fault_boxes
 
 #: Corner offsets in units of half cell widths.
@@ -236,3 +236,13 @@ def test_tiny_grid_file_is_unchanged(tmp_path):
     write_vtk(str(path), grid, {"pressure": [1.5, -0.25], "k": [1e-3, 2.0 / 3.0]},
               title="tiny\nsecond line")
     assert open(path).read() == expected
+
+
+@pytest.mark.parametrize("n", [0, 1, _FORMAT_ROWS, 2 * _FORMAT_ROWS + 3])
+def test_format_rows_matches_row_by_row(n):
+    table = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-5, 10, 5)
+    table[:, 0] = np.arange(n)
+    fmt = "%d %.17g %.12g"
+    chunks = format_rows(fmt, table)
+    assert len(chunks) == -(-n // _FORMAT_ROWS)
+    assert "\n".join(chunks) == "\n".join(fmt % tuple(row) for row in table)
