@@ -366,3 +366,40 @@ def test_compare_never_loads_scipy_spatial(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
     assert done.returncode == 0
     assert (tmp_path / "case1_compare.csv").exists()
+
+
+def test_mesh_command_is_a_usage_error(tmp_path, capsys):
+    # Every command meshes its config itself; there is no mesh file to write.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["mesh", write_demo(tmp_path), "--export", str(tmp_path / "demo.mesh")])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'mesh'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["demo.cfg"]
+
+
+def _fail_to_solve(system):
+    raise mdflow.SolverError("no convergence")
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (lambda text: text.replace("resolution = 8 8", "resolution = inf 8"), 2,
+         "mdflow: error: line 4:"),
+        (lambda text: text.replace("p0 = 0 0.5", "p0 = 0 0.33").replace("p1 = 1 0.5", "p1 = 1 0.33"),
+         2, "mdflow: error: fault 'F1': coordinate 0.33 is not on a grid line"),
+        (lambda text: text.replace("k_t = 80", "k_t = 1000"), 2,
+         "mdflow: error: fault 'F1': the effective in-plane tensor is not positive definite"),
+        (None, 1, "mdflow: solver error: no convergence"),
+    ],
+    ids=["config", "mesh", "screen", "solver"],
+)
+def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, edit, code, message):
+    # The output directory is made only after the solve and the mass
+    # balance, so a run that stops at any earlier stage writes nothing.
+    if edit is None:
+        monkeypatch.setattr("mdflow.cli.solve", _fail_to_solve)
+    cfg = write_demo(tmp_path, text=DEMO if edit is None else edit(DEMO))
+    assert main(["run", cfg, "--output", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert os.listdir(tmp_path) == ["demo.cfg"]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mdflow.config import FaultConfig, builtin_case
+from mdflow.config import BUILTIN_CASES, FaultConfig, builtin_case
 from mdflow.mdmesh import FaultSpec, MeshError, build_cartesian_md_mesh
 
 
@@ -307,6 +307,45 @@ def test_refine_doubles_resolution():
         assert mesh.subdomains[0].n_cells == nf * nf
         for itf in mesh.interfaces:
             assert itf.n_mortar == nf
+
+
+@pytest.mark.parametrize("case", BUILTIN_CASES)
+def test_mortar_cells_sit_on_their_faces(case):
+    # network2d has tips, a T and an X; cube3d has lines and a 0-d point.
+    cfg = builtin_case(case)
+    mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs())
+    mesh.validate()
+    for itf in mesh.interfaces:
+        lower, higher = mesh.subdomains[itf.lower], mesh.subdomains[itf.higher]
+        # A lower grid is listed after the grid it lies in.
+        assert itf.lower > itf.higher
+        # Mortar cell m is the lower cell m and the face it pairs with,
+        # which lies inside the domain, on one cut.
+        assert np.allclose(higher.face_centers_global()[itf.higher_faces],
+                           lower.cell_centers_global(), rtol=0.0, atol=1e-12)
+        assert np.all(higher.face_bnd[itf.higher_faces] == -1)
+        assert np.unique(higher.face_cut[itf.higher_faces]).size == 1
+
+
+@pytest.mark.parametrize("case", BUILTIN_CASES)
+def test_slit_faces_are_the_two_sided_mortar_faces(case):
+    # A cut through a grid splits its faces into two copies, one on each
+    # side; an interface on each side pairs them with the lower grid. A
+    # lower grid that ends on a higher one meets it from one side, through
+    # faces that are not split.
+    cfg = builtin_case(case)
+    mesh = build_cartesian_md_mesh(cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs())
+    sides = {}
+    for itf in mesh.interfaces:
+        sides.setdefault((itf.lower, itf.higher), []).append(itf)
+    for i, grid in enumerate(mesh.subdomains):
+        slit = np.zeros(grid.n_faces, dtype=np.int8)
+        for pair in sides.values():
+            if len(pair) == 2 and pair[0].higher == i:
+                assert sorted(itf.side for itf in pair) == [1, 2]
+                for itf in pair:
+                    slit[itf.higher_faces] = itf.side
+        assert np.array_equal(grid.face_side, slit)
 
 
 def test_deterministic_rebuild():
