@@ -15,11 +15,14 @@ entering the Darcy law as q = -K (grad p + chi).
 :func:`discretize` picks the scheme from the tensors. Two-point flux (TPFA)
 is consistent only for grid-aligned (diagonal) tensors and rejects any
 other; on such tensors and Cartesian cells the multi-point O-scheme (MPFA)
-reduces to it, sub-face by sub-face. MPFA therefore runs only on 2d grids
-with a full tensor, where it recovers convergence, and there only on the
-faces of a cell whose tensor is full; every other face takes the two-point
-rows. A full tensor on a 3d grid is an error. Both schemes produce the same
-operator shapes and are interchangeable downstream.
+reduces to it, sub-face by sub-face. Every grid therefore gets the
+two-point operator, point grids included (they have no faces, so every
+operator is empty). On a 2d grid with a full tensor, where MPFA recovers
+convergence, the O-scheme's rows replace the two-point rows of the faces of
+a cell whose tensor is full, except the rows that read no tensor: the flux
+of an imposed-flux face and the trace of a Dirichlet face. A full tensor on
+a 3d grid is an error. Both schemes produce the same operator shapes and
+are interchangeable downstream.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ class BoundaryCondition:
 class DiscreteOperator:
     """Assembled flux and trace operators for one grid."""
 
-    grid: CellGrid
     flux_p: sps.csr_matrix
     flux_g: sps.csr_matrix
     flux_chi: sps.csr_matrix
@@ -114,21 +116,6 @@ def _check_bc(grid: CellGrid, bc: BoundaryCondition) -> None:
         raise DiscretizationError("boundary condition set on an interior face")
 
 
-def _empty_operator(grid: CellGrid) -> DiscreteOperator:
-    nf, nc, d = grid.n_faces, grid.n_cells, grid.dim
-    z = lambda shape: sps.csr_matrix(shape)
-    return DiscreteOperator(
-        grid=grid,
-        flux_p=z((nf, nc)),
-        flux_g=z((nf, nf)),
-        flux_chi=z((nf, nc * d)),
-        trace_p=z((nf, nc)),
-        trace_g=z((nf, nf)),
-        trace_chi=z((nf, nc * d)),
-        multipoint_faces=0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # TPFA
 # ---------------------------------------------------------------------------
@@ -148,8 +135,6 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
     takes only the component of ``chi_i`` on the face's axis, so every
     operator row has at most two entries and none is a stored zero.
     """
-    if grid.dim == 0:
-        return _empty_operator(grid)
     perm = _check_perm(grid, perm)
     skew = _skewed_cells(perm)
     if skew.size:
@@ -158,12 +143,14 @@ def tpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
             f"have off-diagonal entries, the first is cell {skew[0]}"
         )
     _check_bc(grid, bc)
-    return _tpfa(grid, perm, bc)
+    return _tpfa(grid, perm, bc, np.zeros(grid.n_faces, dtype=bool))
 
 
-def _tpfa(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> DiscreteOperator:
+def _tpfa(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition, near) -> DiscreteOperator:
     """:func:`tpfa_discretize` on checked data; reads only the tensors'
-    diagonals."""
+    diagonals. On the faces ``near`` it keeps only the rows that read no
+    tensor: the flux ``g * area`` of an imposed-flux face and the trace
+    ``g`` of a Dirichlet face."""
     nf, nc, d = grid.n_faces, grid.n_cells, grid.dim
     faces = np.arange(nf)
     axis = grid.face_axis
@@ -190,21 +177,24 @@ def _tpfa(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> DiscreteOp
     imposed = bc.imposed_flux()
     s = a0 + a1
     T = area * a0 * a1 / s
-    flux_keep = np.stack([inner | dirichlet, inner], axis=1)
-    trace_keep = np.stack([inner | imposed, inner], axis=1)
-    g_keep = np.stack([dirichlet | imposed, np.zeros(nf, dtype=bool)], axis=1)
+    far, none = ~near, np.zeros(nf, dtype=bool)
+    flux_keep = np.stack([(inner | dirichlet) & far, inner & far], axis=1)
+    trace_keep = np.stack([(inner | imposed) & far, inner & far], axis=1)
+    flux_g_keep = np.stack([dirichlet & far | imposed, none], axis=1)
+    trace_g_keep = np.stack([dirichlet | imposed & far, none], axis=1)
     # Traces pi = (a0 p0 + a1 p1 + w1 - w0) / (a0 + a1) inside, g at
     # Dirichlet faces and p0 - (g + w0) / a0 at imposed-flux faces.
     return DiscreteOperator(
-        grid=grid,
         flux_p=_face_rows(cells, np.where(inner, T, area * a0), -T, flux_keep, nc),
-        flux_g=_face_rows(face_col, np.where(dirichlet, -(area * a0), area), 0.0, g_keep, nf),
+        flux_g=_face_rows(
+            face_col, np.where(dirichlet, -(area * a0), area), 0.0, flux_g_keep, nf
+        ),
         flux_chi=_face_rows(
             chi, np.where(inner, -(area * a1 / s) * kn0, -area * kn0),
             -(area * a0 / s) * kn1, flux_keep, nc * d,
         ),
         trace_p=_face_rows(cells, np.where(inner, a0 / s, 1.0), a1 / s, trace_keep, nc),
-        trace_g=_face_rows(face_col, np.where(dirichlet, 1.0, -1.0 / a0), 0.0, g_keep, nf),
+        trace_g=_face_rows(face_col, np.where(dirichlet, 1.0, -1.0 / a0), 0.0, trace_g_keep, nf),
         trace_chi=_face_rows(
             chi, np.where(inner, -kn0 / s, -kn0 / a0), kn1 / s, trace_keep, nc * d
         ),
@@ -238,8 +228,6 @@ def _gradient_reconstruction(grid: CellGrid, perm: np.ndarray) -> sps.csr_matrix
     ``u = -K_c^{-1} (1/2) sum_f n_f q_f / A_f``.
     """
     d = grid.dim
-    if d == 0:
-        return sps.csr_matrix((0, grid.n_faces))
     fc = grid.face_cells
     inner = np.flatnonzero(fc[:, 1] >= 0)
     face = np.concatenate([np.arange(grid.n_faces), inner])
@@ -263,7 +251,7 @@ def _skewed_cells(perm: np.ndarray) -> np.ndarray:
     entries = np.abs(perm.reshape(n, d * d))
     diag = np.eye(d, dtype=bool).ravel()
     off = entries[:, ~diag].max(axis=1, initial=0.0)
-    return np.flatnonzero(off > 1e-12 * entries[:, diag].max(axis=1))
+    return np.flatnonzero(off > 1e-12 * entries[:, diag].max(axis=1, initial=0.0))
 
 
 def discretize(grid, perm, bc) -> DiscreteOperator:
@@ -314,55 +302,28 @@ def mpfa_discretize(grid: CellGrid, perm: np.ndarray, bc: BoundaryCondition) -> 
 
 
 def _mpfa(grid, perm, bc, cells) -> DiscreteOperator:
-    """O-scheme rows on the faces of ``cells``, two-point rows from the
-    tensors' diagonals on all other faces."""
+    """O-scheme rows on the faces of ``cells`` where they read the tensors,
+    two-point rows from the tensors' diagonals everywhere else."""
     if grid.dim != 2:
         raise DiscretizationError("the MPFA implementation covers 2d grids only")
     perm = _check_perm(grid, perm)
     _check_bc(grid, bc)
-    nf, nc = grid.n_faces, grid.n_cells
 
     # Near faces: those of one of the cells. A -1 second cell reads the
     # extra False slot.
-    mark = np.zeros(nc + 1, dtype=bool)
+    mark = np.zeros(grid.n_cells + 1, dtype=bool)
     mark[cells] = True
     near = mark[grid.face_cells].any(axis=1)
 
-    entries = _mpfa_regions(grid, perm, bc, near)
-    # Imposed-flux faces bypass the local systems: their flux is g * area,
-    # and Dirichlet faces take their trace from g.
-    fn = np.flatnonzero(bc.imposed_flux() & near)
-    fd = np.flatnonzero((bc.kind == BC_DIRICHLET) & near)
-    extra = {"flux_g": (grid.face_areas[fn], fn), "trace_g": (np.ones(fd.size), fd)}
-    far = None if near.all() else _tpfa(grid, perm, bc)
-    ops = {}
-    for name, shape in (
-        ("flux_p", (nf, nc)), ("flux_g", (nf, nf)), ("flux_chi", (nf, 2 * nc)),
-        ("trace_p", (nf, nc)), ("trace_g", (nf, nf)), ("trace_chi", (nf, 2 * nc)),
-    ):
-        val, (r, c) = entries[name]
-        if name in extra:
-            v, f = extra[name]
-            val, r, c = np.concatenate([val, v]), np.concatenate([r, f]), np.concatenate([c, f])
-        op = sps.csr_matrix((val, (r, c)), shape=shape)
-        op.eliminate_zeros()  # the two sub-faces of a face may cancel
-        ops[name] = op if far is None else _merge_rows(getattr(far, name), op, near)
-    return DiscreteOperator(grid=grid, multipoint_faces=int(near.sum()), **ops)
-
-
-def _merge_rows(a, b, rows):
-    """CSR matrix with the rows of ``b`` where ``rows`` is set and the rows
-    of ``a`` elsewhere; ``b`` must have no entries outside ``rows``."""
-    count_a = np.diff(a.indptr)
-    count = np.where(rows, np.diff(b.indptr), count_a)
-    indptr = np.concatenate([[0], np.cumsum(count)])
-    from_b = np.repeat(rows, count)
-    from_a = np.repeat(~rows, count_a)
-    indices = np.empty(indptr[-1], dtype=a.indices.dtype)
-    data = np.empty(indptr[-1])
-    indices[from_b], data[from_b] = b.indices, b.data
-    indices[~from_b], data[~from_b] = a.indices[from_a], a.data[from_a]
-    return sps.csr_matrix((data, indices, indptr), shape=a.shape)
+    # The two operators share no row, so each sum copies its entries; it
+    # drops the zeros where the two sub-faces of a face cancel.
+    two_point = _tpfa(grid, perm, bc, near)
+    ops = {
+        name: getattr(two_point, name)
+        + sps.csr_matrix((val, rows_cols), shape=getattr(two_point, name).shape)
+        for name, (val, rows_cols) in _mpfa_regions(grid, perm, bc, near).items()
+    }
+    return DiscreteOperator(multipoint_faces=int(near.sum()), **ops)
 
 
 def _ragged(counts):
@@ -537,7 +498,7 @@ def _mpfa_regions(grid, perm, bc, near):
             entries[name] = (values[m], (s_face[sel[o[m]]], col[at[m]]))
 
     # Traces: each face trace is the mean of its two sub-face pressures;
-    # Dirichlet faces already carry the identity.
+    # Dirichlet faces keep their two-point trace g.
     on = near[s_face]
     sel = np.flatnonzero(on & ~s_dir)
     o, g, c, _ = slots(sel)
@@ -546,7 +507,7 @@ def _mpfa_regions(grid, perm, bc, near):
 
     # Fluxes, evaluated from the first cell with the stored face normal:
     # -(A_f/2) n^T K_c0 (Minv (pi - p_c0) + chi_c0). Imposed-flux faces
-    # are handled globally as g * area.
+    # keep their two-point flux g * area.
     sel = np.flatnonzero(on & ~s_imp)
     k0 = first[sel]
     r = normal_flux(sel, k_cell[k0])

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mdflow.config import FaultConfig
+from mdflow import mdassembly, verify
+from mdflow.config import FaultConfig, builtin_case
 from mdflow.discretize import (
     BC_DIRICHLET,
     BC_MORTAR,
@@ -45,6 +46,20 @@ def line_grid(n=2):
     )
     mesh = build_cartesian_md_mesh((0.0, 0.0), (1.0, 1.0), (n, n), [fault.spec()])
     return mesh.subdomains[1]
+
+
+OPERATORS = ("flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi")
+
+
+def assert_canonical(op):
+    """Every operator row has strictly increasing columns (sorted, no
+    duplicates) and no stored zero."""
+    for name in OPERATORS:
+        m = getattr(op, name)
+        same_row = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        same_row = same_row[1:] == same_row[:-1]
+        assert np.all(np.diff(m.indices.astype(np.int64))[same_row] > 0), name
+        assert np.all(m.data != 0.0), name
 
 
 def normals(grid):
@@ -141,7 +156,7 @@ def test_mpfa_reduces_to_tpfa_isotropic():
     for grid, perm in ((g, isotropic_perm(g, 1.7)), (g, aniso), (flipped, aniso)):
         a = tpfa_discretize(grid, perm, bc)
         b = mpfa_discretize(grid, perm, bc)
-        for name in ("flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi"):
+        for name in OPERATORS:
             x, y = getattr(a, name), getattr(b, name)
             # same stencil: neither scheme stores a zero coefficient
             assert np.array_equal(x.indptr, y.indptr), name
@@ -190,6 +205,27 @@ def test_scheme_follows_the_tensors():
         pr = build_problems(mesh, mats, [])[0][0]
         pr.bc.kind[pr.grid.is_boundary()] = BC_DIRICHLET
         assert discretize(pr.grid, pr.perm, pr.bc).scheme == scheme
+
+
+def test_point_grids_take_the_checked_two_point_path():
+    # cube3d's three fault planes meet in one point: a grid of one cell and
+    # no faces, whose operators are empty and whose tensors are 0 x 0.
+    cfg = builtin_case("cube3d")
+    mesh = build_cartesian_md_mesh(
+        cfg.domain_lo, cfg.domain_hi, cfg.resolution, cfg.fault_specs()
+    )
+    (g,) = [sd for sd in mesh.subdomains if sd.dim == 0]
+    assert (g.n_cells, g.n_faces) == (1, 0)
+    perm, bc = np.zeros((1, 0, 0)), BoundaryCondition.empty(g)
+    for scheme in (discretize, tpfa_discretize):
+        op = scheme(g, perm, bc)
+        shapes = [getattr(op, name).shape for name in OPERATORS]
+        assert shapes == [(0, 1), (0, 0), (0, 0), (0, 1), (0, 0), (0, 0)]
+        assert all(getattr(op, name).nnz == 0 for name in OPERATORS)
+        assert op.scheme == "TPFA"
+        with pytest.raises(DiscretizationError, match="shape"):
+            scheme(g, np.ones((1, 1, 1)), bc)
+    assert _gradient_reconstruction(g, perm).shape == (0, 0)
 
 
 def test_vector_source_cancels_gradient():
@@ -340,10 +376,9 @@ def test_o_scheme_rows_are_continuous_local_and_numbering_free():
     K = random_spd(rng, 3)
     perm = K[(g.cell_centers[:, 0] // 0.25).astype(int) % 3]
     scale = 1.0 + 1e-10 * (1.0 + rng.permutation(g.n_cells))
-    names = ("flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi")
     a = mpfa_discretize(g, perm, bc)
     b = mpfa_discretize(g, perm * scale[:, None, None], bc)
-    for name in names:
+    for name in OPERATORS:
         x, y = getattr(a, name), getattr(b, name)
         assert abs(x - y).max() <= 1e-7 * abs(y).max(), name
     # Locality and numbering: the vertical faces on a stripe's center line
@@ -353,7 +388,7 @@ def test_o_scheme_rows_are_continuous_local_and_numbering_free():
     for t, x0 in ((0, 0.125), (1, 0.375), (2, 0.625), (0, 0.875)):
         rows = np.flatnonzero((g.face_axis == 0) & np.isclose(xf, x0))
         c = mpfa_discretize(g, np.tile(K[t], (g.n_cells, 1, 1)), bc)
-        for name in names:
+        for name in OPERATORS:
             x, y = getattr(a, name)[rows], getattr(c, name)[rows]
             assert abs(x - y).max() <= 1e-12 * abs(y).max(), name
 
@@ -456,8 +491,33 @@ def test_discretize_matches_the_full_o_scheme(case, data):
     a = discretize(g, perm, bc)
     b = mpfa_discretize(g, perm, bc)
     assert 0 < a.multipoint_faces < b.multipoint_faces == g.n_faces
-    for name in ("flux_p", "flux_g", "flux_chi", "trace_p", "trace_g", "trace_chi"):
+    assert_canonical(a)
+    assert_canonical(b)
+    for name in OPERATORS:
         x, y = getattr(a, name), getattr(b, name)
         assert np.array_equal(x.indptr, y.indptr), name
         assert np.array_equal(x.indices, y.indices), name
         assert abs(x - y).max() <= 1e-12 * abs(y).max(), name
+
+
+class _Problems(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_oracle_operators_are_canonical(case, monkeypatch):
+    # The 200^2 resolved-strip oracle: its strip cells carry a full tensor,
+    # so discretize sums two-point rows and O-scheme rows. The problem is
+    # taken where the oracle would assemble it, and no profile is cached.
+    def stop(mesh, problems, iproblems):
+        raise _Problems(problems)
+
+    monkeypatch.setattr(verify, "_ORACLE_PROFILES", {})
+    monkeypatch.setattr(mdassembly, "assemble_from_problems", stop)
+    with pytest.raises(_Problems) as caught:
+        verify.equidim_oracle(builtin_case(case), 200)
+    (pr,) = caught.value.args[0]
+    a = discretize(pr.grid, pr.perm, pr.bc)
+    assert 0 < a.multipoint_faces < pr.grid.n_faces
+    assert_canonical(a)
+    assert_canonical(mpfa_discretize(pr.grid, pr.perm, pr.bc))

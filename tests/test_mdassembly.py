@@ -302,8 +302,11 @@ def _small(case):
 #: its rows by powers of two, so its pivots and order do not depend on s,
 #: and network2d drifts at most 2.6e-13 over s = 1e-9 ... 1e9 (before, with
 #: unscaled rows, 1.7e-8 at s = 1e-8 and 2.5e-8 at 1e9). The 3D solvers do
-#: not scale: cube3d drifts above 1e6 (4.6e-8 at 1e7) and below s = 1e-2
-#: (6.7e-9 at s = 1e-5), and at 1e-9 raises SolverError.
+#: not scale. Above s = 1e6 GMRES misses its stop and the COLAMD fallback
+#: does worse, so the Krylov answer is kept: cube3d drifts 1.0e-12 at 1e7
+#: and 5.2e-13 at 1e9. Below s = 1e-2 the fallback's answer is kept and
+#: drifts (3.5e-11 at 1e-3, 6.7e-9 at 1e-5); at 1e-8 it drifts 2.4e-7 or
+#: raises SolverError, and at 1e-9 it raises SolverError.
 _UNITS_2D = [(s, o) for s in (1e-9, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e9) for o in (0.0, 1e3)]
 SCALES = {
     "case1": _UNITS_2D + [(1.0, 1e6)],
